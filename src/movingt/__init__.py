@@ -7,8 +7,9 @@ GARCH(1,1) baseline accompany them for evaluation.
 """
 
 from .adaptive import (AdaptiveConfig, EmaState, ParamTrajectory, ema_update,
-                       fold_backend, run, seed_state_from_prefix, step)
-from .baselines import GarchParams, fit_garch_mle, fit_sigma_mle, garch_filter
+                       run, seed_state_from_prefix, step)
+from .baselines import (GarchFit, GarchParams, fit_garch_mle, fit_sigma_mle,
+                        garch_filter)
 from .data_io import (GarchScenario, PriceSeries, ReturnSeries, Segment,
                       generate_synthetic, read_csv, to_log_returns)
 from .distribution import (NU_GAUSSIAN, StudentTParams, abs_central_moment,
@@ -30,8 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveConfig", "EmaState", "ParamTrajectory", "ema_update",
-    "fold_backend", "run", "seed_state_from_prefix", "step",
-    "GarchParams", "fit_garch_mle", "fit_sigma_mle", "garch_filter",
+    "run", "seed_state_from_prefix", "step",
+    "GarchFit", "GarchParams", "fit_garch_mle", "fit_sigma_mle", "garch_filter",
     "GarchScenario", "PriceSeries", "ReturnSeries", "Segment",
     "generate_synthetic", "read_csv", "to_log_returns",
     "NU_GAUSSIAN", "StudentTParams", "abs_central_moment", "cdf",

@@ -11,26 +11,27 @@ sigma_t = max(m_sigma, floor)^{1/p_sigma} / M(nu_t, p_sigma); nu_t comes
 from the ratio of two moment EMAs inverted through a monotone table
 (plus the additive adjustment), or is held fixed.
 
-The per-step fold runs in a compiled kernel when available; a
-pure-Python twin with identical arithmetic is selected otherwise (or
-when the MOVINGT_PURE_PYTHON environment variable is set).
+`run` folds a whole series: the center and the three moment EMAs are
+first-order recursions, built with `itertools.accumulate` from the same
+update expression as the scalar `step`, and nu, sigma and the
+log-density are numpy maps of those state paths.
 """
 
 from __future__ import annotations
 
 import math
-import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional, Union
 
 import numpy as np
 
-from . import _fold_py
-from .distribution import StudentTParams
+from .distribution import NU_GAUSSIAN, StudentTParams
 from .errors import DomainError, SeriesTooShortError
 from .static_estimators import (DEFAULT_NU_ADJUSTMENT, DEFAULT_NU_CAP,
-                                NuInversionTable, build_nu_table)
+                                build_nu_table)
 
 __all__ = [
     "AdaptiveConfig",
@@ -40,25 +41,12 @@ __all__ = [
     "step",
     "run",
     "seed_state_from_prefix",
-    "fold_backend",
+    "moment_paths",
+    "sigma_and_log_density",
 ]
 
-_FORCE_PY = bool(os.environ.get("MOVINGT_PURE_PYTHON"))
-if not _FORCE_PY:
-    try:
-        from . import _fold as _fold_impl
-        _BACKEND = "cython"
-    except ImportError:
-        _fold_impl = _fold_py
-        _BACKEND = "python"
-else:
-    _fold_impl = _fold_py
-    _BACKEND = "python"
-
-
-def fold_backend() -> str:
-    """Name of the fold implementation in use ("cython" or "python")."""
-    return _BACKEND
+_HALF_LOG_PI = 0.5 * math.log(math.pi)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def ema_update(m: float, observation: float, eta: float) -> float:
@@ -174,18 +162,81 @@ class ParamTrajectory:
 
 
 @lru_cache(maxsize=32)
-def _cached_table(p1: float, p2: float, nu_min: float, nu_cap: float) -> NuInversionTable:
-    return build_nu_table(p1, p2, nu_min=nu_min, nu_cap=nu_cap)
-
-
-def _inversion_arrays(config: AdaptiveConfig):
-    if config.nu_fixed is not None:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty
-    table = _cached_table(config.p1, config.p2, config.nu_min, config.nu_cap)
+def _inversion_table(p1: float, p2: float, nu_min: float, nu_cap: float):
+    """(ratio ascending, ln nu) of the nu inversion table, as lists."""
+    table = build_nu_table(p1, p2, nu_min=nu_min, nu_cap=nu_cap)
     ratio_asc, ln_nu = table.inversion_arrays()
-    return (np.ascontiguousarray(ratio_asc, dtype=np.float64),
-            np.ascontiguousarray(ln_nu, dtype=np.float64))
+    return ratio_asc.tolist(), ln_nu.tolist()
+
+
+# --------------------------------------------------------------------------
+# scalar step: the reference the vectorized fold is tested against
+
+
+def _log_abs_moment(nu: float, p: float) -> float:
+    # ln M(nu, p); caller guarantees 0 < p < nu
+    if nu >= NU_GAUSSIAN:
+        return (0.5 * p * math.log(2.0) + math.lgamma(0.5 * (p + 1.0))
+                - _HALF_LOG_PI) / p
+    return (0.5 * p * math.log(nu) + math.lgamma(0.5 * (p + 1.0))
+            + math.lgamma(0.5 * (nu - p)) - _HALF_LOG_PI
+            - math.lgamma(0.5 * nu)) / p
+
+
+def _t_log_pdf(nu: float, sigma: float, z: float) -> float:
+    if nu >= NU_GAUSSIAN:
+        return -_HALF_LOG_2PI - math.log(sigma) - 0.5 * z * z
+    return (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
+            - 0.5 * math.log(nu * math.pi) - math.log(sigma)
+            - 0.5 * (nu + 1.0) * math.log1p(z * z / nu))
+
+
+def _interp_ln_nu(r, ratio_asc, ln_nu_asc):
+    # piecewise-linear inverse lookup, clamped at the table ends
+    if r <= ratio_asc[0]:
+        return ln_nu_asc[0]
+    last = len(ratio_asc) - 1
+    if r >= ratio_asc[last]:
+        return ln_nu_asc[last]
+    i = bisect_right(ratio_asc, r)
+    r0 = ratio_asc[i - 1]
+    y0 = ln_nu_asc[i - 1]
+    return y0 + (ln_nu_asc[i] - y0) * (r - r0) / (ratio_asc[i] - r0)
+
+
+def step_once(x, mu, m_sigma, m1, m2,
+              eta1, eta2, eta3, p_sigma, p1, p2,
+              nu_fixed, nu_adjust, nu_cap, floor,
+              ratio_asc, ln_nu_asc):
+    """One estimate-then-update step on plain floats.
+
+    Returns (mu_t, sigma_t, nu_t, log_density, mu, m_sigma, m1, m2):
+    the estimate formed from the incoming state before x is ingested,
+    its log-density at x, then the post-update state.  nu_fixed is NaN
+    for an adaptive nu.
+    """
+    if math.isnan(nu_fixed):
+        r = math.exp(math.log(m1 if m1 > floor else floor) / p1
+                     - math.log(m2 if m2 > floor else floor) / p2)
+        nu_t = math.exp(_interp_ln_nu(r, ratio_asc, ln_nu_asc)) + nu_adjust
+        if nu_t > nu_cap:
+            nu_t = nu_cap
+    else:
+        nu_t = nu_fixed
+
+    mf = m_sigma if m_sigma > floor else floor
+    sigma_t = math.exp(math.log(mf) / p_sigma - _log_abs_moment(nu_t, p_sigma))
+    z = (x - mu) / sigma_t
+    log_density = _t_log_pdf(nu_t, sigma_t, z)
+
+    d = abs(x - mu)
+    m_sigma = m_sigma + eta2 * (d ** p_sigma - m_sigma)
+    if math.isnan(nu_fixed):
+        m1 = m1 + eta3 * (d ** p1 - m1)
+        m2 = m2 + eta3 * (d ** p2 - m2)
+    new_mu = mu + eta1 * (x - mu)
+
+    return mu, sigma_t, nu_t, log_density, new_mu, m_sigma, m1, m2
 
 
 def step(state: EmaState, x: float, config: AdaptiveConfig):
@@ -194,14 +245,19 @@ def step(state: EmaState, x: float, config: AdaptiveConfig):
     The estimate is computed from `state` before x is ingested, so x is
     out of sample for it.
     """
-    ratio_asc, ln_nu = _inversion_arrays(config)
-    nu_fixed = float("nan") if config.nu_fixed is None else config.nu_fixed
-    (mu_t, sigma_t, nu_t, _logd, mu, m_sigma, m1, m2) = _fold_py.step_once(
+    if config.nu_fixed is None:
+        ratio_asc, ln_nu = _inversion_table(config.p1, config.p2,
+                                            config.nu_min, config.nu_cap)
+        nu_fixed = math.nan
+    else:
+        ratio_asc = ln_nu = ()
+        nu_fixed = config.nu_fixed
+    (mu_t, sigma_t, nu_t, _logd, mu, m_sigma, m1, m2) = step_once(
         float(x), state.mu, state.m_sigma, state.m1, state.m2,
         config.eta1, config.eta2, config.eta3,
         config.p_sigma, config.p1, config.p2,
         nu_fixed, config.nu_adjustment, config.nu_cap, config.moment_floor,
-        ratio_asc.tolist(), ln_nu.tolist())
+        ratio_asc, ln_nu)
     new_state = EmaState(mu, m_sigma, m1, m2, state.t + 1)
     return new_state, StudentTParams(mu_t, sigma_t, nu_t)
 
@@ -229,6 +285,86 @@ def seed_state_from_prefix(xs, k: int, config: AdaptiveConfig,
     )
 
 
+# --------------------------------------------------------------------------
+# vectorized fold
+
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def _ema_path(m0: float, eta: float, observations: list) -> np.ndarray:
+    """EMA value before each observation: m0, then m <- m + eta*(v - m)
+    (the update of step_once)."""
+    return np.fromiter(
+        accumulate(observations, lambda m, v, eta=eta: m + eta * (v - m),
+                   initial=m0),
+        dtype=np.float64, count=len(observations))
+
+
+def moment_paths(xs, state: EmaState, config: AdaptiveConfig):
+    """State paths (mu, m_sigma, m1, m2) of the fold over xs.
+
+    Entry t of each path is the state the estimate for xs[t] is formed
+    from, so it depends on xs[:t] only.  With a fixed nu the two nu
+    moments never move and m1, m2 are None.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    mu = _ema_path(state.mu, config.eta1, xs.tolist())
+    d = np.abs(xs - mu)
+    m_sigma = _ema_path(state.m_sigma, config.eta2,
+                        (d ** config.p_sigma).tolist())
+    if config.nu_fixed is not None:
+        return mu, m_sigma, None, None
+    m1 = _ema_path(state.m1, config.eta3, (d ** config.p1).tolist())
+    m2 = _ema_path(state.m2, config.eta3, (d ** config.p2).tolist())
+    return mu, m_sigma, m1, m2
+
+
+def _nu_path(m1, m2, config: AdaptiveConfig) -> np.ndarray:
+    floor = config.moment_floor
+    r = np.exp(np.log(np.maximum(m1, floor)) / config.p1
+               - np.log(np.maximum(m2, floor)) / config.p2)
+    ratio_asc, ln_nu = _inversion_table(config.p1, config.p2,
+                                        config.nu_min, config.nu_cap)
+    nu = np.exp(np.interp(r, ratio_asc, ln_nu)) + config.nu_adjustment
+    return np.minimum(nu, config.nu_cap)
+
+
+def _lgamma_of(a) -> np.ndarray:
+    return np.asarray(_lgamma(a), dtype=np.float64)
+
+
+def sigma_and_log_density(xs, mu, m_sigma, nu, p_sigma: float, floor: float):
+    """(sigma_t, ln rho_t(x_t)) per step from the state paths and nu_t.
+
+    nu is one value or one per step; steps with nu >= NU_GAUSSIAN use
+    the Gaussian limit, as `step_once` does.
+    """
+    nu = np.asarray(nu, dtype=np.float64)
+    gauss = nu >= NU_GAUSSIAN
+    # the Student-t terms are evaluated at a finite stand-in where the
+    # Gaussian branch is taken, so lgamma never sees a huge argument
+    nu_t = np.minimum(nu, NU_GAUSSIAN)
+    lg_half_nu = _lgamma_of(0.5 * nu_t)
+    lg_half_p1 = math.lgamma(0.5 * (p_sigma + 1.0))
+    log_m = np.where(
+        gauss,
+        (0.5 * p_sigma * math.log(2.0) + lg_half_p1 - _HALF_LOG_PI) / p_sigma,
+        (0.5 * p_sigma * np.log(nu_t) + lg_half_p1
+         + _lgamma_of(0.5 * (nu_t - p_sigma)) - _HALF_LOG_PI - lg_half_nu)
+        / p_sigma)
+    sigma = np.exp(np.log(np.maximum(m_sigma, floor)) / p_sigma - log_m)
+
+    log_norm = np.where(
+        gauss, -_HALF_LOG_2PI,
+        _lgamma_of(0.5 * (nu_t + 1.0)) - lg_half_nu
+        - 0.5 * np.log(nu_t * math.pi))
+    z = (xs - mu) / sigma
+    with np.errstate(over="ignore"):  # z*z may hit inf; -inf out is correct
+        tail = np.where(gauss, 0.5 * z * z,
+                        0.5 * (nu_t + 1.0) * np.log1p(z * z / nu_t))
+    return sigma, log_norm - np.log(sigma) - tail
+
+
 def run(xs, config: AdaptiveConfig,
         init: Union[EmaState, int] = 300) -> ParamTrajectory:
     """Fold the moving estimator over a return series.
@@ -254,22 +390,17 @@ def run(xs, config: AdaptiveConfig,
                 f"series of {n} points does not exceed init prefix k={k}")
         state, t_start = seed_state_from_prefix(values, k, config), k
 
-    ratio_asc, ln_nu = _inversion_arrays(config)
-    nu_fixed = float("nan") if config.nu_fixed is None else config.nu_fixed
-
-    m = n - t_start
-    out_mu = np.empty(m)
-    out_sigma = np.empty(m)
-    out_nu = np.empty(m)
-    out_logd = np.empty(m)
-    _fold_impl.run_fold(
-        values, t_start, state.mu, state.m_sigma, state.m1, state.m2,
-        config.eta1, config.eta2, config.eta3,
-        config.p_sigma, config.p1, config.p2,
-        nu_fixed, config.nu_adjustment, config.nu_cap, config.moment_floor,
-        ratio_asc, ln_nu, out_mu, out_sigma, out_nu, out_logd)
+    folded = values[t_start:].copy()
+    mu, m_sigma, m1, m2 = moment_paths(folded, state, config)
+    if config.nu_fixed is None:
+        nu = _nu_path(m1, m2, config)
+    else:
+        nu = config.nu_fixed
+    sigma, log_density = sigma_and_log_density(
+        folded, mu, m_sigma, nu, config.p_sigma, config.moment_floor)
 
     return ParamTrajectory(
         t=np.arange(t_start, n, dtype=np.int64),
-        x=values[t_start:].copy(),
-        mu=out_mu, sigma=out_sigma, nu=out_nu, log_density=out_logd)
+        x=folded, mu=mu, sigma=sigma,
+        nu=np.broadcast_to(nu, folded.shape).copy(),
+        log_density=log_density)

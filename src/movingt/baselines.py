@@ -3,6 +3,9 @@
 The GARCH comparison is Gaussian-scored.  Scale MLE uses golden-section
 search on ln(sigma), which is well conditioned across the multi-decade
 sigma ranges nonstationary series produce.
+
+scipy is imported inside the GARCH functions, the only users of it, so
+commands that never fit or filter a GARCH model load numpy alone.
 """
 
 from __future__ import annotations
@@ -11,14 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .distribution import StudentTParams, log_pdf
 from .errors import DomainError, SeriesTooShortError
 
 __all__ = [
     "GarchParams",
+    "GarchFit",
     "fit_sigma_mle",
     "garch_filter",
     "fit_garch_mle",
@@ -55,6 +57,18 @@ class GarchParams:
                 f"got {self.alpha + self.beta!r}")
         if self.initial_var <= 0.0:
             raise DomainError(f"initial_var must be > 0, got {self.initial_var!r}")
+
+
+@dataclass(frozen=True)
+class GarchFit(GarchParams):
+    """Fitted GarchParams plus how the fit ended.
+
+    persistence_clamped is True when the optimum's alpha + beta rounded
+    to 1 or above and beta was stepped down to the largest value that
+    keeps the model covariance stationary.
+    """
+
+    persistence_clamped: bool = False
 
 
 def fit_sigma_mle(xs, mu: float, nu: float):
@@ -97,6 +111,8 @@ def garch_filter(xs, params: GarchParams, warmup: int = 0):
     Returns (sigma_path, mean_gaussian_loglik); the mean skips the first
     `warmup` points, matching the adaptive module's convention.
     """
+    from scipy.signal import lfilter
+
     xs = np.asarray(xs, dtype=np.float64)
     n = xs.size
     if n == 0:
@@ -117,6 +133,8 @@ def _garch_mean_loglik(xs, omega: float, alpha: float, beta: float,
                        initial_var: float) -> float:
     # inline variant of garch_filter without parameter validation,
     # for use inside the optimizer where trial points may be extreme
+    from scipy.signal import lfilter
+
     n = xs.size
     sigma2 = np.empty(n)
     sigma2[0] = initial_var
@@ -149,14 +167,35 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-def fit_garch_mle(xs) -> GarchParams:
+def _stationary_beta(alpha: float, beta: float) -> float:
+    """Largest beta' <= beta with alpha + beta' < 1 in floating point.
+
+    Steps beta down by ulps.  Starting at min(beta, 1 - alpha) gives the
+    same result in a few steps, also when beta is so small that its ulps
+    barely move the sum.
+    """
+    if alpha + beta < 1.0:
+        return beta
+    beta = min(beta, 1.0 - alpha)
+    while beta > 0.0 and alpha + beta >= 1.0:
+        beta = math.nextafter(beta, 0.0)
+    return beta
+
+
+def fit_garch_mle(xs) -> GarchFit:
     """In-sample Gaussian MLE of (omega, alpha, beta).
 
     Derivative-free simplex search from 8 fixed starting points, with
     the constraints enforced through a log/logit reparameterization
     (omega = e^w, alpha = s*f, beta = s*(1-f), s = persistence in (0,1),
-    f = fraction in (0,1)).  Deterministic for identical inputs.
+    f = fraction in (0,1)).  Deterministic for identical inputs.  On
+    strongly regime-switching data the optimum sits at the integrated
+    (IGARCH) boundary and s rounds to 1; beta is then stepped down by
+    ulps to the nearest stationary value and the fit says so in
+    `persistence_clamped`.
     """
+    from scipy.optimize import minimize
+
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size < 100:
         raise SeriesTooShortError(
@@ -185,7 +224,10 @@ def fit_garch_mle(xs) -> GarchParams:
         if best is None or res.fun < best.fun:
             best = res
     omega, alpha, beta = unpack(best.x)
-    return GarchParams(omega=omega, alpha=alpha, beta=beta, initial_var=var)
+    stationary_beta = _stationary_beta(alpha, beta)
+    return GarchFit(omega=omega, alpha=alpha, beta=stationary_beta,
+                    initial_var=var,
+                    persistence_clamped=stationary_beta != beta)
 
 
 def simulate_garch(rng: np.random.Generator, n: int,

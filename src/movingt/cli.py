@@ -17,8 +17,7 @@ import hashlib
 import sys
 from dataclasses import replace
 
-from .adaptive import (AdaptiveConfig, fold_backend, run,
-                       seed_state_from_prefix)
+from .adaptive import AdaptiveConfig, run, seed_state_from_prefix
 from .baselines import fit_garch_mle, garch_filter
 from .data_io import (GarchScenario, ReturnSeries, Segment,
                       generate_synthetic, read_csv, to_log_returns,
@@ -68,7 +67,6 @@ def _manifest(command: str, input_digest: str, config: dict,
     lines = [f"command = {command}", f"input_sha256 = {input_digest}"]
     lines += [f"{k} = {_fmt(v)}" for k, v in sorted(config.items())]
     lines.append(f"output = {output}")
-    lines.append(f"fold_backend = {fold_backend()}")
     return lines
 
 
@@ -306,6 +304,7 @@ def _cmd_garch(args) -> int:
     config = {**_io_config(args), "warmup": args.warmup}
     manifest = _manifest("garch", _digest_file(args.input), config,
                          args.output)
+    manifest.append(f"persistence_clamped = {params.persistence_clamped}")
     write_row_csv(args.output,
                   ["omega", "alpha", "beta", "initial_var",
                    "mean_loglik", "n"],

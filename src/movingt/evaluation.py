@@ -13,7 +13,8 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .adaptive import AdaptiveConfig, ParamTrajectory, run, seed_state_from_prefix
+from .adaptive import (AdaptiveConfig, ParamTrajectory, moment_paths,
+                       seed_state_from_prefix, sigma_and_log_density)
 from .baselines import fit_garch_mle, fit_sigma_mle, garch_filter
 from .distribution import (NU_GAUSSIAN, StudentTParams, abs_central_moment,
                            cdf, draw, log_pdf)
@@ -103,6 +104,8 @@ def nu_sweep(xs, nu_grid: Sequence[float], adaptive_config: AdaptiveConfig,
     The center is pinned at 0 throughout.  The static model is fit and
     scored on the post-warmup points; the adaptive runs seed their state
     from the warmup prefix (moments about 0) and score the same points.
+    With the center pinned the moment path does not depend on nu, so
+    there is one fold per distinct power and every nu is scored from it.
     One GARCH(1,1) baseline (in-sample MLE on the full series, scored
     post-warmup) accompanies the grid.
     """
@@ -121,6 +124,7 @@ def nu_sweep(xs, nu_grid: Sequence[float], adaptive_config: AdaptiveConfig,
 
     scored = values[warmup:]
     p_eff_overrides: Dict[float, float] = {}
+    m_sigma_paths: Dict[float, np.ndarray] = {}
     entries = []
     for nu in nu_list:
         inv = inv_nu_of(nu)
@@ -133,9 +137,12 @@ def nu_sweep(xs, nu_grid: Sequence[float], adaptive_config: AdaptiveConfig,
             p_eff_overrides[inv] = p_eff
         cfg = replace(adaptive_config, nu_fixed=nu, p_sigma=p_eff,
                       eta1=0.0, warmup=0)
-        state0 = seed_state_from_prefix(values, warmup, cfg, mu=0.0)
-        traj = run(scored, cfg, init=state0)
-        adaptive_score = mean_log_likelihood(traj, scored, 0)
+        if p_eff not in m_sigma_paths:
+            state0 = seed_state_from_prefix(values, warmup, cfg, mu=0.0)
+            m_sigma_paths[p_eff] = moment_paths(scored, state0, cfg)[1]
+        _, log_density = sigma_and_log_density(
+            scored, 0.0, m_sigma_paths[p_eff], nu, p_eff, cfg.moment_floor)
+        adaptive_score = float(np.mean(log_density))
         entries.append((inv, static_score, adaptive_score, sigma_hat))
 
     entries.sort(key=lambda e: e[0])
@@ -156,6 +163,7 @@ def nu_sweep(xs, nu_grid: Sequence[float], adaptive_config: AdaptiveConfig,
         "garch_omega": garch_params.omega,
         "garch_alpha": garch_params.alpha,
         "garch_beta": garch_params.beta,
+        "garch_persistence_clamped": garch_params.persistence_clamped,
         "garch_fit": "in-sample MLE on the full series",
         "source_id": getattr(xs, "source_id", ""),
     }

@@ -5,8 +5,3 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
-
-
-def pytest_report_header(config):
-    from movingt.adaptive import fold_backend
-    return f"movingt fold backend: {fold_backend()}"

@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from movingt.adaptive import (AdaptiveConfig, EmaState, ema_update,
-                              fold_backend, run, seed_state_from_prefix, step)
+                              moment_paths, run, seed_state_from_prefix, step,
+                              step_once)
 from movingt.data_io import Segment, generate_synthetic
-from movingt.distribution import abs_central_moment, log_pdf, StudentTParams
+from movingt.distribution import (NU_GAUSSIAN, abs_central_moment, log_pdf,
+                                  StudentTParams)
 from movingt.errors import DomainError, SeriesTooShortError
+from movingt.static_estimators import build_nu_table
 
 
 class TestEmaUpdate:
@@ -245,29 +248,90 @@ class TestRun:
         assert new.m_sigma != state.m_sigma
 
 
-class TestBackendParity:
-    def test_compiled_matches_python(self):
-        pytest.importorskip("movingt._fold")
-        from movingt import _fold, _fold_py
-        from movingt.adaptive import _inversion_arrays
+def _step_once_fold(xs, state, cfg):
+    """Fold the scalar step_once over xs: arrays mu, sigma, nu, log_density."""
+    if cfg.nu_fixed is None:
+        table = build_nu_table(cfg.p1, cfg.p2, nu_min=cfg.nu_min,
+                               nu_cap=cfg.nu_cap)
+        ratio_asc, ln_nu = (a.tolist() for a in table.inversion_arrays())
+        nu_fixed = math.nan
+    else:
+        ratio_asc = ln_nu = []
+        nu_fixed = cfg.nu_fixed
+    mu, m_sigma, m1, m2 = state.mu, state.m_sigma, state.m1, state.m2
+    rows = []
+    for x in np.asarray(xs, dtype=np.float64).tolist():
+        *estimate, mu, m_sigma, m1, m2 = step_once(
+            x, mu, m_sigma, m1, m2, cfg.eta1, cfg.eta2, cfg.eta3,
+            cfg.p_sigma, cfg.p1, cfg.p2, nu_fixed, cfg.nu_adjustment,
+            cfg.nu_cap, cfg.moment_floor, ratio_asc, ln_nu)
+        rows.append(estimate)
+    return np.array(rows).T
 
-        xs = generate_synthetic(
-            [Segment(4000, 0, 1, 5), Segment(4000, 0, 2, 8)], seed=21).values
-        cfg = AdaptiveConfig()
-        state = seed_state_from_prefix(xs, 300, cfg)
-        ratio_asc, ln_nu = _inversion_arrays(cfg)
-        n = xs.size - 300
-        args = (xs, 300, state.mu, state.m_sigma, state.m1, state.m2,
-                cfg.eta1, cfg.eta2, cfg.eta3, cfg.p_sigma, cfg.p1, cfg.p2,
-                float("nan"), cfg.nu_adjustment, cfg.nu_cap,
-                cfg.moment_floor, ratio_asc, ln_nu)
-        out_c = [np.empty(n) for _ in range(4)]
-        out_p = [np.empty(n) for _ in range(4)]
-        end_c = _fold.run_fold(*args, *out_c)
-        end_p = _fold_py.run_fold(*args, *out_p)
-        for a, b in zip(out_c, out_p):
-            assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
-        assert end_c == pytest.approx(end_p, rel=1e-9)
 
-    def test_backend_reported(self):
-        assert fold_backend() in ("cython", "python")
+class TestFoldMatchesStepOnceOnHostileSeries:
+    """run() against a plain loop over the scalar step, on hostile input."""
+
+    @staticmethod
+    def _check(xs, cfg, init):
+        xs = np.asarray(xs, dtype=np.float64)
+        if isinstance(init, EmaState):
+            state, start = init, 0
+        else:
+            state, start = seed_state_from_prefix(xs, init, cfg), init
+        traj = run(xs, cfg, init=init)
+        mu, sigma, nu, logd = _step_once_fold(xs[start:], state, cfg)
+        assert np.all(np.isfinite(traj.sigma))
+        assert np.all(np.isfinite(traj.log_density))
+        assert np.allclose(traj.mu, mu, rtol=1e-12, atol=0.0)
+        assert np.allclose(traj.sigma, sigma, rtol=1e-9, atol=0.0)
+        assert np.allclose(traj.nu, nu, rtol=1e-9, atol=0.0)
+        assert np.allclose(traj.log_density, logd, rtol=1e-9, atol=0.0)
+        return traj
+
+    def test_exact_zero_runs(self):
+        xs = generate_synthetic([Segment(3000, 0, 1, 4)], seed=30).values
+        xs[500:520] = 0.0
+        xs[1200:1205] = 0.0
+        xs[2000:2400] = 0.0
+        self._check(xs, AdaptiveConfig(), 300)
+
+    def test_zero_run_reaches_moment_floor(self):
+        # a pinned center makes |x - mu| exactly 0 over the run, so all
+        # three moments decay below the floor
+        xs = generate_synthetic([Segment(4000, 0, 1, 4)], seed=31).values
+        xs[1000:3000] = 0.0
+        cfg = AdaptiveConfig(eta1=0.0, eta3=0.05)
+        state = seed_state_from_prefix(xs, 300, cfg, mu=0.0)
+        _, m_sigma, m1, m2 = moment_paths(xs, state, cfg)
+        for path in (m_sigma, m1, m2):
+            assert path.min() < cfg.moment_floor
+        self._check(xs, cfg, state)
+
+    def test_constant_prefix(self):
+        rest = generate_synthetic([Segment(1500, 0, 1, 5)], seed=32).values
+        xs = np.concatenate([np.full(300, 0.25), rest])
+        traj = self._check(xs, AdaptiveConfig(), 300)
+        # the seeded moments are zero, so the first estimate sits at the floor
+        assert traj.sigma[0] < 1e-15
+
+    def test_huge_outlier(self):
+        xs = generate_synthetic([Segment(2000, 0, 1, 5)], seed=33).values
+        xs[900] = 1e6
+        self._check(xs, AdaptiveConfig(), 300)
+
+    def test_frozen_center(self):
+        xs = generate_synthetic([Segment(2000, 0.3, 1, 5)], seed=34).values
+        traj = self._check(xs, AdaptiveConfig(eta1=0.0), 300)
+        assert np.all(traj.mu == traj.mu[0])
+
+    @pytest.mark.parametrize("nu_fixed", [NU_GAUSSIAN, 2.0 * NU_GAUSSIAN])
+    def test_gaussian_nu(self, nu_fixed):
+        # the CLI's --nu-fixed inf is NU_GAUSSIAN
+        xs = generate_synthetic([Segment(2000, 0, 1, 5)], seed=35).values
+        self._check(xs, AdaptiveConfig(nu_fixed=nu_fixed), 300)
+
+    def test_length_init_plus_one(self):
+        xs = generate_synthetic([Segment(301, 0, 1, 5)], seed=36).values
+        traj = self._check(xs, AdaptiveConfig(), 300)
+        assert len(traj) == 1

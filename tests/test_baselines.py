@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from movingt.baselines import (GarchParams, fit_garch_mle, fit_sigma_mle,
-                               garch_filter, simulate_garch)
+from movingt.baselines import (GarchParams, _stationary_beta, fit_garch_mle,
+                               fit_sigma_mle, garch_filter, simulate_garch)
 from movingt.distribution import NU_GAUSSIAN, StudentTParams, log_pdf, sample
 from movingt.errors import DomainError, SeriesTooShortError
 
@@ -139,3 +139,27 @@ class TestFitGarchMle:
     def test_too_short(self):
         with pytest.raises(SeriesTooShortError):
             fit_garch_mle(np.zeros(50))
+
+    def test_interior_fit_not_clamped(self):
+        rng = np.random.default_rng(4)
+        xs = simulate_garch(rng, 5000, GarchParams(1e-6, 0.1, 0.8, 1e-5))
+        assert not fit_garch_mle(xs).persistence_clamped
+
+
+class TestStationaryBeta:
+    def test_inside_unchanged(self):
+        assert _stationary_beta(0.1, 0.8) == 0.8
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.3, 0.7),                      # 0.3 + 0.7 rounds to exactly 1
+        (0.014881479247073105, 0.9851185207529271),
+        (0.5, 0.5 + 2 ** -52),
+        (0.999, 0.001),
+    ])
+    def test_largest_stationary_beta(self, alpha, beta):
+        assert alpha + beta >= 1.0
+        got = _stationary_beta(alpha, beta)
+        assert 0.0 <= got <= beta and alpha + got < 1.0
+        # one ulp more would not be stationary
+        assert alpha + math.nextafter(got, 1.0) >= 1.0
+        GarchParams(1e-6, alpha, got, 1.0)

@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,6 +178,20 @@ class TestGarchCommand:
         rec = dict(zip(header, vals))
         assert abs(float(rec["alpha"]) - 0.08) <= 0.03
         assert abs(float(rec["beta"]) - 0.90) <= 0.03
+        assert "# persistence_clamped = False" in out.read_text()
+
+    def test_igarch_boundary_fit_is_clamped(self, tmp_path):
+        # regime-switching series whose GARCH optimum sits at persistence 1
+        src = tmp_path / "r.csv"
+        assert _run("synth", "--output", str(src),
+                    "--segment", "5000,0,0.005,4", "--segment", "17000,0,0.03,4",
+                    "--segment", "5000,0,0.01,4", "--seed", "1") == 0
+        out = tmp_path / "g.csv"
+        assert _run("garch", "--input", str(src), "--returns",
+                    "--output", str(out)) == 0
+        rec = dict(zip(*_data_rows(out)))
+        assert float(rec["alpha"]) + float(rec["beta"]) < 1.0
+        assert "# persistence_clamped = True" in out.read_text()
 
 
 class TestFitStatic:
@@ -221,6 +238,16 @@ class TestDeterminismAndHelp:
             outputs[name] = (first, _sha(path))
         for name, (a, b) in outputs.items():
             assert a == b, f"{name} output changed between identical runs"
+
+    def test_import_loads_no_scipy(self):
+        import movingt
+        src = os.path.dirname(os.path.dirname(os.path.abspath(movingt.__file__)))
+        code = ("import sys, movingt.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_help_exits_zero(self):
         assert _run("--help") == 0

@@ -186,3 +186,49 @@ class TestGenerateSynthetic:
             Segment(10, 0.0, -1.0, 5.0)
         with pytest.raises(DomainError):
             GarchScenario(10, 1e-6, 0.6, 0.5)
+
+
+def _per_row_trajectory_csv(path, traj, labels, manifest_lines):
+    # the writer as it was before it formatted column chunks: one
+    # csv.writer row per step, floats through repr
+    import csv
+
+    def fmt(v):
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for line in manifest_lines:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", "date", "x", "mu", "sigma", "nu", "log_density"])
+        for i in range(len(traj)):
+            t = int(traj.t[i])
+            date = labels[t] if labels is not None else ""
+            writer.writerow([fmt(v) for v in (
+                t, date, traj.x[i], traj.mu[i], traj.sigma[i], traj.nu[i],
+                traj.log_density[i])])
+
+
+class TestTrajectoryWriterBytes:
+    @staticmethod
+    def _trajectory(n, t0):
+        from movingt.adaptive import ParamTrajectory
+        rng = np.random.default_rng(61)
+        cols = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-300, 300, (5, n))
+        cols[:, :3] = [0.0, -0.0, 1e-320]
+        cols[:, 3] = -np.inf
+        return ParamTrajectory(np.arange(t0, t0 + n, dtype=np.int64), *cols)
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_same_bytes_as_per_row_writer(self, tmp_path, labelled):
+        # long enough to cross a chunk boundary of the writer
+        traj = self._trajectory(20_000, 7)
+        labels = None
+        if labelled:
+            labels = [f"2001-01-{i % 28 + 1:02d}" for i in range(traj.t[-1] + 1)]
+            for i, awkward in enumerate(["a,b", 'say "x"', "two\nlines",
+                                         "cr\rhere", " padded ", "'q'", ""]):
+                labels[7 + 3 * i] = awkward
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_trajectory_csv(new, traj, labels, ["k = v"])
+        _per_row_trajectory_csv(old, traj, labels, ["k = v"])
+        assert new.read_bytes() == old.read_bytes()

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from movingt.adaptive import AdaptiveConfig, ParamTrajectory, run
+from dataclasses import replace
+
+from movingt.adaptive import (AdaptiveConfig, ParamTrajectory, run,
+                              seed_state_from_prefix)
 from movingt.data_io import Segment, generate_synthetic
 from movingt.distribution import NU_GAUSSIAN, StudentTParams, sample
 from movingt.errors import DivergentMomentError, DomainError, SeriesTooShortError
@@ -106,6 +109,24 @@ class TestNuSweep:
         xs = generate_synthetic([Segment(1000, 0, 1, 5)], seed=33)
         with pytest.raises(DomainError):
             nu_sweep(xs, [], AdaptiveConfig())
+
+    def test_adaptive_scores_match_one_run_per_nu(self):
+        # the sweep folds once per power; each score must equal a full
+        # out-of-sample run at that nu with the center pinned at 0
+        xs = generate_synthetic([Segment(800, 0, 1, 5), Segment(700, 0, 2, 3)],
+                                seed=35).values
+        cfg = AdaptiveConfig()
+        grid = [NU_GAUSSIAN, 8.0, 3.0, 1.5, 1.0, 0.8]
+        rep = nu_sweep(xs, grid, cfg, warmup=300)
+        by_inv = {r.inv_nu: r.adaptive_loglik for r in rep.rows}
+        for nu in grid:
+            p_eff = cfg.p_sigma if cfg.p_sigma < nu else 0.5 * nu
+            run_cfg = replace(cfg, nu_fixed=nu, p_sigma=p_eff, eta1=0.0,
+                              warmup=0)
+            state0 = seed_state_from_prefix(xs, 300, run_cfg, mu=0.0)
+            traj = run(xs[300:], run_cfg, init=state0)
+            want = mean_log_likelihood(traj, xs[300:], 0)
+            assert by_inv[inv_nu_of(nu)] == pytest.approx(want, rel=1e-12)
 
     def test_deterministic(self):
         xs = generate_synthetic([Segment(1200, 0, 1, 5)], seed=34)
