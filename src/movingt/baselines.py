@@ -4,8 +4,11 @@ The GARCH comparison is Gaussian-scored.  Scale MLE uses golden-section
 search on ln(sigma), which is well conditioned across the multi-decade
 sigma ranges nonstationary series produce.
 
-scipy is imported inside the GARCH functions, the only users of it, so
-commands that never fit or filter a GARCH model load numpy alone.
+The GARCH variance recursion is a numpy doubling scan.  The GARCH fit
+is a bounded quasi-Newton search (scipy.optimize's L-BFGS-B) on the
+analytic gradient; it imports scipy.optimize when it runs, the only
+scipy module the package uses, so commands that never fit a GARCH model
+load numpy alone.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import StudentTParams, log_pdf
-from .errors import DomainError, SeriesTooShortError
+from .errors import DomainError, NonConvergenceError, SeriesTooShortError
 
 __all__ = [
     "GarchParams",
@@ -105,66 +108,94 @@ def fit_sigma_mle(xs, mu: float, nu: float):
     return math.exp(ln_opt), objective(ln_opt)
 
 
+def _ar1_scan(u, beta: float) -> np.ndarray:
+    """y_t = u_t + beta * y_{t-1} with y_{-1} = 0.
+
+    Doubling scan: after the pass with lag k, y_t holds
+    sum_{j<2k} beta^j u_{t-j}, so log2(n) numpy passes replace the
+    loop.  beta**k is one pow per pass, not repeated squaring, whose
+    error would grow with k.
+    """
+    y = np.array(u, dtype=np.float64)
+    k = 1
+    while k < y.size:
+        y[k:] += beta ** k * y[:-k]
+        k *= 2
+    return y
+
+
+def _garch_variance(x2, omega: float, alpha: float, beta: float,
+                    initial_var: float) -> np.ndarray:
+    """sigma2_0 = initial_var, then omega + alpha*x2_{t-1} + beta*sigma2_{t-1}."""
+    u = np.empty(x2.size)
+    u[0] = initial_var
+    u[1:] = omega + alpha * x2[:-1]
+    return _ar1_scan(u, beta)
+
+
 def garch_filter(xs, params: GarchParams, warmup: int = 0):
     """Causal variance recursion plus out-of-sample Gaussian scoring.
 
     Returns (sigma_path, mean_gaussian_loglik); the mean skips the first
     `warmup` points, matching the adaptive module's convention.
     """
-    from scipy.signal import lfilter
-
     xs = np.asarray(xs, dtype=np.float64)
     n = xs.size
     if n == 0:
         raise SeriesTooShortError("cannot filter an empty series")
     if not (0 <= warmup < n):
         raise DomainError(f"warmup must be in [0, {n}), got {warmup!r}")
-    sigma2 = np.empty(n)
-    sigma2[0] = params.initial_var
-    if n > 1:
-        driven = params.omega + params.alpha * xs[:-1] ** 2
-        sigma2[1:] = lfilter([1.0], [1.0, -params.beta], driven,
-                             zi=[params.beta * params.initial_var])[0]
-    ll = -0.5 * (_LOG_2PI + np.log(sigma2) + xs ** 2 / sigma2)
+    x2 = xs * xs
+    sigma2 = _garch_variance(x2, params.omega, params.alpha, params.beta,
+                             params.initial_var)
+    ll = -0.5 * (_LOG_2PI + np.log(sigma2) + x2 / sigma2)
     return np.sqrt(sigma2), float(np.mean(ll[warmup:]))
 
 
 def _garch_mean_loglik(xs, omega: float, alpha: float, beta: float,
-                       initial_var: float) -> float:
-    # inline variant of garch_filter without parameter validation,
-    # for use inside the optimizer where trial points may be extreme
-    from scipy.signal import lfilter
+                       initial_var: float):
+    """Mean Gaussian log-likelihood of the filter and its gradient.
 
+    Returns (value, d value / d(omega, alpha, beta)).  No parameter
+    validation: the optimizer's trial points may sit on the bounds.
+    d sigma2_t / dp follows the variance recursion driven by 1,
+    x2_{t-1} and sigma2_{t-1}; the gradient sums those paths against
+    w_t = d value / d sigma2_t, which equals running the same recursion
+    backwards over w once (lam_j = sum_{t>=j} beta^(t-j) w_t) and
+    summing lam against the three drives.  The sums are elementwise
+    products, not BLAS calls: BLAS threads cost more than they save at
+    this size.
+    """
     n = xs.size
-    sigma2 = np.empty(n)
-    sigma2[0] = initial_var
-    if n > 1:
-        driven = omega + alpha * xs[:-1] ** 2
-        sigma2[1:] = lfilter([1.0], [1.0, -beta], driven,
-                             zi=[beta * initial_var])[0]
+    x2 = xs * xs
+    sigma2 = _garch_variance(x2, omega, alpha, beta, initial_var)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ll = -0.5 * (_LOG_2PI + np.log(sigma2) + xs ** 2 / sigma2)
-        out = float(np.mean(ll))
-    return out if math.isfinite(out) else -1e12
+        z2 = x2 / sigma2
+        value = -0.5 * (_LOG_2PI + float(np.mean(np.log(sigma2) + z2)))
+        lam = _ar1_scan((0.5 * (z2 - 1.0) / sigma2)[::-1], beta)[-2::-1]
+        grad = np.array([np.sum(lam), np.sum(lam * x2[:-1]),
+                         np.sum(lam * sigma2[:-1])]) / n
+    if not (math.isfinite(value) and np.all(np.isfinite(grad))):
+        return -1e12, np.zeros(3)
+    return value, grad
 
 
-# (alpha, beta) pairs seeding the simplex search; omega is chosen so the
-# implied unconditional variance matches the sample variance
+# (alpha, beta) pairs seeding the search, tried in this order; omega
+# starts where the implied unconditional variance matches the sample
+# variance
 _GARCH_STARTS = (
     (0.05, 0.90), (0.10, 0.85), (0.05, 0.80), (0.20, 0.70),
     (0.02, 0.96), (0.10, 0.88), (0.15, 0.75), (0.30, 0.60),
 )
-
-
-def _expit(u: float) -> float:
-    if u >= 0.0:
-        return 1.0 / (1.0 + math.exp(-u))
-    e = math.exp(u)
-    return e / (1.0 + e)
-
-
-def _logit(p: float) -> float:
-    return math.log(p / (1.0 - p))
+# ln(omega) search range around ln(var): omega from ~1e-20 var to ~10 var
+_LN_OMEGA_BELOW_VAR = 46.0
+_LN_OMEGA_ABOVE_VAR = 2.3
+# optima of two starts that agree this closely (relative) are the same
+_STARTS_AGREE_RTOL = 1e-10
+# no relative-reduction stop: each start runs until its projected
+# gradient vanishes or its line search reaches the rounding floor of the
+# objective, so the optimum is as good as the objective can resolve
+_LBFGSB_OPTIONS = {"ftol": 0.0, "gtol": 1e-12}
 
 
 def _stationary_beta(alpha: float, beta: float) -> float:
@@ -182,16 +213,26 @@ def _stationary_beta(alpha: float, beta: float) -> float:
     return beta
 
 
+def _unpack(u):
+    """(omega, alpha, beta) from the search coordinates (ln omega, s, f)."""
+    w, s, f = (float(v) for v in u)
+    return math.exp(w), s * f, s * (1.0 - f)
+
+
 def fit_garch_mle(xs) -> GarchFit:
     """In-sample Gaussian MLE of (omega, alpha, beta).
 
-    Derivative-free simplex search from 8 fixed starting points, with
-    the constraints enforced through a log/logit reparameterization
-    (omega = e^w, alpha = s*f, beta = s*(1-f), s = persistence in (0,1),
-    f = fraction in (0,1)).  Deterministic for identical inputs.  On
+    Bounded quasi-Newton search (L-BFGS-B) with the analytic gradient
+    over (ln omega, s, f), where s = alpha + beta and f = alpha / s are
+    both bounded to [0, 1] and ln omega to a range around ln var(x).
+    The fixed starts run in order until a second start reaches the best
+    optimum so far (to 1e-10 relative) and one of them reported
+    convergence; the best such converged start is returned.  Raises
+    NonConvergenceError when no start that reaches the best optimum
+    reported convergence.  Deterministic for identical inputs.  On
     strongly regime-switching data the optimum sits at the integrated
-    (IGARCH) boundary and s rounds to 1; beta is then stepped down by
-    ulps to the nearest stationary value and the fit says so in
+    (IGARCH) boundary s = 1; beta is then stepped down by ulps to the
+    nearest stationary value and the fit says so in
     `persistence_clamped`.
     """
     from scipy.optimize import minimize
@@ -203,27 +244,41 @@ def fit_garch_mle(xs) -> GarchFit:
     var = float(np.var(xs))
     if var <= 0.0:
         raise SeriesTooShortError("series has zero variance; nothing to fit")
-
-    def unpack(u):
-        omega = math.exp(u[0])
-        s = _expit(u[1])
-        f = _expit(u[2])
-        return omega, s * f, s * (1.0 - f)
+    ln_var = math.log(var)
+    bounds = [(ln_var - _LN_OMEGA_BELOW_VAR, ln_var + _LN_OMEGA_ABOVE_VAR),
+              (0.0, 1.0), (0.0, 1.0)]
 
     def neg_loglik(u):
-        omega, alpha, beta = unpack(u)
-        return -_garch_mean_loglik(xs, omega, alpha, beta, var)
+        omega, alpha, beta = _unpack(u)
+        s, f = u[1], u[2]
+        value, (g_omega, g_alpha, g_beta) = _garch_mean_loglik(
+            xs, omega, alpha, beta, var)
+        return -value, -np.array([g_omega * omega,
+                                  g_alpha * f + g_beta * (1.0 - f),
+                                  (g_alpha - g_beta) * s])
 
-    best = None
+    # a start can end at the rounding floor of the objective without
+    # reporting convergence, on an optimum that other starts confirm; so
+    # the search stops once two starts reach the best optimum and one of
+    # them converged, and returns the best converged one
+    runs = []
     for a0, b0 in _GARCH_STARTS:
         s0 = a0 + b0
-        u0 = np.array([math.log(var * (1.0 - s0)), _logit(s0), _logit(a0 / s0)])
-        res = minimize(neg_loglik, u0, method="Nelder-Mead",
-                       options={"xatol": 1e-7, "fatol": 1e-12,
-                                "maxiter": 4000, "maxfev": 4000})
-        if best is None or res.fun < best.fun:
-            best = res
-    omega, alpha, beta = unpack(best.x)
+        runs.append(minimize(
+            neg_loglik, [math.log(var * (1.0 - s0)), s0, a0 / s0], jac=True,
+            method="L-BFGS-B", bounds=bounds, options=_LBFGSB_OPTIONS))
+        best_fun = min(r.fun for r in runs)
+        tol = _STARTS_AGREE_RTOL * abs(best_fun)
+        at_best = [r for r in runs if abs(r.fun - best_fun) <= tol]
+        if len(at_best) > 1 and any(r.success for r in at_best):
+            break
+    converged = [r for r in at_best if r.success]
+    if not converged:
+        raise NonConvergenceError(
+            "GARCH fit did not converge: "
+            + "; ".join(str(r.message) for r in at_best))
+    best = min(converged, key=lambda r: r.fun)
+    omega, alpha, beta = _unpack(best.x)
     stationary_beta = _stationary_beta(alpha, beta)
     return GarchFit(omega=omega, alpha=alpha, beta=stationary_beta,
                     initial_var=var,

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from .adaptive import AdaptiveConfig, run, seed_state_from_prefix
 from .baselines import fit_garch_mle, garch_filter
-from .data_io import (GarchScenario, ReturnSeries, Segment,
+from .data_io import (GarchScenario, ReturnSeries, Segment, _fmt,
                       generate_synthetic, read_csv, to_log_returns,
                       write_row_csv, write_series_csv, write_sweep_csv,
                       write_tail_csv, write_trajectory_csv)
@@ -45,12 +45,6 @@ def _nu_value(text: str) -> float:
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a nu value: {text!r}") from None
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _digest_file(path) -> str:
@@ -222,13 +216,19 @@ def _parse_inv_grid(text: str):
 
 def _cmd_sweep(args) -> int:
     series = _read_series(args)
-    cfg = _adaptive_config(args)
+    # every row pins the center and fixes its own nu, lowering the power
+    # where that nu has no finite moment of it, so only these settings
+    # reach the rows; nu_fixed stands in for the per-row value
+    cfg = AdaptiveConfig(eta2=args.eta2, p_sigma=args.p_sigma,
+                         nu_fixed=NU_GAUSSIAN,
+                         moment_floor=args.moment_floor, warmup=args.warmup)
     if args.inv_nu_grid is None:
         nu_grid = [nu_of_inv(i / 20.0) for i in range(21)]
     else:
         nu_grid = _parse_inv_grid(args.inv_nu_grid)
     report = nu_sweep(series, nu_grid, cfg, warmup=args.warmup)
-    config = {**_io_config(args), **_config_dict(cfg),
+    config = {**_io_config(args), "eta2": cfg.eta2, "p_sigma": cfg.p_sigma,
+              "moment_floor": cfg.moment_floor, "warmup": cfg.warmup,
               "inv_nu_grid": args.inv_nu_grid or "default(0..1 step 0.05)"}
     manifest = _manifest("sweep", _digest_file(args.input), config,
                          args.output)
@@ -401,7 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixed-nu likelihood sweep: static sigma-MLE vs "
                             "adaptive sigma, plus a GARCH(1,1) baseline")
     _add_io_flags(p)
-    _add_estimator_flags(p)
+    p.add_argument("--eta2", type=float, default=0.05,
+                   help="EMA rate for the sigma moment")
+    p.add_argument("--p-sigma", type=float, default=1.0,
+                   help="power behind the sigma estimate; rows whose nu "
+                        "has no finite moment of it use nu/2")
     p.add_argument("--moment-floor", type=float, default=1e-20)
     p.add_argument("--warmup", type=int, default=300)
     p.add_argument("--inv-nu-grid", default=None,

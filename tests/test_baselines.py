@@ -1,12 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from movingt.baselines import (GarchParams, _stationary_beta, fit_garch_mle,
-                               fit_sigma_mle, garch_filter, simulate_garch)
+from movingt.baselines import (GarchParams, _ar1_scan, _garch_mean_loglik,
+                               _stationary_beta, fit_garch_mle, fit_sigma_mle,
+                               garch_filter, simulate_garch)
 from movingt.distribution import NU_GAUSSIAN, StudentTParams, log_pdf, sample
-from movingt.errors import DomainError, SeriesTooShortError
+from movingt.errors import DomainError, NonConvergenceError, SeriesTooShortError
 
 
 class TestGarchParams:
@@ -112,6 +116,40 @@ class TestGarchFilter:
         assert skipped > full
 
 
+class TestAr1Scan:
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.97, 1.0 - 1e-12])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 4097])
+    def test_matches_scalar_loop(self, beta, n):
+        u = np.random.default_rng(n).random(n) + 0.1
+        want, y = [], 0.0
+        for v in u.tolist():
+            y = v + beta * y
+            want.append(y)
+        np.testing.assert_allclose(_ar1_scan(u, beta), want, rtol=1e-13, atol=0)
+
+
+class TestGarchMeanLoglik:
+    @pytest.mark.parametrize("theta", [
+        (2e-6, 0.15, 0.70),             # interior
+        (1e-7, 0.05, 1.0 - 0.05 - 1e-7),  # persistence just below 1
+    ])
+    def test_gradient_matches_central_differences(self, theta):
+        rng = np.random.default_rng(4)
+        xs = simulate_garch(rng, 5000, GarchParams(1e-6, 0.1, 0.8, 1e-5))
+        var = float(np.var(xs))
+        value, grad = _garch_mean_loglik(xs, *theta, var)
+        _, score = garch_filter(xs, GarchParams(*theta, var))
+        assert value == pytest.approx(score, rel=1e-14)
+        for i in range(3):
+            h = 1e-6 * theta[0] if i == 0 else 1e-6
+            up, down = list(theta), list(theta)
+            up[i] += h
+            down[i] -= h
+            fd = (_garch_mean_loglik(xs, *up, var)[0]
+                  - _garch_mean_loglik(xs, *down, var)[0]) / (2.0 * h)
+            assert grad[i] == pytest.approx(fd, rel=1e-6)
+
+
 class TestFitGarchMle:
     def test_recovery(self):
         true = GarchParams(1e-6, 0.08, 0.90, 1e-6 / 0.02)
@@ -144,6 +182,36 @@ class TestFitGarchMle:
         rng = np.random.default_rng(4)
         xs = simulate_garch(rng, 5000, GarchParams(1e-6, 0.1, 0.8, 1e-5))
         assert not fit_garch_mle(xs).persistence_clamped
+
+    def test_unconverged_optimum_raises(self, monkeypatch):
+        import scipy.optimize
+
+        minimize = scipy.optimize.minimize
+
+        def failing(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            res.success = False
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", failing)
+        rng = np.random.default_rng(4)
+        xs = simulate_garch(rng, 5000, GarchParams(1e-6, 0.1, 0.8, 1e-5))
+        with pytest.raises(NonConvergenceError):
+            fit_garch_mle(xs)
+
+    def test_fit_loads_no_scipy_signal(self):
+        import movingt
+        src = os.path.dirname(os.path.dirname(os.path.abspath(movingt.__file__)))
+        code = ("import sys, numpy as np; "
+                "from movingt.baselines import fit_garch_mle, garch_filter; "
+                "xs = np.random.default_rng(0).standard_normal(500); "
+                "garch_filter(xs, fit_garch_mle(xs)); "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy.signal')))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestStationaryBeta:

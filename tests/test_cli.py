@@ -121,6 +121,25 @@ class TestSweep:
                     "--output", str(tmp_path / "o.csv"),
                     "--inv-nu-grid", "") == 2
 
+    def test_only_effective_flags(self, synth_file, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert _run("sweep", "--input", str(synth_file), "--returns",
+                    "--output", str(out), "--eta3", "0.02") == 2
+        assert _run("sweep", "--input", str(synth_file), "--returns",
+                    "--output", str(out)) == 0
+        keys = [line[2:].split(" = ")[0] for line in out.read_text().splitlines()
+                if line.startswith("# ")]
+        assert {"eta2", "p_sigma", "moment_floor", "warmup"} <= set(keys)
+        assert not [k for k in keys
+                    if k in ("eta1", "eta3", "p1", "p2") or k.startswith("nu_")]
+
+    def test_power_above_nu_min(self, synth_file, tmp_path):
+        # rows whose nu has no finite moment of this power use nu/2
+        out = tmp_path / "sweep.csv"
+        assert _run("sweep", "--input", str(synth_file), "--returns",
+                    "--output", str(out), "--p-sigma", "1.5") == 0
+        assert "# p_eff_overrides = " in out.read_text()
+
     def test_adaptive_beats_static_on_regime_data(self, synth_file, tmp_path):
         out = tmp_path / "sweep.csv"
         assert _run("sweep", "--input", str(synth_file), "--returns",
@@ -192,6 +211,24 @@ class TestGarchCommand:
         rec = dict(zip(*_data_rows(out)))
         assert float(rec["alpha"]) + float(rec["beta"]) < 1.0
         assert "# persistence_clamped = True" in out.read_text()
+
+
+    def test_unconverged_fit_exits_4(self, tmp_path, monkeypatch):
+        import scipy.optimize
+
+        minimize = scipy.optimize.minimize
+
+        def failing(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            res.success = False
+            return res
+
+        src = tmp_path / "garch.csv"
+        assert _run("synth", "--output", str(src),
+                    "--garch", "3000,1e-6,0.08,0.90", "--seed", "3") == 0
+        monkeypatch.setattr(scipy.optimize, "minimize", failing)
+        assert _run("garch", "--input", str(src), "--returns",
+                    "--output", str(tmp_path / "fit.csv")) == 4
 
 
 class TestFitStatic:
