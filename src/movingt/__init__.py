@@ -6,8 +6,8 @@ of absolute central moments; static estimators, a scale MLE and a
 GARCH(1,1) baseline accompany them for evaluation.
 """
 
-from .adaptive import (AdaptiveConfig, EmaState, ParamTrajectory, ema_update,
-                       run, seed_state_from_prefix, step)
+from .adaptive import (AdaptiveConfig, EmaState, ParamTrajectory, run,
+                       seed_state_from_prefix, step)
 from .baselines import (GarchFit, GarchParams, fit_garch_mle, fit_sigma_mle,
                         garch_filter)
 from .data_io import (GarchScenario, PriceSeries, ReturnSeries, Segment,
@@ -20,8 +20,7 @@ from .errors import (DegenerateDataError, DivergentMomentError, DomainError,
 from .evaluation import (SweepReport, TailTable, expected_tail_fraction,
                          mean_log_likelihood, nu_sweep,
                          sigma_power_error_sweep, tail_table)
-from .special_math import (QuadratureResult, integrate_adaptive, log_gamma,
-                           regularized_incomplete_beta)
+from .special_math import log_gamma, regularized_incomplete_beta
 from .static_estimators import (MomentSummary, NuInversionTable,
                                 build_nu_table, compute_moments,
                                 estimate_nu_adjusted, estimate_nu_raw,
@@ -30,8 +29,8 @@ from .static_estimators import (MomentSummary, NuInversionTable,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveConfig", "EmaState", "ParamTrajectory", "ema_update",
-    "run", "seed_state_from_prefix", "step",
+    "AdaptiveConfig", "EmaState", "ParamTrajectory", "run",
+    "seed_state_from_prefix", "step",
     "GarchFit", "GarchParams", "fit_garch_mle", "fit_sigma_mle", "garch_filter",
     "GarchScenario", "PriceSeries", "ReturnSeries", "Segment",
     "generate_synthetic", "read_csv", "to_log_returns",
@@ -43,8 +42,7 @@ __all__ = [
     "SweepReport", "TailTable", "expected_tail_fraction",
     "mean_log_likelihood", "nu_sweep", "sigma_power_error_sweep",
     "tail_table",
-    "QuadratureResult", "integrate_adaptive", "log_gamma",
-    "regularized_incomplete_beta",
+    "log_gamma", "regularized_incomplete_beta",
     "MomentSummary", "NuInversionTable", "build_nu_table",
     "compute_moments", "estimate_nu_adjusted", "estimate_nu_raw",
     "estimate_sigma",

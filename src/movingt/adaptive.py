@@ -37,7 +37,6 @@ __all__ = [
     "AdaptiveConfig",
     "EmaState",
     "ParamTrajectory",
-    "ema_update",
     "step",
     "run",
     "seed_state_from_prefix",
@@ -47,13 +46,6 @@ __all__ = [
 
 _HALF_LOG_PI = 0.5 * math.log(math.pi)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def ema_update(m: float, observation: float, eta: float) -> float:
-    """Single exponential-moving-average update m + eta*(obs - m)."""
-    if not (0.0 < eta <= 1.0):
-        raise DomainError(f"eta must be in (0, 1], got {eta!r}")
-    return m + eta * (observation - m)
 
 
 @dataclass(frozen=True)

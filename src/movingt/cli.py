@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import replace
 
 from .adaptive import AdaptiveConfig, run, seed_state_from_prefix
 from .baselines import fit_garch_mle, garch_filter
@@ -23,7 +22,7 @@ from .data_io import (GarchScenario, ReturnSeries, Segment, _fmt,
                       generate_synthetic, read_csv, to_log_returns,
                       write_row_csv, write_series_csv, write_sweep_csv,
                       write_tail_csv, write_trajectory_csv)
-from .distribution import NU_GAUSSIAN
+from .distribution import NU_GAUSSIAN, StudentTParams
 from .errors import (DegenerateDataError, DomainError, MonotonicityError,
                      MovingTError, NonConvergenceError, ParseError,
                      SeriesTooShortError)
@@ -78,14 +77,7 @@ def _add_io_flags(p: argparse.ArgumentParser):
                    help="optional date column: header name or 0-based index")
 
 
-def _add_estimator_flags(p: argparse.ArgumentParser, with_rates=True):
-    if with_rates:
-        p.add_argument("--eta1", type=float, default=0.003,
-                       help="EMA rate for the center mu")
-        p.add_argument("--eta2", type=float, default=0.05,
-                       help="EMA rate for the sigma moment")
-        p.add_argument("--eta3", type=float, default=0.005,
-                       help="EMA rate for the two nu moments")
+def _add_estimator_flags(p):
     p.add_argument("--p-sigma", type=float, default=1.0,
                    help="power behind the sigma estimate")
     p.add_argument("--p1", type=float, default=1.0,
@@ -102,6 +94,27 @@ def _add_estimator_flags(p: argparse.ArgumentParser, with_rates=True):
                    help="upper clamp of the nu estimate")
 
 
+class _AdaptiveOnly(argparse.Action):
+    """Store the value and note the flag, which static normalization refuses."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.adaptive_only += (option_string,)
+
+
+def _add_adaptive_flags(p, init_help, action="store"):
+    p.add_argument("--eta1", type=float, default=0.003, action=action,
+                   help="EMA rate for the center mu")
+    p.add_argument("--eta2", type=float, default=0.05, action=action,
+                   help="EMA rate for the sigma moment")
+    p.add_argument("--eta3", type=float, default=0.005, action=action,
+                   help="EMA rate for the two nu moments")
+    p.add_argument("--moment-floor", type=float, default=1e-20, action=action,
+                   help="floor under the moment EMAs")
+    p.add_argument("--init-prefix", type=int, default=300, action=action,
+                   help=init_help)
+
+
 def _read_series(args) -> ReturnSeries:
     kind = "prices" if args.prices else "returns"
     series = read_csv(args.input, column=args.column,
@@ -111,53 +124,65 @@ def _read_series(args) -> ReturnSeries:
     return series
 
 
-def _io_config(args) -> dict:
-    return {
-        "input": args.input,
-        "mode": "prices" if args.prices else "returns",
-        "column": args.column,
-        "date_column": args.date_column,
-    }
+def _input_manifest(args, config: dict) -> list:
+    """Manifest of a command that reads --input: I/O flags plus `config`."""
+    io = {"input": args.input, "mode": "prices" if args.prices else "returns",
+          "column": args.column, "date_column": args.date_column}
+    return _manifest(args.command, _digest_file(args.input),
+                     {**io, **config}, args.output)
 
 
-def _adaptive_config(args) -> AdaptiveConfig:
+_ESTIMATOR_KEYS = ("p_sigma", "p1", "p2", "nu_fixed", "nu_adjust", "nu_min",
+                   "nu_cap")
+_ADAPTIVE_KEYS = ("eta1", "eta2", "eta3", "moment_floor")
+
+
+def _flag_values(args, keys) -> dict:
+    return {k: getattr(args, k) for k in keys}
+
+
+def _adaptive_config(args, warmup: int) -> AdaptiveConfig:
+    """The moving estimator's config; also checks --init-prefix."""
+    if args.init_prefix < 1:
+        raise DomainError(f"--init-prefix must be >= 1, got {args.init_prefix}")
     return AdaptiveConfig(
         eta1=args.eta1, eta2=args.eta2, eta3=args.eta3,
         p_sigma=args.p_sigma, p1=args.p1, p2=args.p2,
         nu_fixed=args.nu_fixed, nu_adjustment=args.nu_adjust,
         nu_min=args.nu_min, nu_cap=args.nu_cap,
-        moment_floor=args.moment_floor, warmup=args.warmup)
+        moment_floor=args.moment_floor, warmup=warmup)
 
 
-def _config_dict(cfg: AdaptiveConfig) -> dict:
-    return {
-        "eta1": cfg.eta1, "eta2": cfg.eta2, "eta3": cfg.eta3,
-        "p_sigma": cfg.p_sigma, "p1": cfg.p1, "p2": cfg.p2,
-        "nu_fixed": cfg.nu_fixed, "nu_adjust": cfg.nu_adjustment,
-        "nu_min": cfg.nu_min, "nu_cap": cfg.nu_cap,
-        "moment_floor": cfg.moment_floor, "warmup": cfg.warmup,
-    }
+def _static_fit(values, args, mu="mean"):
+    """Whole-sample moments -> nu -> sigma: mu_hat, sigma_hat, nu_raw, nu_adj."""
+    powers = list(dict.fromkeys((args.p_sigma, args.p1, args.p2)))
+    summary = compute_moments(values, powers, mu=mu)
+    if args.nu_fixed is not None:
+        nu_raw = nu_adj = args.nu_fixed
+    else:
+        table = build_nu_table(args.p1, args.p2, nu_min=args.nu_min,
+                               nu_cap=args.nu_cap)
+        nu_raw = estimate_nu_raw(summary, table)
+        nu_adj = estimate_nu_adjusted(nu_raw, args.nu_adjust, args.nu_cap)
+    sigma_hat = estimate_sigma(summary, nu_adj, args.p_sigma)
+    return summary.mu_hat, sigma_hat, nu_raw, nu_adj
 
 
 def _cmd_returns(args) -> int:
     series = _read_series(args)
-    manifest = _manifest("returns", _digest_file(args.input),
-                         _io_config(args), args.output)
+    manifest = _input_manifest(args, {})
     write_series_csv(args.output, series.values, series.labels, manifest)
     return 0
 
 
 def _cmd_fit_adaptive(args) -> int:
     series = _read_series(args)
-    cfg = _adaptive_config(args)
-    if args.init_prefix < 1:
-        raise DomainError(f"--init-prefix must be >= 1, got {args.init_prefix}")
+    cfg = _adaptive_config(args, args.warmup)
     traj = run(series, cfg, init=args.init_prefix)
     score = mean_log_likelihood(traj, series, cfg.warmup)
-    config = {**_io_config(args), **_config_dict(cfg),
-              "init_prefix": args.init_prefix}
-    manifest = _manifest("fit-adaptive", _digest_file(args.input),
-                         config, args.output)
+    manifest = _input_manifest(args, {
+        **_flag_values(args, _ESTIMATOR_KEYS + _ADAPTIVE_KEYS),
+        "warmup": args.warmup, "init_prefix": args.init_prefix})
     manifest.append(f"mean_log_likelihood = {score!r}")
     write_trajectory_csv(args.output, traj, series.labels, manifest)
     print(f"mean_log_likelihood = {score!r}")
@@ -167,51 +192,38 @@ def _cmd_fit_adaptive(args) -> int:
 def _cmd_fit_static(args) -> int:
     series = _read_series(args)
     values = series.values
-    mu_policy = "mean" if args.mu == "mean" else float(args.mu)
-    powers = []
-    for p in (args.p_sigma, args.p1, args.p2):
-        if p not in powers:
-            powers.append(p)
-    summary = compute_moments(values, powers, mu=mu_policy)
-    if args.nu_fixed is not None:
-        nu_raw = nu_adj = args.nu_fixed
-    else:
-        table = build_nu_table(args.p1, args.p2, nu_min=args.nu_min,
-                               nu_cap=args.nu_cap)
-        nu_raw = estimate_nu_raw(summary, table)
-        nu_adj = estimate_nu_adjusted(nu_raw, args.nu_adjust, args.nu_cap)
-    sigma_hat = estimate_sigma(summary, nu_adj, args.p_sigma)
-    from .distribution import StudentTParams
-    params = StudentTParams(summary.mu_hat, sigma_hat, nu_adj)
+    try:
+        mu = args.mu if args.mu == "mean" else float(args.mu)
+    except ValueError:
+        raise DomainError(
+            f"--mu wants 'mean' or a number, got {args.mu!r}") from None
+    mu_hat, sigma_hat, nu_raw, nu_adj = _static_fit(values, args, mu)
+    params = StudentTParams(mu_hat, sigma_hat, nu_adj)
     score = mean_log_likelihood(params, values, args.warmup)
-    config = {**_io_config(args), "mu": args.mu, "p_sigma": args.p_sigma,
-              "p1": args.p1, "p2": args.p2, "nu_fixed": args.nu_fixed,
-              "nu_adjust": args.nu_adjust, "nu_min": args.nu_min,
-              "nu_cap": args.nu_cap, "warmup": args.warmup}
-    manifest = _manifest("fit-static", _digest_file(args.input),
-                         config, args.output)
+    manifest = _input_manifest(args, {**_flag_values(args, _ESTIMATOR_KEYS),
+                                      "mu": args.mu, "warmup": args.warmup})
     write_row_csv(args.output,
                   ["mu_hat", "sigma_hat", "nu_raw", "nu_adjusted",
                    "p_sigma", "mean_loglik", "n"],
-                  [summary.mu_hat, sigma_hat, nu_raw, nu_adj,
+                  [mu_hat, sigma_hat, nu_raw, nu_adj,
                    args.p_sigma, score, len(values)],
                   manifest)
-    print(f"mu_hat = {summary.mu_hat!r}")
+    print(f"mu_hat = {mu_hat!r}")
     print(f"sigma_hat = {sigma_hat!r}")
     print(f"nu_adjusted = {nu_adj!r}")
     print(f"mean_log_likelihood = {score!r}")
     return 0
 
 
-def _parse_inv_grid(text: str):
-    cells = [c.strip() for c in text.split(",") if c.strip()]
-    if not cells:
-        raise DomainError("the 1/nu grid must not be empty")
+def _parse_list(text: str, convert, flag: str) -> list:
+    """Comma-separated values; a bad cell or an empty list is a usage error."""
     try:
-        inv = [float(c) for c in cells]
-    except ValueError as exc:
-        raise DomainError(f"bad 1/nu grid: {exc}") from None
-    return [nu_of_inv(v) for v in inv]
+        values = [convert(c.strip()) for c in text.split(",") if c.strip()]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise DomainError(f"bad {flag}: {exc}") from None
+    if not values:
+        raise DomainError(f"{flag} must not be empty")
+    return values
 
 
 def _cmd_sweep(args) -> int:
@@ -225,13 +237,13 @@ def _cmd_sweep(args) -> int:
     if args.inv_nu_grid is None:
         nu_grid = [nu_of_inv(i / 20.0) for i in range(21)]
     else:
-        nu_grid = _parse_inv_grid(args.inv_nu_grid)
+        nu_grid = [nu_of_inv(v) for v in
+                   _parse_list(args.inv_nu_grid, float, "--inv-nu-grid")]
     report = nu_sweep(series, nu_grid, cfg, warmup=args.warmup)
-    config = {**_io_config(args), "eta2": cfg.eta2, "p_sigma": cfg.p_sigma,
-              "moment_floor": cfg.moment_floor, "warmup": cfg.warmup,
-              "inv_nu_grid": args.inv_nu_grid or "default(0..1 step 0.05)"}
-    manifest = _manifest("sweep", _digest_file(args.input), config,
-                         args.output)
+    manifest = _input_manifest(args, {
+        "eta2": cfg.eta2, "p_sigma": cfg.p_sigma,
+        "moment_floor": cfg.moment_floor, "warmup": cfg.warmup,
+        "inv_nu_grid": args.inv_nu_grid or "default(0..1 step 0.05)"})
     write_sweep_csv(args.output, report, manifest)
     return 0
 
@@ -251,49 +263,34 @@ def _restrict_by_labels(series: ReturnSeries, start, end) -> ReturnSeries:
 
 
 def _cmd_tail_table(args) -> int:
+    adaptive = args.normalization == "adaptive"
+    if not adaptive and args.adaptive_only:
+        raise DomainError(f"{args.adaptive_only[0]} applies only to "
+                          "--normalization adaptive")
     series = _read_series(args)
     series = _restrict_by_labels(series, args.start_label, args.end_label)
     values = series.values
-    nu_labels = [_nu_value(c.strip()) for c in args.nu_labels.split(",")
-                 if c.strip()]
-    if not nu_labels:
-        raise DomainError("--nu-labels must not be empty")
+    nu_labels = _parse_list(args.nu_labels, _nu_value, "--nu-labels")
     ks = range(1, args.k_max + 1)
+    config = {**_flag_values(args, _ESTIMATOR_KEYS),
+              "nu_labels": args.nu_labels, "k_max": args.k_max,
+              "start_label": args.start_label, "end_label": args.end_label}
 
-    if args.normalization == "adaptive":
-        cfg = _adaptive_config(args)
+    if adaptive:
+        cfg = _adaptive_config(args, warmup=0)
         k = min(args.init_prefix, len(values))
         state0 = seed_state_from_prefix(values, k, cfg)
         # explicit initial state: the fold starts at t=0 so every point
         # is normalized and counted
-        traj = run(values, replace(cfg, warmup=0), init=state0)
+        traj = run(values, cfg, init=state0)
         table = tail_table(values, traj, nu_labels, ks)
-        extra = {"init_prefix": k}
+        config.update(_flag_values(args, _ADAPTIVE_KEYS), init_prefix=k)
     else:
-        powers = []
-        for p in (args.p_sigma, args.p1, args.p2):
-            if p not in powers:
-                powers.append(p)
-        summary = compute_moments(values, powers, mu="mean")
-        if args.nu_fixed is not None:
-            nu_hat = args.nu_fixed
-        else:
-            inv_table = build_nu_table(args.p1, args.p2, nu_min=args.nu_min,
-                                       nu_cap=args.nu_cap)
-            nu_hat = estimate_nu_adjusted(estimate_nu_raw(summary, inv_table),
-                                          args.nu_adjust, args.nu_cap)
-        sigma_hat = estimate_sigma(summary, nu_hat, args.p_sigma)
-        table = tail_table(values, (summary.mu_hat, sigma_hat), nu_labels, ks)
-        extra = {"mu_hat": summary.mu_hat, "sigma_hat": sigma_hat,
-                 "nu_hat": nu_hat}
+        mu_hat, sigma_hat, _, nu_hat = _static_fit(values, args)
+        table = tail_table(values, (mu_hat, sigma_hat), nu_labels, ks)
+        config.update(mu_hat=mu_hat, sigma_hat=sigma_hat, nu_hat=nu_hat)
 
-    config = {**_io_config(args), **_config_dict(_adaptive_config(args)),
-              "nu_labels": args.nu_labels, "k_max": args.k_max,
-              "start_label": args.start_label, "end_label": args.end_label,
-              **extra}
-    manifest = _manifest("tail-table", _digest_file(args.input), config,
-                         args.output)
-    write_tail_csv(args.output, table, manifest)
+    write_tail_csv(args.output, table, _input_manifest(args, config))
     return 0
 
 
@@ -301,9 +298,7 @@ def _cmd_garch(args) -> int:
     series = _read_series(args)
     params = fit_garch_mle(series.values)
     _, score = garch_filter(series.values, params, warmup=args.warmup)
-    config = {**_io_config(args), "warmup": args.warmup}
-    manifest = _manifest("garch", _digest_file(args.input), config,
-                         args.output)
+    manifest = _input_manifest(args, {"warmup": args.warmup})
     manifest.append(f"persistence_clamped = {params.persistence_clamped}")
     write_row_csv(args.output,
                   ["omega", "alpha", "beta", "initial_var",
@@ -379,18 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "per-step trajectory CSV")
     _add_io_flags(p)
     _add_estimator_flags(p)
-    p.add_argument("--moment-floor", type=float, default=1e-20)
+    _add_adaptive_flags(p, "seed the state from this many leading points "
+                           "and start the fold after them")
     p.add_argument("--warmup", type=int, default=300,
                    help="steps excluded from the reported mean log-likelihood")
-    p.add_argument("--init-prefix", type=int, default=300,
-                   help="seed the state from this many leading points and "
-                        "start the fold after them")
     p.set_defaults(func=_cmd_fit_adaptive)
 
     p = sub.add_parser("fit-static", formatter_class=fmt,
                        help="whole-sample moment estimates of (mu, sigma, nu)")
     _add_io_flags(p)
-    _add_estimator_flags(p, with_rates=False)
+    _add_estimator_flags(p)
     p.add_argument("--mu", default="mean",
                    help="'mean' or a fixed numeric center")
     p.add_argument("--warmup", type=int, default=0,
@@ -417,11 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="observed vs expected counts of |x-mu| > k*sigma")
     _add_io_flags(p)
     _add_estimator_flags(p)
-    p.add_argument("--moment-floor", type=float, default=1e-20)
-    p.add_argument("--warmup", type=int, default=300)
-    p.add_argument("--init-prefix", type=int, default=300)
     p.add_argument("--normalization", choices=("adaptive", "static"),
-                   default="adaptive")
+                   default="adaptive",
+                   help="per-step moving estimate, or one whole-sample fit")
+    _add_adaptive_flags(
+        p.add_argument_group("adaptive normalization only",
+                             "refused with --normalization static"),
+        "seed the state from this many leading points; every point is "
+        "still normalized", action=_AdaptiveOnly)
     p.add_argument("--nu-labels", default="3,5,10,inf",
                    help="comma-separated nu values for the expected columns")
     p.add_argument("--k-max", type=int, default=10)
@@ -429,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep rows whose date label is >= this prefix")
     p.add_argument("--end-label", default=None,
                    help="keep rows whose date label is <= this prefix")
-    p.set_defaults(func=_cmd_tail_table)
+    p.set_defaults(func=_cmd_tail_table, adaptive_only=())
 
     p = sub.add_parser("garch", formatter_class=fmt,
                        help="fit a Gaussian GARCH(1,1) baseline by MLE")

@@ -24,9 +24,10 @@ from movingt.distribution import NU_GAUSSIAN, StudentTParams
 from movingt.errors import DivergentMomentError
 from movingt.evaluation import (mean_log_likelihood, sigma_power_error_sweep,
                                 tail_table)
-from movingt.special_math import integrate_adaptive
 from movingt.static_estimators import (build_nu_table, compute_moments,
                                        estimate_nu_raw, estimate_sigma)
+
+from quadrature import integrate_adaptive
 
 
 def _report(num, ok, detail):

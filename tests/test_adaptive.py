@@ -3,40 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from movingt.adaptive import (AdaptiveConfig, EmaState, ema_update,
-                              moment_paths, run, seed_state_from_prefix, step,
-                              step_once)
+from movingt.adaptive import (AdaptiveConfig, EmaState, moment_paths, run,
+                              seed_state_from_prefix, step, step_once)
 from movingt.data_io import Segment, generate_synthetic
 from movingt.distribution import (NU_GAUSSIAN, abs_central_moment, log_pdf,
                                   StudentTParams)
 from movingt.errors import DomainError, SeriesTooShortError
 from movingt.static_estimators import build_nu_table
-
-
-class TestEmaUpdate:
-    def test_fixed_point(self):
-        assert ema_update(1.0, 1.0, 0.3) == 1.0
-
-    def test_basic(self):
-        assert ema_update(0.0, 1.0, 0.05) == pytest.approx(0.05)
-
-    def test_full_replacement(self):
-        assert ema_update(2.0, 7.0, 1.0) == 7.0
-
-    @pytest.mark.parametrize("eta", [0.0, -0.1, 1.5])
-    def test_rate_domain(self, eta):
-        with pytest.raises(DomainError):
-            ema_update(0.0, 1.0, eta)
-
-    @given(m=st.floats(-1e6, 1e6), obs=st.floats(-1e6, 1e6),
-           eta=st.floats(1e-6, 1.0))
-    @settings(max_examples=100, deadline=None)
-    def test_bounds(self, m, obs, eta):
-        out = ema_update(m, obs, eta)
-        assert min(m, obs) - 1e-9 <= out <= max(m, obs) + 1e-9
 
 
 class TestConfigValidation:
@@ -335,3 +311,58 @@ class TestFoldMatchesStepOnceOnHostileSeries:
         xs = generate_synthetic([Segment(301, 0, 1, 5)], seed=36).values
         traj = self._check(xs, AdaptiveConfig(), 300)
         assert len(traj) == 1
+
+
+# configurations at the edges of their domains, scored from the first step
+_EDGE_CONFIGS = [
+    AdaptiveConfig(warmup=0),
+    AdaptiveConfig(eta1=1.0, eta2=1.0, eta3=1.0, warmup=0),
+    AdaptiveConfig(eta1=0.0, warmup=0),
+    AdaptiveConfig(p_sigma=1.09, p1=1.09, warmup=0),  # p just below nu_min
+    AdaptiveConfig(nu_cap=2.0, warmup=0),             # nu mostly at the cap
+    AdaptiveConfig(nu_fixed=NU_GAUSSIAN, warmup=0),
+]
+
+
+@st.composite
+def _perturbed_hostile_series(draw):
+    """(xs, perturbed xs, t, init): xs and its copy differ only at t.
+
+    xs carries optional exact-zero runs, a constant prefix and
+    10^6-sigma outliers; init is a prefix length k <= t or, for 0, an
+    explicit state, so the fold sees x_t either way.
+    """
+    n = draw(st.integers(2, 200))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    xs = np.random.default_rng(seed).standard_t(4.0, n)
+    for _ in range(draw(st.integers(0, 2))):
+        a = draw(st.integers(0, n - 1))
+        xs[a:draw(st.integers(a, n))] = 0.0
+    if draw(st.booleans()):
+        xs[:draw(st.integers(1, n))] = draw(st.sampled_from([0.0, 0.25, -3.0]))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        xs[i] = draw(st.sampled_from([1e6, -1e6]))
+    t = draw(st.integers(0, n - 1))
+    new = draw(st.sampled_from([0.0, 1e6, -1e6, xs[t] + 1.0, -xs[t]]))
+    assume(new != xs[t])
+    perturbed = xs.copy()
+    perturbed[t] = new
+    k = draw(st.integers(0, t))
+    init = k if k else EmaState(mu=0.0, m_sigma=1.0, m1=1.0, m2=1.0)
+    return xs, perturbed, t, init
+
+
+class TestCausalityProperty:
+    @given(case=_perturbed_hostile_series(),
+           cfg=st.sampled_from(_EDGE_CONFIGS))
+    @settings(max_examples=60, deadline=None)
+    def test_estimates_never_see_the_present(self, case, cfg):
+        xs, perturbed, t, init = case
+        base = run(xs, cfg, init=init)
+        other = run(perturbed, cfg, init=init)
+        i = t - int(base.t[0])
+        # theta_s for s <= t uses x_<s only, and so does ln rho_s(x_s), s < t
+        for name in ("mu", "sigma", "nu"):
+            assert (getattr(other, name)[:i + 1].tobytes()
+                    == getattr(base, name)[:i + 1].tobytes())
+        assert other.log_density[:i].tobytes() == base.log_density[:i].tobytes()

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import math
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from movingt.cli import main
+from movingt.cli import build_parser, main
 
 
 def _run(*argv):
@@ -183,6 +184,49 @@ class TestTailTable:
                     "--start-label", "1967", "--end-label", "1983") == 0
         assert "# n_effective = 150" in out.read_text()
 
+    def test_bad_nu_label_exits_2(self, synth_file, tmp_path, capsys):
+        assert _run("tail-table", "--input", str(synth_file), "--returns",
+                    "--output", str(tmp_path / "o.csv"),
+                    "--nu-labels", "3,abc") == 2
+        assert "--nu-labels" in capsys.readouterr().err
+
+    def test_warmup_not_accepted(self, synth_file, tmp_path):
+        # every point is normalized and counted: there is nothing to warm up
+        assert _run("tail-table", "--input", str(synth_file), "--returns",
+                    "--output", str(tmp_path / "o.csv"),
+                    "--warmup", "300") == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eta1", "0.5"), ("--eta2", "0.05"), ("--eta3", "0.02"),
+        ("--moment-floor", "1e-3"), ("--init-prefix", "50")])
+    def test_static_refuses_adaptive_only_flags(self, synth_file, tmp_path,
+                                                capsys, flag, value):
+        # refused even at the default value: it would not reach the rows
+        assert _run("tail-table", "--input", str(synth_file), "--returns",
+                    "--output", str(tmp_path / "o.csv"),
+                    "--normalization", "static", flag, value) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        (), ("--p-sigma", "0.8", "--p1", "0.9", "--p2", "0.3",
+             "--nu-adjust", "0.5", "--nu-min", "1.5", "--nu-cap", "50"),
+        ("--nu-fixed", "4")])
+    def test_static_fit_matches_fit_static(self, synth_file, tmp_path, flags):
+        tail, static = tmp_path / "tail.csv", tmp_path / "static.csv"
+        common = ("--input", str(synth_file), "--returns") + flags
+        assert _run("tail-table", *common, "--output", str(tail),
+                    "--normalization", "static") == 0
+        assert _run("fit-static", *common, "--output", str(static)) == 0
+        manifest = dict(line[2:].split(" = ", 1)
+                        for line in tail.read_text().splitlines()
+                        if line.startswith("# "))
+        rec = dict(zip(*_data_rows(static)))
+        for tail_key, static_key in (("mu_hat", "mu_hat"),
+                                     ("sigma_hat", "sigma_hat"),
+                                     ("nu_hat", "nu_adjusted")):
+            # shortest round-trip repr: equal text is equal bits
+            assert manifest[tail_key] == rec[static_key]
+
 
 class TestGarchCommand:
     def test_fit_recovers_params(self, tmp_path):
@@ -231,6 +275,18 @@ class TestGarchCommand:
                     "--output", str(tmp_path / "fit.csv")) == 4
 
 
+class TestInitPrefix:
+    @pytest.mark.parametrize("command", ["fit-adaptive", "tail-table"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_below_one_exits_2(self, synth_file, tmp_path, capsys, command,
+                               value):
+        assert _run(command, "--input", str(synth_file), "--returns",
+                    "--output", str(tmp_path / "o.csv"),
+                    "--init-prefix", value) == 2
+        assert (f"error: --init-prefix must be >= 1, got {value}"
+                in capsys.readouterr().err)
+
+
 class TestFitStatic:
     def test_outputs_estimates(self, synth_file, tmp_path):
         out = tmp_path / "static.csv"
@@ -241,6 +297,11 @@ class TestFitStatic:
         assert float(rec["sigma_hat"]) > 0
         assert 1.1 <= float(rec["nu_adjusted"]) <= 1000.0
         assert int(rec["n"]) == 3600
+
+    def test_bad_mu_exits_2(self, synth_file, tmp_path, capsys):
+        assert _run("fit-static", "--input", str(synth_file), "--returns",
+                    "--output", str(tmp_path / "o.csv"), "--mu", "abc") == 2
+        assert "--mu" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -291,3 +352,95 @@ class TestDeterminismAndHelp:
         for cmd in ("returns", "fit-adaptive", "fit-static", "sweep",
                     "tail-table", "garch", "synth"):
             assert _run(cmd, "--help") == 0
+
+
+def _subparser(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+_IO_FLAGS = {"--input", "--output", "--prices", "--returns", "--column",
+             "--date-column", "--help"}
+_ADAPTIVE_ONLY = ("--eta1", "--eta2", "--eta3", "--moment-floor",
+                  "--init-prefix")
+# a legal value per flag, far enough from its default to show in a report
+# (warmup above the default init prefix, nu_cap below the series' nu)
+_CHANGED = {
+    "--eta1": "0.05", "--eta2": "0.2", "--eta3": "0.05",
+    "--p-sigma": "0.8", "--p1": "0.9", "--p2": "0.4", "--nu-fixed": "4",
+    "--nu-adjust": "0.3", "--nu-min": "3", "--nu-cap": "2.5",
+    "--moment-floor": "1e-3", "--warmup": "500", "--init-prefix": "100",
+    "--mu": "0.001", "--inv-nu-grid": "0,0.5", "--normalization": "static",
+    "--nu-labels": "4", "--k-max": "5", "--start-label": "00200",
+    "--end-label": "01200",
+}
+
+
+def _flags(command):
+    """Long form of every non-I/O flag the command accepts."""
+    longs = [max(a.option_strings, key=len)
+             for a in _subparser(command)._actions if a.option_strings]
+    return [f for f in longs if f not in _IO_FLAGS]
+
+
+_STATIC = ("--normalization", "static")
+_REACH_CASES = [
+    (command, (), flag)
+    for command in ("fit-adaptive", "fit-static", "sweep", "garch",
+                    "tail-table")
+    for flag in _flags(command)
+] + [("tail-table", _STATIC, flag) for flag in _flags("tail-table")
+     if flag != "--normalization"]
+
+
+class TestEveryFlagReachesTheReport:
+    """Moving any non-I/O flag off its default either changes the report
+    beyond the manifest lines that only echo flags, or is refused as a
+    usage error that names the flag: no flag is accepted and recorded but
+    ignored."""
+
+    _defaults = {}
+
+    @pytest.fixture(scope="class")
+    def series(self, tmp_path_factory):
+        # heavy tails, an exact-zero run (so the moment floor binds) and a
+        # Gaussian stretch, with date labels for the label-range flags
+        rng = np.random.default_rng(5)
+        x = np.concatenate([0.01 * rng.standard_t(2.5, 600), np.zeros(200),
+                            0.02 * rng.standard_normal(700)])
+        path = tmp_path_factory.mktemp("reach") / "x.csv"
+        path.write_text("date,x\n" + "".join(
+            f"{i:05d},{v!r}\n" for i, v in enumerate(x.tolist())))
+        return path
+
+    @staticmethod
+    def _report(series, command, argv):
+        out = series.parent / "out.csv"
+        code = _run(command, "--input", str(series), "--returns",
+                    "--date-column", "date", "--output", str(out), *argv)
+        if code == 2:
+            return None
+        assert code == 0
+        echoes = {a.dest for a in _subparser(command)._actions}
+        echoes |= {"command", "input_sha256", "mode"}
+        return [line for line in out.read_text().splitlines()
+                if not (line.startswith("# ")
+                        and line[2:].split(" = ")[0] in echoes)]
+
+    @pytest.mark.parametrize("command, mode, flag", _REACH_CASES,
+                             ids=[f"{c}{'-static' if m else ''}{f}"
+                                  for c, m, f in _REACH_CASES])
+    def test_flag_changes_report(self, series, capsys, command, mode, flag):
+        assert flag in _CHANGED, f"no changed value listed for {flag}"
+        key = (str(series), command, mode)
+        if key not in self._defaults:
+            self._defaults[key] = self._report(series, command, list(mode))
+        assert self._defaults[key] is not None
+        capsys.readouterr()
+        changed = self._report(series, command,
+                               [*mode, flag, _CHANGED[flag]])
+        if changed is None:
+            assert f"{flag} applies only to" in capsys.readouterr().err
+        else:
+            assert changed != self._defaults[key]

@@ -7,7 +7,8 @@ from movingt.distribution import (NU_GAUSSIAN, StudentTParams,
                                   abs_central_moment, cdf, log_pdf, pdf,
                                   sample)
 from movingt.errors import DivergentMomentError, DomainError
-from movingt.special_math import integrate_adaptive
+
+from quadrature import integrate_adaptive
 
 CAUCHY = StudentTParams(0.0, 1.0, 1.0)
 

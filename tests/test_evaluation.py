@@ -13,7 +13,8 @@ from movingt.errors import DivergentMomentError, DomainError, SeriesTooShortErro
 from movingt.evaluation import (expected_tail_fraction, format_nu_label,
                                 inv_nu_of, mean_log_likelihood, nu_of_inv,
                                 nu_sweep, sigma_power_error_sweep, tail_table)
-from movingt.special_math import integrate_adaptive
+
+from quadrature import integrate_adaptive
 
 
 class TestMeanLogLikelihood:

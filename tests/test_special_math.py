@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from movingt.errors import DomainError
-from movingt.special_math import (integrate_adaptive, log_gamma,
-                                  regularized_incomplete_beta)
+from movingt.special_math import log_gamma, regularized_incomplete_beta
+
+from quadrature import integrate_adaptive
 
 
 class TestLogGamma:
