@@ -28,10 +28,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .distribution import NU_GAUSSIAN, StudentTParams
+from .distribution import (_HALF_LOG_2PI, _HALF_LOG_PI, NU_GAUSSIAN,
+                           StudentTParams, _log_abs_moment)
 from .errors import DomainError, SeriesTooShortError
 from .static_estimators import (DEFAULT_NU_ADJUSTMENT, DEFAULT_NU_CAP,
-                                build_nu_table)
+                                build_nu_table, compute_moments)
 
 __all__ = [
     "AdaptiveConfig",
@@ -43,10 +44,6 @@ __all__ = [
     "moment_paths",
     "sigma_and_log_density",
 ]
-
-_HALF_LOG_PI = 0.5 * math.log(math.pi)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
@@ -165,24 +162,6 @@ def _inversion_table(p1: float, p2: float, nu_min: float, nu_cap: float):
 # scalar step: the reference the vectorized fold is tested against
 
 
-def _log_abs_moment(nu: float, p: float) -> float:
-    # ln M(nu, p); caller guarantees 0 < p < nu
-    if nu >= NU_GAUSSIAN:
-        return (0.5 * p * math.log(2.0) + math.lgamma(0.5 * (p + 1.0))
-                - _HALF_LOG_PI) / p
-    return (0.5 * p * math.log(nu) + math.lgamma(0.5 * (p + 1.0))
-            + math.lgamma(0.5 * (nu - p)) - _HALF_LOG_PI
-            - math.lgamma(0.5 * nu)) / p
-
-
-def _t_log_pdf(nu: float, sigma: float, z: float) -> float:
-    if nu >= NU_GAUSSIAN:
-        return -_HALF_LOG_2PI - math.log(sigma) - 0.5 * z * z
-    return (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
-            - 0.5 * math.log(nu * math.pi) - math.log(sigma)
-            - 0.5 * (nu + 1.0) * math.log1p(z * z / nu))
-
-
 def _interp_ln_nu(r, ratio_asc, ln_nu_asc):
     # piecewise-linear inverse lookup, clamped at the table ends
     if r <= ratio_asc[0]:
@@ -196,62 +175,36 @@ def _interp_ln_nu(r, ratio_asc, ln_nu_asc):
     return y0 + (ln_nu_asc[i] - y0) * (r - r0) / (ratio_asc[i] - r0)
 
 
-def step_once(x, mu, m_sigma, m1, m2,
-              eta1, eta2, eta3, p_sigma, p1, p2,
-              nu_fixed, nu_adjust, nu_cap, floor,
-              ratio_asc, ln_nu_asc):
-    """One estimate-then-update step on plain floats.
-
-    Returns (mu_t, sigma_t, nu_t, log_density, mu, m_sigma, m1, m2):
-    the estimate formed from the incoming state before x is ingested,
-    its log-density at x, then the post-update state.  nu_fixed is NaN
-    for an adaptive nu.
-    """
-    if math.isnan(nu_fixed):
-        r = math.exp(math.log(m1 if m1 > floor else floor) / p1
-                     - math.log(m2 if m2 > floor else floor) / p2)
-        nu_t = math.exp(_interp_ln_nu(r, ratio_asc, ln_nu_asc)) + nu_adjust
-        if nu_t > nu_cap:
-            nu_t = nu_cap
-    else:
-        nu_t = nu_fixed
-
-    mf = m_sigma if m_sigma > floor else floor
-    sigma_t = math.exp(math.log(mf) / p_sigma - _log_abs_moment(nu_t, p_sigma))
-    z = (x - mu) / sigma_t
-    log_density = _t_log_pdf(nu_t, sigma_t, z)
-
-    d = abs(x - mu)
-    m_sigma = m_sigma + eta2 * (d ** p_sigma - m_sigma)
-    if math.isnan(nu_fixed):
-        m1 = m1 + eta3 * (d ** p1 - m1)
-        m2 = m2 + eta3 * (d ** p2 - m2)
-    new_mu = mu + eta1 * (x - mu)
-
-    return mu, sigma_t, nu_t, log_density, new_mu, m_sigma, m1, m2
-
-
 def step(state: EmaState, x: float, config: AdaptiveConfig):
     """One step: (new_state, StudentTParams estimate for this time index).
 
     The estimate is computed from `state` before x is ingested, so x is
-    out of sample for it.
+    out of sample for it; then the center and the moment EMAs take x.
     """
+    x = float(x)
+    mu, m_sigma, m1, m2 = state.mu, state.m_sigma, state.m1, state.m2
+    floor = config.moment_floor
     if config.nu_fixed is None:
         ratio_asc, ln_nu = _inversion_table(config.p1, config.p2,
                                             config.nu_min, config.nu_cap)
-        nu_fixed = math.nan
+        r = math.exp(math.log(m1 if m1 > floor else floor) / config.p1
+                     - math.log(m2 if m2 > floor else floor) / config.p2)
+        nu_t = min(math.exp(_interp_ln_nu(r, ratio_asc, ln_nu))
+                   + config.nu_adjustment, config.nu_cap)
     else:
-        ratio_asc = ln_nu = ()
-        nu_fixed = config.nu_fixed
-    (mu_t, sigma_t, nu_t, _logd, mu, m_sigma, m1, m2) = step_once(
-        float(x), state.mu, state.m_sigma, state.m1, state.m2,
-        config.eta1, config.eta2, config.eta3,
-        config.p_sigma, config.p1, config.p2,
-        nu_fixed, config.nu_adjustment, config.nu_cap, config.moment_floor,
-        ratio_asc, ln_nu)
-    new_state = EmaState(mu, m_sigma, m1, m2, state.t + 1)
-    return new_state, StudentTParams(mu_t, sigma_t, nu_t)
+        nu_t = config.nu_fixed
+    p_sigma = config.p_sigma
+    mf = m_sigma if m_sigma > floor else floor
+    sigma_t = math.exp(math.log(mf) / p_sigma - _log_abs_moment(nu_t, p_sigma))
+
+    d = abs(x - mu)
+    m_sigma += config.eta2 * (d ** p_sigma - m_sigma)
+    if config.nu_fixed is None:
+        m1 += config.eta3 * (d ** config.p1 - m1)
+        m2 += config.eta3 * (d ** config.p2 - m2)
+    new_state = EmaState(mu + config.eta1 * (x - mu), m_sigma, m1, m2,
+                         state.t + 1)
+    return new_state, StudentTParams(mu, sigma_t, nu_t)
 
 
 def seed_state_from_prefix(xs, k: int, config: AdaptiveConfig,
@@ -265,16 +218,10 @@ def seed_state_from_prefix(xs, k: int, config: AdaptiveConfig,
     if k < 1 or k > xs.size:
         raise SeriesTooShortError(
             f"prefix length {k} not usable for a series of {xs.size} points")
-    prefix = xs[:k]
-    mu0 = float(prefix.mean()) if mu is None else float(mu)
-    d = np.abs(prefix - mu0)
-    return EmaState(
-        mu=mu0,
-        m_sigma=float(np.mean(d ** config.p_sigma)),
-        m1=float(np.mean(d ** config.p1)),
-        m2=float(np.mean(d ** config.p2)),
-        t=0,
-    )
+    powers = (config.p_sigma, config.p1, config.p2)
+    summary = compute_moments(xs[:k], dict.fromkeys(powers),
+                              "mean" if mu is None else mu)
+    return EmaState(summary.mu_hat, *map(summary.moment_for, powers))
 
 
 # --------------------------------------------------------------------------
@@ -285,7 +232,7 @@ _lgamma = np.frompyfunc(math.lgamma, 1, 1)
 
 def _ema_path(m0: float, eta: float, observations: list) -> np.ndarray:
     """EMA value before each observation: m0, then m <- m + eta*(v - m)
-    (the update of step_once)."""
+    (the update of `step`)."""
     return np.fromiter(
         accumulate(observations, lambda m, v, eta=eta: m + eta * (v - m),
                    initial=m0),
@@ -329,7 +276,7 @@ def sigma_and_log_density(xs, mu, m_sigma, nu, p_sigma: float, floor: float):
     """(sigma_t, ln rho_t(x_t)) per step from the state paths and nu_t.
 
     nu is one value or one per step; steps with nu >= NU_GAUSSIAN use
-    the Gaussian limit, as `step_once` does.
+    the Gaussian limit, as `step` does.
     """
     nu = np.asarray(nu, dtype=np.float64)
     gauss = nu >= NU_GAUSSIAN

@@ -377,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_adaptive_flags(p, "seed the state from this many leading points "
                            "and start the fold after them")
     p.add_argument("--warmup", type=int, default=300,
-                   help="steps excluded from the reported mean log-likelihood")
+                   help="score steps with t >= this; the fold starts at "
+                        "t = --init-prefix, so values up to it exclude nothing")
     p.set_defaults(func=_cmd_fit_adaptive)
 
     p = sub.add_parser("fit-static", formatter_class=fmt,
@@ -400,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="power behind the sigma estimate; rows whose nu "
                         "has no finite moment of it use nu/2")
     p.add_argument("--moment-floor", type=float, default=1e-20)
-    p.add_argument("--warmup", type=int, default=300)
+    p.add_argument("--warmup", type=int, default=300,
+                   help="seed the adaptive state from this many leading "
+                        "points and score every model from this index on")
     p.add_argument("--inv-nu-grid", default=None,
                    help="comma-separated 1/nu values (0 = Gaussian); "
                         "default 0,0.05,...,1")

@@ -97,12 +97,17 @@ def log_abs_central_moment(nu: float, p: float) -> float:
     if p >= nu:
         raise DivergentMomentError(
             f"E|x|^p diverges for p >= nu (p={p}, nu={nu})")
+    return _log_abs_moment(nu, p)
+
+
+def _log_abs_moment(nu: float, p: float) -> float:
+    # ln M(nu, p) unchecked, for callers that guarantee 0 < p < nu
     if nu >= NU_GAUSSIAN:
-        return (0.5 * p * math.log(2.0) + log_gamma(0.5 * (p + 1.0))
+        return (0.5 * p * math.log(2.0) + math.lgamma(0.5 * (p + 1.0))
                 - _HALF_LOG_PI) / p
-    return (0.5 * p * math.log(nu) + log_gamma(0.5 * (p + 1.0))
-            + log_gamma(0.5 * (nu - p)) - _HALF_LOG_PI
-            - log_gamma(0.5 * nu)) / p
+    return (0.5 * p * math.log(nu) + math.lgamma(0.5 * (p + 1.0))
+            + math.lgamma(0.5 * (nu - p)) - _HALF_LOG_PI
+            - math.lgamma(0.5 * nu)) / p
 
 
 def abs_central_moment(nu: float, p: float) -> float:

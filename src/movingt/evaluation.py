@@ -196,8 +196,8 @@ def tail_table(xs, normalization, nu_labels: Sequence[float],
     if values.size == 0:
         raise SeriesTooShortError("tail table needs a nonempty series")
     ks = tuple(int(k) for k in k_values)
-    if any(k < 1 for k in ks):
-        raise DomainError(f"k values must be >= 1, got {ks}")
+    if not ks or min(ks) < 1:
+        raise DomainError(f"k values must be nonempty and >= 1, got {ks}")
 
     if isinstance(normalization, ParamTrajectory):
         traj = normalization

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import abs_central_moment
+from .distribution import NU_GAUSSIAN, abs_central_moment
 from .errors import (DegenerateDataError, DomainError, MonotonicityError,
                      SeriesTooShortError)
 
@@ -137,6 +137,10 @@ def build_nu_table(p1: float, p2: float, nu_min: float = None,
                           f"got {nu_min!r}")
     if not nu_cap > nu_min:
         raise DomainError(f"nu_cap must exceed nu_min, got {nu_cap!r}")
+    if nu_cap > NU_GAUSSIAN:
+        # the ratio is flat in the Gaussian limit, so it cannot be inverted
+        raise DomainError(f"nu_cap must be <= {NU_GAUSSIAN:g} (the Gaussian "
+                          f"limit), got {nu_cap!r}")
     if grid_size < 16:
         raise DomainError(f"grid_size must be >= 16, got {grid_size!r}")
 

@@ -7,12 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from movingt.adaptive import (AdaptiveConfig, EmaState, moment_paths, run,
-                              seed_state_from_prefix, step, step_once)
+                              seed_state_from_prefix, step)
 from movingt.data_io import Segment, generate_synthetic
 from movingt.distribution import (NU_GAUSSIAN, abs_central_moment, log_pdf,
                                   StudentTParams)
 from movingt.errors import DomainError, SeriesTooShortError
-from movingt.static_estimators import build_nu_table
 
 
 class TestConfigValidation:
@@ -82,6 +81,32 @@ class TestStep:
         new, _ = step(state, x, cfg)
         obs = abs(x) ** cfg.p_sigma
         assert min(m, obs) - 1e-12 <= new.m_sigma <= max(m, obs) + 1e-12
+
+
+class TestSeedStateFromPrefix:
+    XS = generate_synthetic([Segment(400, 0.2, 1.5, 4)], seed=12).values
+
+    @pytest.mark.parametrize("k", [1, 37, 400])
+    @pytest.mark.parametrize("center", [None, 0.0, -0.7])
+    @pytest.mark.parametrize("powers", [(1.0, 1.0, 0.5), (0.75, 1.0, 0.5),
+                                        (0.5, 0.8, 0.3)])
+    def test_moments_about_center(self, k, center, powers):
+        p_sigma, p1, p2 = powers
+        cfg = AdaptiveConfig(p_sigma=p_sigma, p1=p1, p2=p2)
+        state = seed_state_from_prefix(self.XS, k, cfg, mu=center)
+        prefix = self.XS[:k]
+        mu = float(prefix.mean()) if center is None else center
+        d = np.abs(prefix - mu)
+        assert state.mu == mu
+        assert state.m_sigma == float(np.mean(d ** p_sigma))
+        assert state.m1 == float(np.mean(d ** p1))
+        assert state.m2 == float(np.mean(d ** p2))
+        assert state.t == 0
+
+    @pytest.mark.parametrize("k", [0, -1, 401])
+    def test_unusable_prefix(self, k):
+        with pytest.raises(SeriesTooShortError):
+            seed_state_from_prefix(self.XS, k, AdaptiveConfig())
 
 
 class TestRun:
@@ -225,23 +250,11 @@ class TestRun:
 
 
 def _step_once_fold(xs, state, cfg):
-    """Fold the scalar step_once over xs: arrays mu, sigma, nu, log_density."""
-    if cfg.nu_fixed is None:
-        table = build_nu_table(cfg.p1, cfg.p2, nu_min=cfg.nu_min,
-                               nu_cap=cfg.nu_cap)
-        ratio_asc, ln_nu = (a.tolist() for a in table.inversion_arrays())
-        nu_fixed = math.nan
-    else:
-        ratio_asc = ln_nu = []
-        nu_fixed = cfg.nu_fixed
-    mu, m_sigma, m1, m2 = state.mu, state.m_sigma, state.m1, state.m2
+    """Fold the scalar step over xs: arrays mu, sigma, nu, log_density."""
     rows = []
     for x in np.asarray(xs, dtype=np.float64).tolist():
-        *estimate, mu, m_sigma, m1, m2 = step_once(
-            x, mu, m_sigma, m1, m2, cfg.eta1, cfg.eta2, cfg.eta3,
-            cfg.p_sigma, cfg.p1, cfg.p2, nu_fixed, cfg.nu_adjustment,
-            cfg.nu_cap, cfg.moment_floor, ratio_asc, ln_nu)
-        rows.append(estimate)
+        state, est = step(state, x, cfg)
+        rows.append((est.mu, est.sigma, est.nu, log_pdf(est, x)))
     return np.array(rows).T
 
 

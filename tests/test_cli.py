@@ -190,6 +190,17 @@ class TestTailTable:
                     "--nu-labels", "3,abc") == 2
         assert "--nu-labels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("normalization", ["adaptive", "static"])
+    @pytest.mark.parametrize("k_max", ["0", "-2"])
+    def test_k_max_below_one_exits_2(self, synth_file, tmp_path, capsys,
+                                     normalization, k_max):
+        out = tmp_path / "o.csv"
+        assert _run("tail-table", "--input", str(synth_file), "--returns",
+                    "--output", str(out), "--normalization", normalization,
+                    "--k-max", k_max) == 2
+        assert "k values must be nonempty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_warmup_not_accepted(self, synth_file, tmp_path):
         # every point is normalized and counted: there is nothing to warm up
         assert _run("tail-table", "--input", str(synth_file), "--returns",
@@ -285,6 +296,24 @@ class TestInitPrefix:
                     "--init-prefix", value) == 2
         assert (f"error: --init-prefix must be >= 1, got {value}"
                 in capsys.readouterr().err)
+
+
+class TestNuCap:
+    @pytest.mark.parametrize("command", ["fit-adaptive", "fit-static",
+                                         "tail-table"])
+    def test_gaussian_limit_is_the_largest_cap(self, synth_file, tmp_path,
+                                               capsys, command):
+        common = (command, "--input", str(synth_file), "--returns",
+                  "--output", str(tmp_path / "o.csv"))
+        assert _run(*common, "--nu-cap", "1e6") == 0
+        capsys.readouterr()
+        assert _run(*common, "--nu-cap", "1.1e6") == 2
+        assert "nu_cap must be <= 1e+06" in capsys.readouterr().err
+
+    def test_fixed_nu_builds_no_table(self, synth_file, tmp_path):
+        assert _run("fit-adaptive", "--input", str(synth_file), "--returns",
+                    "--output", str(tmp_path / "o.csv"),
+                    "--nu-fixed", "5", "--nu-cap", "1.1e6") == 0
 
 
 class TestFitStatic:

@@ -104,6 +104,11 @@ class TestNuTable:
         with pytest.raises(DomainError):
             build_nu_table(1.0, 0.5, nu_min=0.9)
 
+    def test_cap_at_most_the_gaussian_limit(self):
+        assert build_nu_table(1.0, 0.5, nu_cap=NU_GAUSSIAN).nu_cap == NU_GAUSSIAN
+        with pytest.raises(DomainError, match="Gaussian limit"):
+            build_nu_table(1.0, 0.5, nu_cap=1.1 * NU_GAUSSIAN)
+
 
 class TestEstimateNuRaw:
     def test_round_trip_at_five(self):
