@@ -70,7 +70,6 @@ class AdaptiveConfig:
     nu_min: float = 1.1
     nu_cap: float = DEFAULT_NU_CAP
     moment_floor: float = 1e-20
-    warmup: int = 300
 
     def __post_init__(self):
         if not (0.0 <= self.eta1 <= 1.0):
@@ -110,8 +109,6 @@ class AdaptiveConfig:
         if not (math.isfinite(self.moment_floor) and self.moment_floor > 0.0):
             raise DomainError(
                 f"moment_floor must be finite and > 0, got {self.moment_floor!r}")
-        if self.warmup < 0:
-            raise DomainError(f"warmup must be >= 0, got {self.warmup!r}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,6 @@ class EmaState:
     m_sigma: float
     m1: float
     m2: float
-    t: int = 0
 
     def __post_init__(self):
         for name, v in (("mu", self.mu), ("m_sigma", self.m_sigma),
@@ -202,8 +198,7 @@ def step(state: EmaState, x: float, config: AdaptiveConfig):
     if config.nu_fixed is None:
         m1 += config.eta3 * (d ** config.p1 - m1)
         m2 += config.eta3 * (d ** config.p2 - m2)
-    new_state = EmaState(mu + config.eta1 * (x - mu), m_sigma, m1, m2,
-                         state.t + 1)
+    new_state = EmaState(mu + config.eta1 * (x - mu), m_sigma, m1, m2)
     return new_state, StudentTParams(mu, sigma_t, nu_t)
 
 
@@ -310,24 +305,19 @@ def run(xs, config: AdaptiveConfig,
 
     ``init`` is either an explicit EmaState (the fold starts at t=0) or
     a prefix length k: the state is seeded with the first k points'
-    statistics and the fold starts at t=k.  Warmup exclusion is applied
-    downstream by the scoring functions, not here; the trajectory holds
-    every folded step.
+    statistics and the fold starts at t=k.  The trajectory holds every
+    folded step; which of them count is the scoring functions' warmup.
+    Raises SeriesTooShortError when no point is left to fold.
     """
     values = np.ascontiguousarray(getattr(xs, "values", xs), dtype=np.float64)
     n = int(values.size)
-    if n <= config.warmup:
+    explicit = isinstance(init, EmaState)
+    t_start = 0 if explicit else int(init)
+    if n <= t_start:
         raise SeriesTooShortError(
-            f"series of {n} points does not exceed warmup={config.warmup}")
-
-    if isinstance(init, EmaState):
-        state, t_start = init, 0
-    else:
-        k = int(init)
-        if n <= k:
-            raise SeriesTooShortError(
-                f"series of {n} points does not exceed init prefix k={k}")
-        state, t_start = seed_state_from_prefix(values, k, config), k
+            f"series of {n} points leaves nothing to fold from t={t_start}")
+    state = (init if explicit
+             else seed_state_from_prefix(values, t_start, config))
 
     folded = values[t_start:].copy()
     mu, m_sigma, m1, m2 = moment_paths(folded, state, config)

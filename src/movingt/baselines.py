@@ -143,8 +143,11 @@ def garch_filter(xs, params: GarchParams, warmup: int = 0):
     n = xs.size
     if n == 0:
         raise SeriesTooShortError("cannot filter an empty series")
-    if not (0 <= warmup < n):
-        raise DomainError(f"warmup must be in [0, {n}), got {warmup!r}")
+    if warmup < 0:
+        raise DomainError(f"warmup must be >= 0, got {warmup!r}")
+    if warmup >= n:
+        raise SeriesTooShortError(
+            f"warmup={warmup} leaves nothing to score in {n} points")
     x2 = xs * xs
     sigma2 = _garch_variance(x2, params.omega, params.alpha, params.beta,
                              params.initial_var)

@@ -141,7 +141,7 @@ def _flag_values(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys}
 
 
-def _adaptive_config(args, warmup: int) -> AdaptiveConfig:
+def _adaptive_config(args) -> AdaptiveConfig:
     """The moving estimator's config; also checks --init-prefix."""
     if args.init_prefix < 1:
         raise DomainError(f"--init-prefix must be >= 1, got {args.init_prefix}")
@@ -150,7 +150,7 @@ def _adaptive_config(args, warmup: int) -> AdaptiveConfig:
         p_sigma=args.p_sigma, p1=args.p1, p2=args.p2,
         nu_fixed=args.nu_fixed, nu_adjustment=args.nu_adjust,
         nu_min=args.nu_min, nu_cap=args.nu_cap,
-        moment_floor=args.moment_floor, warmup=warmup)
+        moment_floor=args.moment_floor)
 
 
 def _static_fit(values, args, mu="mean"):
@@ -177,9 +177,8 @@ def _cmd_returns(args) -> int:
 
 def _cmd_fit_adaptive(args) -> int:
     series = _read_series(args)
-    cfg = _adaptive_config(args, args.warmup)
-    traj = run(series, cfg, init=args.init_prefix)
-    score = mean_log_likelihood(traj, series, cfg.warmup)
+    traj = run(series, _adaptive_config(args), init=args.init_prefix)
+    score = mean_log_likelihood(traj, series, args.warmup)
     manifest = _input_manifest(args, {
         **_flag_values(args, _ESTIMATOR_KEYS + _ADAPTIVE_KEYS),
         "warmup": args.warmup, "init_prefix": args.init_prefix})
@@ -228,21 +227,15 @@ def _parse_list(text: str, convert, flag: str) -> list:
 
 def _cmd_sweep(args) -> int:
     series = _read_series(args)
-    # every row pins the center and fixes its own nu, lowering the power
-    # where that nu has no finite moment of it, so only these settings
-    # reach the rows; nu_fixed stands in for the per-row value
-    cfg = AdaptiveConfig(eta2=args.eta2, p_sigma=args.p_sigma,
-                         nu_fixed=NU_GAUSSIAN,
-                         moment_floor=args.moment_floor, warmup=args.warmup)
     if args.inv_nu_grid is None:
         nu_grid = [nu_of_inv(i / 20.0) for i in range(21)]
     else:
         nu_grid = [nu_of_inv(v) for v in
                    _parse_list(args.inv_nu_grid, float, "--inv-nu-grid")]
-    report = nu_sweep(series, nu_grid, cfg, warmup=args.warmup)
+    report = nu_sweep(series, nu_grid, args.warmup, eta2=args.eta2,
+                      p_sigma=args.p_sigma, moment_floor=args.moment_floor)
     manifest = _input_manifest(args, {
-        "eta2": cfg.eta2, "p_sigma": cfg.p_sigma,
-        "moment_floor": cfg.moment_floor, "warmup": cfg.warmup,
+        **_flag_values(args, ("eta2", "p_sigma", "moment_floor", "warmup")),
         "inv_nu_grid": args.inv_nu_grid or "default(0..1 step 0.05)"})
     write_sweep_csv(args.output, report, manifest)
     return 0
@@ -277,7 +270,7 @@ def _cmd_tail_table(args) -> int:
               "start_label": args.start_label, "end_label": args.end_label}
 
     if adaptive:
-        cfg = _adaptive_config(args, warmup=0)
+        cfg = _adaptive_config(args)
         k = min(args.init_prefix, len(values))
         state0 = seed_state_from_prefix(values, k, cfg)
         # explicit initial state: the fold starts at t=0 so every point

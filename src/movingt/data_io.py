@@ -1,9 +1,10 @@
 """CSV ingestion, log-return transformation, synthetic data, report writers.
 
-CSV dialect: comma separated, UTF-8, optional single header line, lines
-starting with '#' skipped (reports embed their run manifest that way, so
-outputs can be re-ingested).  The writer emits LF and formats floats with
-repr, which round-trips bit-exactly through float().
+CSV dialect: comma separated, UTF-8 (a leading byte-order mark is
+skipped), optional single header line, lines starting with '#' skipped
+(reports embed their run manifest that way, so outputs can be
+re-ingested).  The writer emits LF and formats floats with repr, which
+round-trips bit-exactly through float().
 """
 
 from __future__ import annotations
@@ -91,13 +92,13 @@ def to_log_returns(prices: PriceSeries) -> ReturnSeries:
 
 
 def _resolve_column(spec: Union[int, str]):
-    """A column spec is an index (int or digit string) or a header name."""
-    if isinstance(spec, int):
-        return spec, None
-    text = str(spec)
-    if text.lstrip("+-").isdigit():
-        return int(text), None
-    return None, text
+    """A 0-based column index (int or digit string) or a header name."""
+    if isinstance(spec, int) or str(spec).lstrip("+-").isdigit():
+        index = int(spec)
+        if index < 0:
+            raise DomainError(f"column index must be >= 0, got {spec!r}")
+        return index, None
+    return None, str(spec)
 
 
 def read_csv(path, column: Union[int, str] = "x",
@@ -120,7 +121,8 @@ def read_csv(path, column: Union[int, str] = "x",
     labels: List[str] = []
     want_dates = date_column is not None
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig skips a byte-order mark instead of reading it as text
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header_done = False
         for line_no, row in enumerate(reader, start=1):
@@ -278,14 +280,12 @@ def _emit(fh, manifest_lines, header, rows):
         writer.writerow([_fmt(v) for v in row])
 
 
-def write_series_csv(path, values, labels=None, manifest_lines=(),
-                     value_name: str = "x"):
+def write_series_csv(path, values, labels=None, manifest_lines=()):
     with _open_out(path) as fh:
         if labels is not None:
-            _emit(fh, manifest_lines, ["date", value_name],
-                  zip(labels, values))
+            _emit(fh, manifest_lines, ["date", "x"], zip(labels, values))
         else:
-            _emit(fh, manifest_lines, [value_name], ([v] for v in values))
+            _emit(fh, manifest_lines, ["x"], ([v] for v in values))
 
 
 def _csv_cell(text: str) -> str:

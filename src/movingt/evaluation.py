@@ -8,7 +8,7 @@ tail-event table, and the Monte Carlo power-choice error sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -97,17 +97,20 @@ class SweepReport:
     metadata: dict
 
 
-def nu_sweep(xs, nu_grid: Sequence[float], adaptive_config: AdaptiveConfig,
-             warmup: int = None) -> SweepReport:
+def nu_sweep(xs, nu_grid: Sequence[float], warmup: int, *,
+             eta2: float = AdaptiveConfig.eta2,
+             p_sigma: float = AdaptiveConfig.p_sigma,
+             moment_floor: float = AdaptiveConfig.moment_floor) -> SweepReport:
     """Score static sigma-MLE and adaptive sigma at each fixed nu.
 
     The center is pinned at 0 throughout.  The static model is fit and
-    scored on the post-warmup points; the adaptive runs seed their state
-    from the warmup prefix (moments about 0) and score the same points.
-    With the center pinned the moment path does not depend on nu, so
-    there is one fold per distinct power and every nu is scored from it.
-    One GARCH(1,1) baseline (in-sample MLE on the full series, scored
-    post-warmup) accompanies the grid.
+    scored on xs[warmup:]; the adaptive runs seed their state from the
+    warmup prefix (moments about 0), fold the sigma moment at rate eta2
+    with power p_sigma (nu/2 where nu has no finite moment of it), and
+    score the same points.  With the center pinned the moment path does
+    not depend on nu, so there is one fold per distinct power and every
+    nu is scored from it.  One GARCH(1,1) baseline (in-sample MLE on the
+    full series, scored on xs[warmup:]) accompanies the grid.
     """
     values = _values_of(xs)
     nu_list = [float(nu) for nu in nu_grid]
@@ -115,33 +118,33 @@ def nu_sweep(xs, nu_grid: Sequence[float], adaptive_config: AdaptiveConfig,
         raise DomainError("nu grid must not be empty")
     if any(not nu > 0.0 for nu in nu_list):
         raise DomainError(f"every nu must be > 0, got {nu_list}")
-    if warmup is None:
-        warmup = adaptive_config.warmup
-    if not (2 <= warmup < values.size):
+    if not (math.isfinite(p_sigma) and p_sigma > 0.0):
+        raise DomainError(f"p_sigma must be finite and > 0, got {p_sigma!r}")
+    # built, and so checked, before any fit runs
+    configs = [AdaptiveConfig(eta1=0.0, eta2=eta2,
+                              p_sigma=p_sigma if p_sigma < nu else 0.5 * nu,
+                              nu_fixed=nu, moment_floor=moment_floor)
+               for nu in nu_list]
+    if warmup < 2:
+        raise DomainError(f"sweep needs warmup >= 2, got {warmup}")
+    if warmup >= values.size:
         raise SeriesTooShortError(
-            f"sweep needs 2 <= warmup < len(series), got warmup={warmup} "
-            f"for {values.size} points")
+            f"warmup={warmup} leaves nothing to score in {values.size} points")
 
     scored = values[warmup:]
     p_eff_overrides: Dict[float, float] = {}
     m_sigma_paths: Dict[float, np.ndarray] = {}
     entries = []
-    for nu in nu_list:
-        inv = inv_nu_of(nu)
-        sigma_hat, static_score = fit_sigma_mle(scored, 0.0, nu)
-
-        p_eff = adaptive_config.p_sigma
-        if p_eff >= nu:
-            # configured power has no finite moment at this nu
-            p_eff = 0.5 * nu
+    for cfg in configs:
+        nu, p_eff, inv = cfg.nu_fixed, cfg.p_sigma, inv_nu_of(cfg.nu_fixed)
+        if p_eff != p_sigma:
             p_eff_overrides[inv] = p_eff
-        cfg = replace(adaptive_config, nu_fixed=nu, p_sigma=p_eff,
-                      eta1=0.0, warmup=0)
+        sigma_hat, static_score = fit_sigma_mle(scored, 0.0, nu)
         if p_eff not in m_sigma_paths:
             state0 = seed_state_from_prefix(values, warmup, cfg, mu=0.0)
             m_sigma_paths[p_eff] = moment_paths(scored, state0, cfg)[1]
         _, log_density = sigma_and_log_density(
-            scored, 0.0, m_sigma_paths[p_eff], nu, p_eff, cfg.moment_floor)
+            scored, 0.0, m_sigma_paths[p_eff], nu, p_eff, moment_floor)
         adaptive_score = float(np.mean(log_density))
         entries.append((inv, static_score, adaptive_score, sigma_hat))
 
@@ -156,8 +159,8 @@ def nu_sweep(xs, nu_grid: Sequence[float], adaptive_config: AdaptiveConfig,
         "n": int(values.size),
         "n_scored": int(scored.size),
         "center": 0.0,
-        "p_sigma": adaptive_config.p_sigma,
-        "eta2": adaptive_config.eta2,
+        "p_sigma": p_sigma,
+        "eta2": eta2,
         "p_eff_overrides": p_eff_overrides,
         "static_sigma_hat": {inv: sig for inv, _, _, sig in entries},
         "garch_omega": garch_params.omega,

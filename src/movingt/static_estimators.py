@@ -31,7 +31,7 @@ __all__ = [
 
 DEFAULT_NU_CAP = 1000.0
 DEFAULT_NU_ADJUSTMENT = 0.9
-DEFAULT_GRID_SIZE = 256
+_GRID_SIZE = 256  # points of the log nu grid behind the inversion table
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,7 @@ class NuInversionTable:
 
 
 def build_nu_table(p1: float, p2: float, nu_min: float = None,
-                   nu_cap: float = DEFAULT_NU_CAP,
-                   grid_size: int = DEFAULT_GRID_SIZE) -> NuInversionTable:
+                   nu_cap: float = DEFAULT_NU_CAP) -> NuInversionTable:
     """Tabulate R(nu) over a log-spaced grid and verify strict monotonicity."""
     for name, p in (("p1", p1), ("p2", p2)):
         if not (math.isfinite(p) and p > 0.0):
@@ -141,10 +140,9 @@ def build_nu_table(p1: float, p2: float, nu_min: float = None,
         # the ratio is flat in the Gaussian limit, so it cannot be inverted
         raise DomainError(f"nu_cap must be <= {NU_GAUSSIAN:g} (the Gaussian "
                           f"limit), got {nu_cap!r}")
-    if grid_size < 16:
-        raise DomainError(f"grid_size must be >= 16, got {grid_size!r}")
 
-    nu_grid = np.exp(np.linspace(math.log(nu_min), math.log(nu_cap), grid_size))
+    nu_grid = np.exp(np.linspace(math.log(nu_min), math.log(nu_cap),
+                                 _GRID_SIZE))
     nu_grid[0] = nu_min
     nu_grid[-1] = nu_cap
     ratio = np.array([abs_central_moment(nu, p1) / abs_central_moment(nu, p2)

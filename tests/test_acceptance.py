@@ -182,7 +182,7 @@ def test_criterion_8_historical_index_reproduction():
 
     cfg = AdaptiveConfig()
     grid = [NU_GAUSSIAN] + [1.0 / v for v in np.arange(0.05, 1.05, 0.05)]
-    rep = nu_sweep(returns, grid, cfg, warmup=300)
+    rep = nu_sweep(returns, grid, 300)
     ok_order = all(r.adaptive_loglik > r.static_loglik for r in rep.rows)
     gauss_row = rep.rows[0]
     ok_garch = abs(rep.garch_loglik - gauss_row.adaptive_loglik) < 0.5

@@ -19,7 +19,7 @@ class TestConfigValidation:
         cfg = AdaptiveConfig()
         assert cfg.eta1 == 0.003 and cfg.eta2 == 0.05 and cfg.eta3 == 0.005
         assert cfg.p_sigma == 1.0 and (cfg.p1, cfg.p2) == (1.0, 0.5)
-        assert cfg.nu_adjustment == 0.9 and cfg.warmup == 300
+        assert cfg.nu_adjustment == 0.9
 
     def test_frozen_center_allowed(self):
         assert AdaptiveConfig(eta1=0.0).eta1 == 0.0
@@ -31,7 +31,7 @@ class TestConfigValidation:
         dict(nu_fixed=0.8),                     # p_sigma >= nu_fixed
         dict(p1=2.0),                           # >= nu_min
         dict(nu_min=5.0, nu_cap=2.0),
-        dict(moment_floor=0.0), dict(warmup=-1),
+        dict(moment_floor=0.0),
         dict(nu_adjustment=-0.1),
     ])
     def test_invalid(self, kwargs):
@@ -56,7 +56,6 @@ class TestStep:
         # moments use the pre-update center: |4 - 1| = 3
         assert new.m_sigma == pytest.approx(2.0 + cfg.eta2 * (3.0 - 2.0))
         assert new.mu == pytest.approx(1.0 + cfg.eta1 * 3.0)
-        assert new.t == 1
 
     def test_constant_input_converges(self):
         cfg = AdaptiveConfig(nu_fixed=5.0, eta1=0.05)
@@ -101,7 +100,6 @@ class TestSeedStateFromPrefix:
         assert state.m_sigma == float(np.mean(d ** p_sigma))
         assert state.m1 == float(np.mean(d ** p1))
         assert state.m2 == float(np.mean(d ** p2))
-        assert state.t == 0
 
     @pytest.mark.parametrize("k", [0, -1, 401])
     def test_unusable_prefix(self, k):
@@ -111,22 +109,22 @@ class TestSeedStateFromPrefix:
 
 class TestRun:
     def test_too_short(self):
-        cfg = AdaptiveConfig(warmup=10)
-        with pytest.raises(SeriesTooShortError):
-            run(np.zeros(10), cfg, init=5)
+        cfg = AdaptiveConfig()
         with pytest.raises(SeriesTooShortError):
             run(np.zeros(5), cfg, init=5)
+        with pytest.raises(SeriesTooShortError):
+            run(np.zeros(0), cfg, init=EmaState(0.0, 1.0, 1.0, 1.0))
 
     def test_prefix_init_starts_after_prefix(self):
         xs = generate_synthetic([Segment(1000, 0, 1, 5)], seed=1)
-        cfg = AdaptiveConfig(warmup=100)
+        cfg = AdaptiveConfig()
         traj = run(xs, cfg, init=200)
         assert traj.t[0] == 200 and traj.t[-1] == 999
         assert len(traj) == 800
 
     def test_explicit_init_starts_at_zero(self):
         xs = generate_synthetic([Segment(500, 0, 1, 5)], seed=1)
-        cfg = AdaptiveConfig(warmup=100)
+        cfg = AdaptiveConfig()
         state = seed_state_from_prefix(xs.values, 100, cfg)
         traj = run(xs, cfg, init=state)
         assert traj.t[0] == 0 and len(traj) == 500
@@ -249,7 +247,7 @@ class TestRun:
         assert new.m_sigma != state.m_sigma
 
 
-def _step_once_fold(xs, state, cfg):
+def _step_fold(xs, state, cfg):
     """Fold the scalar step over xs: arrays mu, sigma, nu, log_density."""
     rows = []
     for x in np.asarray(xs, dtype=np.float64).tolist():
@@ -258,7 +256,7 @@ def _step_once_fold(xs, state, cfg):
     return np.array(rows).T
 
 
-class TestFoldMatchesStepOnceOnHostileSeries:
+class TestFoldMatchesStepOnHostileSeries:
     """run() against a plain loop over the scalar step, on hostile input."""
 
     @staticmethod
@@ -269,7 +267,7 @@ class TestFoldMatchesStepOnceOnHostileSeries:
         else:
             state, start = seed_state_from_prefix(xs, init, cfg), init
         traj = run(xs, cfg, init=init)
-        mu, sigma, nu, logd = _step_once_fold(xs[start:], state, cfg)
+        mu, sigma, nu, logd = _step_fold(xs[start:], state, cfg)
         assert np.all(np.isfinite(traj.sigma))
         assert np.all(np.isfinite(traj.log_density))
         assert np.allclose(traj.mu, mu, rtol=1e-12, atol=0.0)
@@ -326,14 +324,14 @@ class TestFoldMatchesStepOnceOnHostileSeries:
         assert len(traj) == 1
 
 
-# configurations at the edges of their domains, scored from the first step
+# configurations at the edges of their domains
 _EDGE_CONFIGS = [
-    AdaptiveConfig(warmup=0),
-    AdaptiveConfig(eta1=1.0, eta2=1.0, eta3=1.0, warmup=0),
-    AdaptiveConfig(eta1=0.0, warmup=0),
-    AdaptiveConfig(p_sigma=1.09, p1=1.09, warmup=0),  # p just below nu_min
-    AdaptiveConfig(nu_cap=2.0, warmup=0),             # nu mostly at the cap
-    AdaptiveConfig(nu_fixed=NU_GAUSSIAN, warmup=0),
+    AdaptiveConfig(),
+    AdaptiveConfig(eta1=1.0, eta2=1.0, eta3=1.0),
+    AdaptiveConfig(eta1=0.0),
+    AdaptiveConfig(p_sigma=1.09, p1=1.09),  # p just below nu_min
+    AdaptiveConfig(nu_cap=2.0),             # nu mostly at the cap
+    AdaptiveConfig(nu_fixed=NU_GAUSSIAN),
 ]
 
 
@@ -379,3 +377,13 @@ class TestCausalityProperty:
             assert (getattr(other, name)[:i + 1].tobytes()
                     == getattr(base, name)[:i + 1].tobytes())
         assert other.log_density[:i].tobytes() == base.log_density[:i].tobytes()
+
+
+class TestFoldMatchesStepProperty:
+    @given(case=_perturbed_hostile_series(),
+           cfg=st.sampled_from(_EDGE_CONFIGS))
+    @settings(max_examples=60, deadline=None)
+    def test_fold_matches_step(self, case, cfg):
+        xs, perturbed, _, init = case
+        for series in (xs, perturbed):
+            TestFoldMatchesStepOnHostileSeries._check(series, cfg, init)

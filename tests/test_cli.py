@@ -65,6 +65,42 @@ class TestReturnsCommand:
         assert _run("returns", "--input", str(src), "--returns",
                     "--output", str(tmp_path / "o.csv")) == 3
 
+    def test_byte_order_mark_before_header(self, tmp_path):
+        src = tmp_path / "bom.csv"
+        src.write_bytes(b"\xef\xbb\xbfdate,close\n2020-01-01,1.0\n"
+                        b"2020-01-02,2.0\n2020-01-03,4.0\n2020-01-04,2.0\n")
+        out = tmp_path / "out.csv"
+        assert _run("returns", "--input", str(src), "--prices",
+                    "--column", "close", "--date-column", "date",
+                    "--output", str(out)) == 0
+        rows = _data_rows(out)
+        assert rows[0] == ["date", "x"]
+        assert [r[0] for r in rows[1:]] == ["2020-01-02", "2020-01-03",
+                                            "2020-01-04"]
+        assert float(rows[1][1]) == math.log(2.0)
+
+    def test_byte_order_mark_headerless_returns(self, tmp_path):
+        # the first value must not be taken for a header
+        src = tmp_path / "bom.csv"
+        src.write_bytes(b"\xef\xbb\xbf0.5\n-0.25\n1.0\n2.0\n")
+        out = tmp_path / "out.csv"
+        assert _run("returns", "--input", str(src), "--returns",
+                    "--column", "0", "--output", str(out)) == 0
+        assert [float(r[0]) for r in _data_rows(out)[1:]] == [0.5, -0.25,
+                                                             1.0, 2.0]
+
+    @pytest.mark.parametrize("flags", [
+        ["--column", "-5"], ["--column", "-1"],
+        ["--column", "1", "--date-column", "-1"]])
+    def test_negative_column_index_exits_2(self, tmp_path, capsys, flags):
+        src = tmp_path / "two.csv"
+        src.write_text("2020-01-01,0.5\n2020-01-02,0.25\n")
+        out = tmp_path / "out.csv"
+        assert _run("returns", "--input", str(src), "--returns",
+                    "--output", str(out), *flags) == 2
+        assert "column index must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_embedded(self, tmp_path):
         src = tmp_path / "r.csv"
         src.write_text("x\n0.1\n")
@@ -147,6 +183,32 @@ class TestSweep:
                     "--output", str(out), "--inv-nu-grid", "0,0.2,0.5") == 0
         for r in _data_rows(out)[1:]:
             assert float(r[2]) > float(r[1])
+
+    def test_power_above_every_nu(self, tmp_path):
+        # every row, the Gaussian one included, lowers the power to nu/2
+        src = tmp_path / "daily.csv"
+        assert _run("synth", "--output", str(src),
+                    "--segment", "1500,0,0.01,4", "--seed", "5") == 0
+        out = tmp_path / "sweep.csv"
+        assert _run("sweep", "--input", str(src), "--returns",
+                    "--output", str(out), "--p-sigma", "1e6",
+                    "--inv-nu-grid", "0,0.5") == 0
+        assert "# p_eff_overrides = 0.0:500000.0;0.5:1.0" in out.read_text()
+
+
+class TestWarmupExitCodes:
+    # below the command's minimum is a bad flag value (2); leaving
+    # nothing to score is a data condition (3)
+    @pytest.mark.parametrize("command, warmup, code", [
+        ("fit-static", "-1", 2), ("fit-static", "5000", 3),
+        ("fit-adaptive", "-1", 2), ("fit-adaptive", "5000", 3),
+        ("sweep", "-1", 2), ("sweep", "1", 2), ("sweep", "5000", 3),
+        ("garch", "-1", 2), ("garch", "5000", 3)])
+    def test_exit_code(self, synth_file, tmp_path, command, warmup, code):
+        out = tmp_path / "o.csv"
+        assert _run(command, "--input", str(synth_file), "--returns",
+                    "--output", str(out), "--warmup", warmup) == code
+        assert not out.exists()
 
 
 class TestTailTable:

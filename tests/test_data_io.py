@@ -120,6 +120,29 @@ class TestReadCsv:
         assert series.values == pytest.approx([1.0, 2.0])
         assert series.labels == ["2020-01-01", "2020-01-02"]
 
+    def test_byte_order_mark_before_header(self, tmp_path):
+        f = tmp_path / "bom.csv"
+        f.write_bytes(b"\xef\xbb\xbfdate,close\n2020-01-01,1.5\n2020-01-02,1.7\n")
+        series = read_csv(f, column="close", date_column="date", kind="prices")
+        assert series.values == pytest.approx([1.5, 1.7])
+        assert series.labels == ["2020-01-01", "2020-01-02"]
+
+    def test_byte_order_mark_before_headerless_value(self, tmp_path):
+        # the first row must still read as data, not as a header
+        f = tmp_path / "bom.csv"
+        f.write_bytes(b"\xef\xbb\xbf0.5\n-0.25\n1.0\n2.0\n")
+        series = read_csv(f, column=0, kind="returns")
+        assert series.values.tolist() == [0.5, -0.25, 1.0, 2.0]
+
+    @pytest.mark.parametrize("spec", [-1, "-5"])
+    @pytest.mark.parametrize("which", ["column", "date_column"])
+    def test_negative_index_refused(self, tmp_path, spec, which):
+        f = tmp_path / "two.csv"
+        f.write_text("2020-01-01,1.0\n2020-01-02,2.0\n")
+        kwargs = {"column": 1, "date_column": 0, which: spec}
+        with pytest.raises(DomainError, match="column index must be >= 0"):
+            read_csv(f, kind="prices", **kwargs)
+
 
 class TestRoundTrips:
     def test_series_csv_bit_exact(self, tmp_path):

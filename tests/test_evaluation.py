@@ -79,8 +79,7 @@ class TestInvNuHelpers:
 class TestNuSweep:
     def test_single_entry(self):
         xs = generate_synthetic([Segment(1500, 0, 1, 5)], seed=31)
-        cfg = AdaptiveConfig()
-        rep = nu_sweep(xs, [5.0], cfg, warmup=300)
+        rep = nu_sweep(xs, [5.0], 300)
         assert len(rep.rows) == 1
         assert rep.rows[0].inv_nu == pytest.approx(0.2)
         assert math.isfinite(rep.rows[0].static_loglik)
@@ -89,8 +88,7 @@ class TestNuSweep:
 
     def test_rows_sorted_and_finite(self):
         xs = generate_synthetic([Segment(1500, 0, 1, 5)], seed=32)
-        cfg = AdaptiveConfig()
-        rep = nu_sweep(xs, [1.0, NU_GAUSSIAN, 5.0, 2.0], cfg, warmup=300)
+        rep = nu_sweep(xs, [1.0, NU_GAUSSIAN, 5.0, 2.0], 300)
         invs = [r.inv_nu for r in rep.rows]
         assert invs == sorted(invs)
         assert all(math.isfinite(r.static_loglik)
@@ -100,16 +98,15 @@ class TestNuSweep:
 
     def test_gaussian_data_static_argmax_at_cap(self):
         xs = generate_synthetic([Segment(4000, 0, 1, NU_GAUSSIAN)], seed=55)
-        cfg = AdaptiveConfig()
         grid = [NU_GAUSSIAN, 20.0, 10.0, 5.0, 3.0, 2.0, 1.0]
-        rep = nu_sweep(xs, grid, cfg, warmup=300)
+        rep = nu_sweep(xs, grid, 300)
         best = max(rep.rows, key=lambda r: r.static_loglik)
         assert best.inv_nu == 0.0
 
     def test_empty_grid(self):
         xs = generate_synthetic([Segment(1000, 0, 1, 5)], seed=33)
         with pytest.raises(DomainError):
-            nu_sweep(xs, [], AdaptiveConfig())
+            nu_sweep(xs, [], 300)
 
     def test_adaptive_scores_match_one_run_per_nu(self):
         # the sweep folds once per power; each score must equal a full
@@ -118,22 +115,50 @@ class TestNuSweep:
                                 seed=35).values
         cfg = AdaptiveConfig()
         grid = [NU_GAUSSIAN, 8.0, 3.0, 1.5, 1.0, 0.8]
-        rep = nu_sweep(xs, grid, cfg, warmup=300)
+        rep = nu_sweep(xs, grid, 300)
         by_inv = {r.inv_nu: r.adaptive_loglik for r in rep.rows}
         for nu in grid:
             p_eff = cfg.p_sigma if cfg.p_sigma < nu else 0.5 * nu
-            run_cfg = replace(cfg, nu_fixed=nu, p_sigma=p_eff, eta1=0.0,
-                              warmup=0)
+            run_cfg = replace(cfg, nu_fixed=nu, p_sigma=p_eff, eta1=0.0)
             state0 = seed_state_from_prefix(xs, 300, run_cfg, mu=0.0)
             traj = run(xs[300:], run_cfg, init=state0)
             want = mean_log_likelihood(traj, xs[300:], 0)
             assert by_inv[inv_nu_of(nu)] == pytest.approx(want, rel=1e-12)
 
+    def test_warmup_bounds(self):
+        xs = generate_synthetic([Segment(500, 0, 1, 5)], seed=36)
+        with pytest.raises(DomainError):
+            nu_sweep(xs, [5.0], 1)
+        with pytest.raises(SeriesTooShortError):
+            nu_sweep(xs, [5.0], 500)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(eta2=0.0), dict(p_sigma=0.0), dict(p_sigma=math.inf),
+        dict(p_sigma=math.nan), dict(moment_floor=0.0)])
+    def test_bad_setting_refused_before_any_fit(self, monkeypatch, kwargs):
+        import movingt.evaluation as evaluation
+
+        def no_fit(*args, **kw):
+            raise AssertionError("a fit ran before the settings were checked")
+        monkeypatch.setattr(evaluation, "fit_sigma_mle", no_fit)
+        xs = generate_synthetic([Segment(500, 0, 1, 5)], seed=37)
+        with pytest.raises(DomainError):
+            nu_sweep(xs, [NU_GAUSSIAN, 5.0, 1.0], 300, **kwargs)
+
+    def test_power_above_every_nu_uses_half_nu(self):
+        # a power no row's nu has a finite moment of: every row uses nu/2
+        # (daily-return scale, so |x|^(nu/2) stays finite at the cap)
+        xs = generate_synthetic([Segment(800, 0, 0.01, 5)], seed=38)
+        grid = [NU_GAUSSIAN, 5.0, 2.0]
+        rep = nu_sweep(xs, grid, 300, p_sigma=2.0e6)
+        assert rep.metadata["p_eff_overrides"] == {
+            inv_nu_of(nu): 0.5 * nu for nu in grid}
+        assert all(math.isfinite(r.adaptive_loglik) for r in rep.rows)
+
     def test_deterministic(self):
         xs = generate_synthetic([Segment(1200, 0, 1, 5)], seed=34)
-        cfg = AdaptiveConfig()
-        r1 = nu_sweep(xs, [5.0, 2.0], cfg, warmup=300)
-        r2 = nu_sweep(xs, [5.0, 2.0], cfg, warmup=300)
+        r1 = nu_sweep(xs, [5.0, 2.0], 300)
+        r2 = nu_sweep(xs, [5.0, 2.0], 300)
         assert r1 == r2
 
 
@@ -179,7 +204,7 @@ class TestTailTable:
 
     def test_adaptive_normalization(self):
         xs = generate_synthetic([Segment(2000, 0, 1, 5)], seed=41)
-        cfg = AdaptiveConfig(nu_fixed=5.0, warmup=0)
+        cfg = AdaptiveConfig(nu_fixed=5.0)
         from movingt.adaptive import seed_state_from_prefix
         state = seed_state_from_prefix(xs.values, 300, cfg)
         traj = run(xs, cfg, init=state)

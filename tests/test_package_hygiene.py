@@ -1,9 +1,10 @@
 """Static checks over the package source with the stdlib ``ast``.
 
-No linter ships with the project, so these two checks stand in for one:
+No linter ships with the project, so these checks stand in for one:
 every import a module makes is used, and every module-level private
 name is referenced somewhere in the package.  Both catch copies left
-behind when a formula moves between modules.
+behind when a formula moves between modules.  A third check keeps the
+moving estimator's config to the settings its step reads.
 """
 
 import ast
@@ -83,3 +84,23 @@ def test_every_private_name_is_referenced():
                for private in sorted(_private_definitions(tree))
                if private not in _loaded(tree) and private not in imported]
     assert not orphans, f"private names nothing references: {orphans}"
+
+
+def _top_level(tree, kind, name):
+    return next(node for node in tree.body
+                if isinstance(node, kind) and node.name == name)
+
+
+def test_every_adaptive_setting_is_read_by_step():
+    # a config field that `step` never reads changes no estimate
+    tree = _tree(PACKAGE / "adaptive.py")
+    fields = {node.target.id
+              for node in _top_level(tree, ast.ClassDef, "AdaptiveConfig").body
+              if isinstance(node, ast.AnnAssign)}
+    read = {node.attr
+            for node in ast.walk(_top_level(tree, ast.FunctionDef, "step"))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "config"}
+    assert fields, "AdaptiveConfig declares no fields"
+    assert not fields - read, \
+        f"AdaptiveConfig fields step() never reads: {sorted(fields - read)}"

@@ -96,10 +96,6 @@ class TestNuTable:
         diffs = np.diff(t.ratio_grid)
         assert np.all(diffs < 0.0) or np.all(diffs > 0.0)
 
-    def test_bad_grid_size(self):
-        with pytest.raises(DomainError):
-            build_nu_table(1.0, 0.5, grid_size=8)
-
     def test_bad_nu_min(self):
         with pytest.raises(DomainError):
             build_nu_table(1.0, 0.5, nu_min=0.9)
