@@ -1,14 +1,14 @@
 """Reference models: static sigma MLE at fixed (mu, nu), and GARCH(1,1).
 
-The GARCH comparison is Gaussian-scored.  Scale MLE uses golden-section
-search on ln(sigma), which is well conditioned across the multi-decade
+The GARCH comparison is Gaussian-scored.  The scale MLE solves the score
+equation in ln(sigma), which is well conditioned across the multi-decade
 sigma ranges nonstationary series produce.
 
-The GARCH variance recursion is a numpy doubling scan.  The GARCH fit
-is a bounded quasi-Newton search (scipy.optimize's L-BFGS-B) on the
-analytic gradient; it imports scipy.optimize when it runs, the only
-scipy module the package uses, so commands that never fit a GARCH model
-load numpy alone.
+The GARCH variance recursion is a numpy doubling scan.  The GARCH fit is
+a projected Newton search (Bertsekas 1982) with the exact Hessian of the
+Bollerslev (1986) likelihood inside box bounds; its 3x3 algebra runs on
+Python floats.  The module, like the package, needs numpy alone; scipy
+serves only the benchmark's independent reference.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import StudentTParams, log_pdf
+from .distribution import NU_GAUSSIAN, StudentTParams, log_pdf
 from .errors import DomainError, NonConvergenceError, SeriesTooShortError
 
 __all__ = [
     "GarchParams",
     "GarchFit",
+    "check_warmup",
     "fit_sigma_mle",
     "garch_filter",
     "fit_garch_mle",
@@ -32,7 +33,9 @@ __all__ = [
 
 _LOG_SIGMA_LO = math.log(1e-8)
 _LOG_SIGMA_HI = math.log(1e2)
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the scale root is found to this absolute tolerance in ln(sigma)
+_SIGMA_XTOL = 1e-14
+_SIGMA_MAX_ITER = 200
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -77,35 +80,64 @@ class GarchFit(GarchParams):
 def fit_sigma_mle(xs, mu: float, nu: float):
     """Maximize the mean log-likelihood over sigma at fixed (mu, nu).
 
-    Golden-section search on ln(sigma) over [ln 1e-8, ln 1e2] to 1e-10;
-    returns (sigma_hat, attained mean log-likelihood).
+    Solves the scale score equation in ln(sigma) on [ln 1e-8, ln 1e2],
+    clamped to that bracket; returns (sigma_hat, attained mean
+    log-likelihood).  For Student t the score
+    (nu + 1) mean(z^2 / (nu + z^2)) - 1, z = (x - mu) / sigma, strictly
+    decreases in ln(sigma), so its root is the unique maximizer; it is
+    found by Newton's method, with a bisection step whenever Newton
+    leaves the bracket that the signs seen so far allow.  At
+    nu >= NU_GAUSSIAN the maximizer is sigma^2 = mean((x - mu)^2).
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
         raise SeriesTooShortError("cannot fit sigma on an empty series")
     if not (math.isfinite(nu) and nu > 0.0):
         raise DomainError(f"nu must be finite and > 0, got {nu!r}")
+    d2 = xs - mu
+    d2 *= d2
+    if nu >= NU_GAUSSIAN:
+        mean_d2 = float(np.mean(d2))
+        ln_sigma = 0.5 * math.log(mean_d2) if mean_d2 > 0.0 else _LOG_SIGMA_LO
+        ln_sigma = min(max(ln_sigma, _LOG_SIGMA_LO), _LOG_SIGMA_HI)
+    else:
+        ln_sigma = _t_scale_root(d2, nu)
+    sigma = math.exp(ln_sigma)
+    return sigma, float(np.mean(log_pdf(StudentTParams(mu, sigma, nu), xs)))
 
-    def objective(ln_sigma: float) -> float:
-        params = StudentTParams(mu, math.exp(ln_sigma), nu)
-        return float(np.mean(log_pdf(params, xs)))
 
-    a, b = _LOG_SIGMA_LO, _LOG_SIGMA_HI
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = objective(c)
-    fd = objective(d)
-    while b - a > 1e-10:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = objective(c)
+def _t_scale_root(d2, nu: float) -> float:
+    """Root in [ln 1e-8, ln 1e2] of the Student-t scale score, clamped."""
+
+    def score(ln_sigma):
+        """(score, d score / d ln sigma); r = z^2 / (nu + z^2)."""
+        r = d2 * math.exp(-2.0 * ln_sigma)
+        r /= r + nu
+        value = (nu + 1.0) * float(np.mean(r)) - 1.0
+        r *= 1.0 - r
+        return value, -2.0 * (nu + 1.0) * float(np.mean(r))
+
+    lo, hi = _LOG_SIGMA_LO, _LOG_SIGMA_HI
+    if score(lo)[0] <= 0.0:
+        return lo
+    if score(hi)[0] >= 0.0:
+        return hi
+    x = min(max(0.5 * math.log(float(np.mean(d2))), lo), hi)
+    for _ in range(_SIGMA_MAX_ITER):
+        value, slope = score(x)
+        if value > 0.0:
+            lo = x
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = objective(d)
-    ln_opt = 0.5 * (a + b)
-    return math.exp(ln_opt), objective(ln_opt)
+            hi = x
+        step = value / slope if slope < 0.0 else math.inf
+        nxt = x - step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= _SIGMA_XTOL or hi - lo <= _SIGMA_XTOL:
+            return nxt
+        x = nxt
+    raise NonConvergenceError(
+        f"scale MLE at nu={nu!r} did not converge in {_SIGMA_MAX_ITER} steps")
 
 
 def _ar1_scan(u, beta: float) -> np.ndarray:
@@ -133,6 +165,19 @@ def _garch_variance(x2, omega: float, alpha: float, beta: float,
     return _ar1_scan(u, beta)
 
 
+def check_warmup(warmup: int, n: int) -> None:
+    """Refuse a warmup below 0 or one that leaves none of n points to score.
+
+    Commands call it before their expensive work, so a bad --warmup
+    fails fast with the message the scorers would give.
+    """
+    if warmup < 0:
+        raise DomainError(f"warmup must be >= 0, got {warmup!r}")
+    if warmup >= n:
+        raise SeriesTooShortError(
+            f"warmup={warmup} leaves nothing to score in {n} points")
+
+
 def garch_filter(xs, params: GarchParams, warmup: int = 0):
     """Causal variance recursion plus out-of-sample Gaussian scoring.
 
@@ -143,11 +188,7 @@ def garch_filter(xs, params: GarchParams, warmup: int = 0):
     n = xs.size
     if n == 0:
         raise SeriesTooShortError("cannot filter an empty series")
-    if warmup < 0:
-        raise DomainError(f"warmup must be >= 0, got {warmup!r}")
-    if warmup >= n:
-        raise SeriesTooShortError(
-            f"warmup={warmup} leaves nothing to score in {n} points")
+    check_warmup(warmup, n)
     x2 = xs * xs
     sigma2 = _garch_variance(x2, params.omega, params.alpha, params.beta,
                              params.initial_var)
@@ -157,15 +198,20 @@ def garch_filter(xs, params: GarchParams, warmup: int = 0):
 
 def _garch_mean_loglik(xs, omega: float, alpha: float, beta: float,
                        initial_var: float):
-    """Mean Gaussian log-likelihood of the filter and its gradient.
+    """Mean Gaussian log-likelihood of the filter, its gradient and Hessian.
 
-    Returns (value, d value / d(omega, alpha, beta)).  No parameter
-    validation: the optimizer's trial points may sit on the bounds.
-    d sigma2_t / dp follows the variance recursion driven by 1,
-    x2_{t-1} and sigma2_{t-1}; the gradient sums those paths against
-    w_t = d value / d sigma2_t, which equals running the same recursion
-    backwards over w once (lam_j = sum_{t>=j} beta^(t-j) w_t) and
-    summing lam against the three drives.  The sums are elementwise
+    Returns (value, gradient, Hessian) in (omega, alpha, beta).  No
+    parameter validation: the optimizer's trial points may sit on the
+    bounds.  The first derivatives D^p_t = d sigma2_t / dp follow the
+    variance recursion driven by 1, x2_{t-1} and sigma2_{t-1}.  The
+    second derivatives are nonzero only in the pairs with beta, and
+    follow it driven by D^omega_{t-1}, D^alpha_{t-1} and
+    2 D^beta_{t-1}.  Derivative paths summed against
+    w_t = d value / d sigma2_t equal the backward recursion over w
+    (lam_j = sum_{t>=j} beta^(t-j) w_t) summed against their drives, so
+    the gradient and the second-derivative terms take one backward scan
+    between them; the curvature term sums d2 value / d sigma2_t^2 against
+    the products of the forward D paths.  The sums are elementwise
     products, not BLAS calls: BLAS threads cost more than they save at
     this size.
     """
@@ -174,13 +220,36 @@ def _garch_mean_loglik(xs, omega: float, alpha: float, beta: float,
     sigma2 = _garch_variance(x2, omega, alpha, beta, initial_var)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z2 = x2 / sigma2
-        value = -0.5 * (_LOG_2PI + float(np.mean(np.log(sigma2) + z2)))
-        lam = _ar1_scan((0.5 * (z2 - 1.0) / sigma2)[::-1], beta)[-2::-1]
-        grad = np.array([np.sum(lam), np.sum(lam * x2[:-1]),
-                         np.sum(lam * sigma2[:-1])]) / n
-    if not (math.isfinite(value) and np.all(np.isfinite(grad))):
-        return -1e12, np.zeros(3)
-    return value, grad
+        # in place: at ~1e4-1e5 points numpy does not elide temporaries,
+        # and fresh ones cost more than the arithmetic
+        terms = np.log(sigma2)
+        terms += z2
+        value = -0.5 * (_LOG_2PI + float(np.mean(terms)))
+        w = z2 - 1.0
+        w *= 0.5
+        w /= sigma2
+        curv = 0.5 - z2
+        curv /= sigma2
+        curv /= sigma2
+        curv = curv[1:]
+        lam = _ar1_scan(w[:0:-1], beta)[::-1]
+        drives = (np.ones(n - 1), x2[:-1], sigma2[:-1])
+        paths = [_ar1_scan(u, beta) for u in drives]
+        grad = np.array([np.einsum("i,i->", lam, u) for u in drives]) / n
+        hess = np.empty((3, 3))
+        for i in range(3):
+            for j in range(i, 3):
+                hess[i, j] = hess[j, i] = np.einsum(
+                    "i,i,i->", curv, paths[i], paths[j])
+        beta_pairs = [np.einsum("i,i->", lam[1:], d[:-1]) for d in paths]
+        beta_pairs[2] *= 2.0
+        hess[:, 2] += beta_pairs
+        hess[2, :2] = hess[:2, 2]
+        hess /= n
+    if not (math.isfinite(value) and np.all(np.isfinite(grad))
+            and np.all(np.isfinite(hess))):
+        return -1e12, np.zeros(3), np.zeros((3, 3))
+    return value, grad, hess
 
 
 # (alpha, beta) pairs seeding the search, tried in this order; omega
@@ -195,10 +264,29 @@ _LN_OMEGA_BELOW_VAR = 46.0
 _LN_OMEGA_ABOVE_VAR = 2.3
 # optima of two starts that agree this closely (relative) are the same
 _STARTS_AGREE_RTOL = 1e-10
-# no relative-reduction stop: each start runs until its projected
-# gradient vanishes or its line search reaches the rounding floor of the
-# objective, so the optimum is as good as the objective can resolve
-_LBFGSB_OPTIONS = {"ftol": 0.0, "gtol": 1e-12}
+# Newton iterations per start
+_NEWTON_MAX_ITER = 200
+# widest band next to a bound in which a variable pushed outward counts
+# as active (Bertsekas's epsilon)
+_ACTIVE_BAND = 1e-9
+# largest move of ln(omega) in one step: far from the optimum Newton's
+# quadratic model overshoots in ln(omega), toward the flat omega -> 0 end
+_MAX_LN_OMEGA_STEP = 1.0
+# Armijo sufficient-decrease fraction
+_ARMIJO = 1e-4
+# a start converges once the predicted decrease of the full step is at
+# the rounding floor of the objective
+_DECREASE_FLOOR = 4.0 * math.ulp(1.0)
+
+
+@dataclass(frozen=True)
+class _Start:
+    """Where one start of the search ended."""
+
+    fun: float
+    x: tuple
+    success: bool
+    message: str
 
 
 def _stationary_beta(alpha: float, beta: float) -> float:
@@ -218,28 +306,164 @@ def _stationary_beta(alpha: float, beta: float) -> float:
 
 def _unpack(u):
     """(omega, alpha, beta) from the search coordinates (ln omega, s, f)."""
-    w, s, f = (float(v) for v in u)
+    w, s, f = u
     return math.exp(w), s * f, s * (1.0 - f)
+
+
+def _neg_loglik(xs, var: float, u):
+    """-value, its gradient and Hessian in (ln omega, s, f), as floats.
+
+    Chain rule through omega = e^w, alpha = s f, beta = s (1 - f): the
+    Hessian is J^T H J plus the gradient against the second derivatives
+    of the map (d2 omega / dw2 = omega, d2 alpha / ds df = 1,
+    d2 beta / ds df = -1).
+    """
+    omega, alpha, beta = _unpack(u)
+    _, s, f = u
+    value, grad, hess = _garch_mean_loglik(xs, omega, alpha, beta, var)
+    go, ga, gb = grad.tolist()
+    (hoo, hoa, hob), (_, haa, hab), (_, _, hbb) = hess.tolist()
+    g = 1.0 - f
+    hws = omega * (hoa * f + hob * g)
+    hwf = omega * s * (hoa - hob)
+    hss = f * f * haa + 2.0 * f * g * hab + g * g * hbb
+    hsf = s * (f * haa + (g - f) * hab - g * hbb) + ga - gb
+    hff = s * s * (haa - 2.0 * hab + hbb)
+    hww = omega * omega * hoo + go * omega
+    return (-value,
+            [-go * omega, -(ga * f + gb * g), -(ga - gb) * s],
+            [[-hww, -hws, -hwf], [-hws, -hss, -hsf], [-hwf, -hsf, -hff]])
+
+
+def _cholesky_solve(a, b):
+    """x with a x = b for a small symmetric matrix; None unless a is PD."""
+    k = len(b)
+    low = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1):
+            r = a[i][j] - sum(low[i][m] * low[j][m] for m in range(j))
+            if i == j:
+                if not r > 0.0:
+                    return None
+                low[i][i] = math.sqrt(r)
+            else:
+                low[i][j] = r / low[j][j]
+    y = []
+    for i in range(k):
+        y.append((b[i] - sum(low[i][m] * y[m] for m in range(i))) / low[i][i])
+    x = [0.0] * k
+    for i in reversed(range(k)):
+        x[i] = (y[i] - sum(low[m][i] * x[m] for m in range(i + 1, k))) \
+            / low[i][i]
+    return x
+
+
+def _newton_direction(hess, grad):
+    """-H^{-1} g, with H shifted toward its diagonal until it is PD.
+
+    The modified-Newton shift adds tau * |H_ii| to the diagonal (1 where
+    H_ii is 0), so the fallback does not depend on the coordinates'
+    scales; tau grows tenfold from 1e-6.
+    """
+    neg = [-v for v in grad]
+    x = _cholesky_solve(hess, neg)
+    tau = 1e-6
+    while x is None:
+        shifted = [[h + tau * (abs(h) or 1.0) if i == j else h
+                    for j, h in enumerate(row)] for i, row in enumerate(hess)]
+        x = _cholesky_solve(shifted, neg)
+        tau *= 10.0
+    return x
+
+
+def _project(u, lower, upper):
+    return [min(max(v, lo), hi) for v, lo, hi in zip(u, lower, upper)]
+
+
+def _search_direction(u, grad, hess, lower, upper):
+    """(step, active) of one projected Newton iteration.
+
+    Variables within the epsilon band of a bound whose gradient pushes
+    outward are active and take a diagonally scaled gradient step; the
+    others take a Newton step on their block of the Hessian.  The band
+    shrinks with the projected gradient, so near the optimum only the
+    variables on a bound stay active.
+    """
+    gap = math.sqrt(sum(
+        (v - p) ** 2 for v, p in zip(
+            u, _project([v - g for v, g in zip(u, grad)], lower, upper))))
+    band = min(_ACTIVE_BAND, gap)
+    active = [(v <= lo + band and g > 0.0) or (v >= hi - band and g < 0.0)
+              for v, g, lo, hi in zip(u, grad, lower, upper)]
+    free = [i for i in range(3) if not active[i]]
+    step = [-g / (abs(hess[i][i]) or 1.0) for i, g in enumerate(grad)]
+    if free:
+        newton = _newton_direction([[hess[i][j] for j in free] for i in free],
+                                   [grad[i] for i in free])
+        for i, d in zip(free, newton):
+            step[i] = d
+    shrink = min(1.0, _MAX_LN_OMEGA_STEP / (abs(step[0]) or 1.0))
+    return [d * shrink for d in step], active
+
+
+def _projected_newton(xs, var: float, u0, lower, upper) -> _Start:
+    """Minimize -value over the box by projected Newton (Bertsekas 1982).
+
+    Armijo backtracking runs along the projection arc
+    u(t) = P(u + t step); the predicted decrease is t times the free
+    variables' decrease plus the active ones' first-order change.  The
+    start converges once the full step predicts a decrease within 4 eps
+    of the objective's magnitude (at least 1).  It fails when the arc
+    shows no decrease above that floor or the iteration cap is reached.
+    Each iterate's derivatives come from the evaluation that accepted it.
+    """
+    u = _project(u0, lower, upper)
+    fun, grad, hess = _neg_loglik(xs, var, u)
+    for _ in range(_NEWTON_MAX_ITER):
+        floor = _DECREASE_FLOOR * max(abs(fun), 1.0)
+        step, active = _search_direction(u, grad, hess, lower, upper)
+        free_decrease = -sum(g * d for g, d, a in zip(grad, step, active)
+                             if not a)
+
+        def predicted(t, trial):
+            return t * free_decrease + sum(
+                g * (v - w) for g, v, w, a in zip(grad, u, trial, active) if a)
+
+        t = 1.0
+        trial = _project([v + d for v, d in zip(u, step)], lower, upper)
+        if predicted(t, trial) <= floor:
+            return _Start(fun, tuple(u), True, "converged")
+        while True:
+            trial_fun, trial_grad, trial_hess = _neg_loglik(xs, var, trial)
+            if fun - trial_fun >= _ARMIJO * predicted(t, trial):
+                break
+            t *= 0.5
+            trial = _project([v + t * d for v, d in zip(u, step)],
+                             lower, upper)
+            if predicted(t, trial) <= floor:
+                return _Start(fun, tuple(u), False,
+                              "line search found no decrease above the "
+                              "rounding floor")
+        u, fun, grad, hess = trial, trial_fun, trial_grad, trial_hess
+    return _Start(fun, tuple(u), False,
+                  f"no convergence in {_NEWTON_MAX_ITER} iterations")
 
 
 def fit_garch_mle(xs) -> GarchFit:
     """In-sample Gaussian MLE of (omega, alpha, beta).
 
-    Bounded quasi-Newton search (L-BFGS-B) with the analytic gradient
-    over (ln omega, s, f), where s = alpha + beta and f = alpha / s are
-    both bounded to [0, 1] and ln omega to a range around ln var(x).
-    The fixed starts run in order until a second start reaches the best
-    optimum so far (to 1e-10 relative) and one of them reported
-    convergence; the best such converged start is returned.  Raises
-    NonConvergenceError when no start that reaches the best optimum
-    reported convergence.  Deterministic for identical inputs.  On
+    Projected Newton search with the exact Hessian over (ln omega, s, f),
+    where s = alpha + beta and f = alpha / s are both bounded to [0, 1]
+    and ln omega to a range around ln var(x).  The fixed starts run in
+    order until a second start reaches the best optimum so far (to 1e-10
+    relative) and one of them converged; the best such converged start
+    is returned.  Raises NonConvergenceError when no start that reaches
+    the best optimum converged.  Deterministic for identical inputs.  On
     strongly regime-switching data the optimum sits at the integrated
     (IGARCH) boundary s = 1; beta is then stepped down by ulps to the
     nearest stationary value and the fit says so in
     `persistence_clamped`.
     """
-    from scipy.optimize import minimize
-
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size < 100:
         raise SeriesTooShortError(
@@ -248,28 +472,18 @@ def fit_garch_mle(xs) -> GarchFit:
     if var <= 0.0:
         raise SeriesTooShortError("series has zero variance; nothing to fit")
     ln_var = math.log(var)
-    bounds = [(ln_var - _LN_OMEGA_BELOW_VAR, ln_var + _LN_OMEGA_ABOVE_VAR),
-              (0.0, 1.0), (0.0, 1.0)]
-
-    def neg_loglik(u):
-        omega, alpha, beta = _unpack(u)
-        s, f = u[1], u[2]
-        value, (g_omega, g_alpha, g_beta) = _garch_mean_loglik(
-            xs, omega, alpha, beta, var)
-        return -value, -np.array([g_omega * omega,
-                                  g_alpha * f + g_beta * (1.0 - f),
-                                  (g_alpha - g_beta) * s])
+    lower = (ln_var - _LN_OMEGA_BELOW_VAR, 0.0, 0.0)
+    upper = (ln_var + _LN_OMEGA_ABOVE_VAR, 1.0, 1.0)
 
     # a start can end at the rounding floor of the objective without
-    # reporting convergence, on an optimum that other starts confirm; so
-    # the search stops once two starts reach the best optimum and one of
-    # them converged, and returns the best converged one
+    # converging, on an optimum that other starts confirm; so the search
+    # stops once two starts reach the best optimum and one of them
+    # converged, and returns the best converged one
     runs = []
     for a0, b0 in _GARCH_STARTS:
         s0 = a0 + b0
-        runs.append(minimize(
-            neg_loglik, [math.log(var * (1.0 - s0)), s0, a0 / s0], jac=True,
-            method="L-BFGS-B", bounds=bounds, options=_LBFGSB_OPTIONS))
+        runs.append(_projected_newton(
+            xs, var, (math.log(var * (1.0 - s0)), s0, a0 / s0), lower, upper))
         best_fun = min(r.fun for r in runs)
         tol = _STARTS_AGREE_RTOL * abs(best_fun)
         at_best = [r for r in runs if abs(r.fun - best_fun) <= tol]
@@ -279,7 +493,7 @@ def fit_garch_mle(xs) -> GarchFit:
     if not converged:
         raise NonConvergenceError(
             "GARCH fit did not converge: "
-            + "; ".join(str(r.message) for r in at_best))
+            + "; ".join(r.message for r in at_best))
     best = min(converged, key=lambda r: r.fun)
     omega, alpha, beta = _unpack(best.x)
     stationary_beta = _stationary_beta(alpha, beta)

@@ -17,7 +17,7 @@ import hashlib
 import sys
 
 from .adaptive import AdaptiveConfig, run, seed_state_from_prefix
-from .baselines import fit_garch_mle, garch_filter
+from .baselines import check_warmup, fit_garch_mle, garch_filter
 from .data_io import (GarchScenario, ReturnSeries, Segment, _fmt,
                       generate_synthetic, read_csv, to_log_returns,
                       write_row_csv, write_series_csv, write_sweep_csv,
@@ -177,6 +177,7 @@ def _cmd_returns(args) -> int:
 
 def _cmd_fit_adaptive(args) -> int:
     series = _read_series(args)
+    check_warmup(args.warmup, len(series))
     traj = run(series, _adaptive_config(args), init=args.init_prefix)
     score = mean_log_likelihood(traj, series, args.warmup)
     manifest = _input_manifest(args, {
@@ -289,6 +290,7 @@ def _cmd_tail_table(args) -> int:
 
 def _cmd_garch(args) -> int:
     series = _read_series(args)
+    check_warmup(args.warmup, len(series))
     params = fit_garch_mle(series.values)
     _, score = garch_filter(series.values, params, warmup=args.warmup)
     manifest = _input_manifest(args, {"warmup": args.warmup})

@@ -15,7 +15,8 @@ import numpy as np
 
 from .adaptive import (AdaptiveConfig, ParamTrajectory, moment_paths,
                        seed_state_from_prefix, sigma_and_log_density)
-from .baselines import fit_garch_mle, fit_sigma_mle, garch_filter
+from .baselines import (check_warmup, fit_garch_mle, fit_sigma_mle,
+                        garch_filter)
 from .distribution import (NU_GAUSSIAN, StudentTParams, abs_central_moment,
                            cdf, draw, log_pdf)
 from .errors import DomainError, SeriesTooShortError
@@ -64,17 +65,13 @@ def mean_log_likelihood(subject: Union[ParamTrajectory, StudentTParams],
     so static and adaptive scores are directly comparable.
     """
     values = _values_of(xs)
-    if warmup < 0:
-        raise DomainError(f"warmup must be >= 0, got {warmup!r}")
+    check_warmup(warmup, values.size)
     if isinstance(subject, ParamTrajectory):
         if len(subject) == 0 or int(subject.t[-1]) >= values.size:
             raise DomainError(
                 "trajectory does not align with the series (length mismatch)")
         scored = subject.log_density[subject.t >= warmup]
     elif isinstance(subject, StudentTParams):
-        if warmup >= values.size:
-            raise SeriesTooShortError(
-                f"warmup={warmup} leaves nothing to score in {values.size} points")
         scored = log_pdf(subject, values[warmup:])
     else:
         raise DomainError(f"cannot score a {type(subject).__name__}")
@@ -127,9 +124,7 @@ def nu_sweep(xs, nu_grid: Sequence[float], warmup: int, *,
                for nu in nu_list]
     if warmup < 2:
         raise DomainError(f"sweep needs warmup >= 2, got {warmup}")
-    if warmup >= values.size:
-        raise SeriesTooShortError(
-            f"warmup={warmup} leaves nothing to score in {values.size} points")
+    check_warmup(warmup, values.size)
 
     scored = values[warmup:]
     p_eff_overrides: Dict[float, float] = {}

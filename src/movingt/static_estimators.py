@@ -72,7 +72,13 @@ def compute_moments(xs, powers, mu="mean") -> MomentSummary:
         if not math.isfinite(mu_hat):
             raise DomainError(f"fixed mu must be finite, got {mu!r}")
     d = np.abs(xs - mu_hat)
-    moments = tuple(float(np.mean(d ** p)) for p in powers)
+    with np.errstate(over="ignore"):
+        moments = tuple(float(np.mean(d ** p)) for p in powers)
+    for p, m in zip(powers, moments):
+        if not math.isfinite(m):
+            raise DomainError(
+                f"the absolute moment of power {p!r} overflows float64 on "
+                "this data; choose a smaller power")
     return MomentSummary(mu_hat, powers, moments, int(xs.size))
 
 

@@ -1,11 +1,9 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+from movingt import baselines
 from movingt.baselines import (GarchParams, _ar1_scan, _garch_mean_loglik,
                                _stationary_beta, fit_garch_mle, fit_sigma_mle,
                                garch_filter, simulate_garch)
@@ -129,25 +127,47 @@ class TestAr1Scan:
 
 
 class TestGarchMeanLoglik:
-    @pytest.mark.parametrize("theta", [
+    POINTS = [
         (2e-6, 0.15, 0.70),             # interior
         (1e-7, 0.05, 1.0 - 0.05 - 1e-7),  # persistence just below 1
-    ])
-    def test_gradient_matches_central_differences(self, theta):
+    ]
+
+    @staticmethod
+    def _series():
         rng = np.random.default_rng(4)
         xs = simulate_garch(rng, 5000, GarchParams(1e-6, 0.1, 0.8, 1e-5))
-        var = float(np.var(xs))
-        value, grad = _garch_mean_loglik(xs, *theta, var)
+        return xs, float(np.var(xs))
+
+    @staticmethod
+    def _central_difference(xs, theta, var, i, which):
+        h = 1e-6 * theta[0] if i == 0 else 1e-6
+        up, down = list(theta), list(theta)
+        up[i] += h
+        down[i] -= h
+        return (np.asarray(_garch_mean_loglik(xs, *up, var)[which])
+                - np.asarray(_garch_mean_loglik(xs, *down, var)[which])) \
+            / (2.0 * h)
+
+    @pytest.mark.parametrize("theta", POINTS)
+    def test_gradient_matches_central_differences(self, theta):
+        xs, var = self._series()
+        value, grad, _ = _garch_mean_loglik(xs, *theta, var)
         _, score = garch_filter(xs, GarchParams(*theta, var))
         assert value == pytest.approx(score, rel=1e-14)
         for i in range(3):
-            h = 1e-6 * theta[0] if i == 0 else 1e-6
-            up, down = list(theta), list(theta)
-            up[i] += h
-            down[i] -= h
-            fd = (_garch_mean_loglik(xs, *up, var)[0]
-                  - _garch_mean_loglik(xs, *down, var)[0]) / (2.0 * h)
+            fd = self._central_difference(xs, theta, var, i, 0)
             assert grad[i] == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("theta", POINTS)
+    def test_hessian_matches_central_differences(self, theta):
+        # each Hessian row against central differences of the gradient
+        xs, var = self._series()
+        _, _, hess = _garch_mean_loglik(xs, *theta, var)
+        assert np.array_equal(hess, hess.T)
+        for i in range(3):
+            fd = self._central_difference(xs, theta, var, i, 1)
+            for j in range(3):
+                assert hess[i][j] == pytest.approx(fd[j], rel=1e-6)
 
 
 class TestFitGarchMle:
@@ -184,34 +204,12 @@ class TestFitGarchMle:
         assert not fit_garch_mle(xs).persistence_clamped
 
     def test_unconverged_optimum_raises(self, monkeypatch):
-        import scipy.optimize
-
-        minimize = scipy.optimize.minimize
-
-        def failing(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            res.success = False
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "minimize", failing)
+        # one Newton iteration per start: no start converges
+        monkeypatch.setattr(baselines, "_NEWTON_MAX_ITER", 1)
         rng = np.random.default_rng(4)
         xs = simulate_garch(rng, 5000, GarchParams(1e-6, 0.1, 0.8, 1e-5))
         with pytest.raises(NonConvergenceError):
             fit_garch_mle(xs)
-
-    def test_fit_loads_no_scipy_signal(self):
-        import movingt
-        src = os.path.dirname(os.path.dirname(os.path.abspath(movingt.__file__)))
-        code = ("import sys, numpy as np; "
-                "from movingt.baselines import fit_garch_mle, garch_filter; "
-                "xs = np.random.default_rng(0).standard_normal(500); "
-                "garch_filter(xs, fit_garch_mle(xs)); "
-                "print(sorted(m for m in sys.modules "
-                "if m.startswith('scipy.signal')))")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
 
 
 class TestStationaryBeta:

@@ -211,6 +211,42 @@ class TestWarmupExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command, expensive", [
+        ("garch", "fit_garch_mle"), ("fit-adaptive", "run")])
+    @pytest.mark.parametrize("warmup, code", [("-1", 2), ("5000", 3)])
+    def test_refused_before_the_fit(self, synth_file, tmp_path, monkeypatch,
+                                    command, expensive, warmup, code):
+        import movingt.cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{expensive} ran before the warmup check")
+
+        monkeypatch.setattr(movingt.cli, expensive, fail)
+        assert _run(command, "--input", str(synth_file), "--returns",
+                    "--output", str(tmp_path / "o.csv"),
+                    "--warmup", warmup) == code
+
+
+class TestMomentOverflow:
+    def test_overflowing_power_is_a_usage_error(self, tmp_path):
+        # |x|^500 overflows float64 on unit-scale data
+        import movingt
+        src = tmp_path / "s.csv"
+        assert _run("synth", "--output", str(src),
+                    "--segment", "3000,0,1,4", "--seed", "1") == 0
+        root = os.path.dirname(os.path.dirname(os.path.abspath(movingt.__file__)))
+        env = dict(os.environ, PYTHONPATH=root)
+        for argv in (["fit-adaptive", "--nu-fixed", "1000", "--p-sigma", "500"],
+                     ["sweep", "--p-sigma", "1e6"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "movingt.cli", *argv, "--returns",
+                 "--input", str(src), "--output", str(tmp_path / "o.csv")],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 2, argv
+            assert "power" in proc.stderr
+            assert "RuntimeWarning" not in proc.stderr
+
+
 class TestTailTable:
     def test_adaptive_counts_every_point(self, synth_file, tmp_path):
         out = tmp_path / "tail.csv"
@@ -331,19 +367,13 @@ class TestGarchCommand:
 
 
     def test_unconverged_fit_exits_4(self, tmp_path, monkeypatch):
-        import scipy.optimize
-
-        minimize = scipy.optimize.minimize
-
-        def failing(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            res.success = False
-            return res
+        from movingt import baselines
 
         src = tmp_path / "garch.csv"
         assert _run("synth", "--output", str(src),
                     "--garch", "3000,1e-6,0.08,0.90", "--seed", "3") == 0
-        monkeypatch.setattr(scipy.optimize, "minimize", failing)
+        # one Newton iteration per start: no start converges
+        monkeypatch.setattr(baselines, "_NEWTON_MAX_ITER", 1)
         assert _run("garch", "--input", str(src), "--returns",
                     "--output", str(tmp_path / "fit.csv")) == 4
 
@@ -437,6 +467,21 @@ class TestDeterminismAndHelp:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+    def test_garch_and_sweep_load_no_scipy(self, synth_file, tmp_path):
+        import movingt
+        src = os.path.dirname(os.path.dirname(os.path.abspath(movingt.__file__)))
+        code = ("import sys; from movingt.cli import main; "
+                "codes = [main([cmd, '--input', sys.argv[1], '--returns', "
+                "'--output', sys.argv[2]]) for cmd in ('garch', 'sweep')]; "
+                "print(codes, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(synth_file),
+             str(tmp_path / "o.csv")],
+            env=env, check=True, capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "[0, 0] []"
 
     def test_help_exits_zero(self):
         assert _run("--help") == 0

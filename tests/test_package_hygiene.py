@@ -4,7 +4,8 @@ No linter ships with the project, so these checks stand in for one:
 every import a module makes is used, and every module-level private
 name is referenced somewhere in the package.  Both catch copies left
 behind when a formula moves between modules.  A third check keeps the
-moving estimator's config to the settings its step reads.
+moving estimator's config to the settings its step reads, and a fourth
+keeps scipy out of the runtime.
 """
 
 import ast
@@ -70,6 +71,19 @@ def test_every_import_is_used(path):
             continue
         unused += [(node.lineno, name) for name in bound if name not in used]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    # the runtime needs numpy alone; scipy is a benchmark-only dependency
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.append(node.module)
+    scipy = [name for name in found if name.split(".")[0] == "scipy"]
+    assert not scipy, f"{path.name} imports {scipy}"
 
 
 def test_every_private_name_is_referenced():
