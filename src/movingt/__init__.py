@@ -10,8 +10,8 @@ from .adaptive import (AdaptiveConfig, EmaState, ParamTrajectory, run,
                        seed_state_from_prefix, step)
 from .baselines import (GarchFit, GarchParams, fit_garch_mle, fit_sigma_mle,
                         garch_filter)
-from .data_io import (GarchScenario, PriceSeries, ReturnSeries, Segment,
-                      generate_synthetic, read_csv, to_log_returns)
+from .data_io import (PriceSeries, ReturnSeries, Segment, generate_synthetic,
+                      read_csv, to_log_returns)
 from .distribution import (NU_GAUSSIAN, StudentTParams, abs_central_moment,
                            cdf, log_pdf, pdf, sample)
 from .errors import (DegenerateDataError, DivergentMomentError, DomainError,
@@ -32,7 +32,7 @@ __all__ = [
     "AdaptiveConfig", "EmaState", "ParamTrajectory", "run",
     "seed_state_from_prefix", "step",
     "GarchFit", "GarchParams", "fit_garch_mle", "fit_sigma_mle", "garch_filter",
-    "GarchScenario", "PriceSeries", "ReturnSeries", "Segment",
+    "PriceSeries", "ReturnSeries", "Segment",
     "generate_synthetic", "read_csv", "to_log_returns",
     "NU_GAUSSIAN", "StudentTParams", "abs_central_moment", "cdf",
     "log_pdf", "pdf", "sample",

@@ -32,7 +32,8 @@ from .distribution import (_HALF_LOG_2PI, _HALF_LOG_PI, NU_GAUSSIAN,
                            StudentTParams, _log_abs_moment)
 from .errors import DomainError, SeriesTooShortError
 from .static_estimators import (DEFAULT_NU_ADJUSTMENT, DEFAULT_NU_CAP,
-                                build_nu_table, compute_moments)
+                                _power_overflow, build_nu_table,
+                                compute_moments)
 
 __all__ = [
     "AdaptiveConfig",
@@ -234,22 +235,31 @@ def _ema_path(m0: float, eta: float, observations: list) -> np.ndarray:
         dtype=np.float64, count=len(observations))
 
 
+def _powers(d: np.ndarray, p: float) -> list:
+    """d ** p as a list; DomainError when a value overflows float64."""
+    with np.errstate(over="ignore"):
+        v = d ** p
+    if not np.isfinite(v).all():
+        raise _power_overflow(p)
+    return v.tolist()
+
+
 def moment_paths(xs, state: EmaState, config: AdaptiveConfig):
     """State paths (mu, m_sigma, m1, m2) of the fold over xs.
 
     Entry t of each path is the state the estimate for xs[t] is formed
     from, so it depends on xs[:t] only.  With a fixed nu the two nu
-    moments never move and m1, m2 are None.
+    moments never move and m1, m2 are None.  Raises DomainError when a
+    power of |x_t - mu_t| overflows float64.
     """
     xs = np.asarray(xs, dtype=np.float64)
     mu = _ema_path(state.mu, config.eta1, xs.tolist())
     d = np.abs(xs - mu)
-    m_sigma = _ema_path(state.m_sigma, config.eta2,
-                        (d ** config.p_sigma).tolist())
+    m_sigma = _ema_path(state.m_sigma, config.eta2, _powers(d, config.p_sigma))
     if config.nu_fixed is not None:
         return mu, m_sigma, None, None
-    m1 = _ema_path(state.m1, config.eta3, (d ** config.p1).tolist())
-    m2 = _ema_path(state.m2, config.eta3, (d ** config.p2).tolist())
+    m1 = _ema_path(state.m1, config.eta3, _powers(d, config.p1))
+    m2 = _ema_path(state.m2, config.eta3, _powers(d, config.p2))
     return mu, m_sigma, m1, m2
 
 

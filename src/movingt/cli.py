@@ -15,13 +15,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import replace
+
+import numpy as np
 
 from .adaptive import AdaptiveConfig, run, seed_state_from_prefix
-from .baselines import check_warmup, fit_garch_mle, garch_filter
-from .data_io import (GarchScenario, ReturnSeries, Segment, _fmt,
-                      generate_synthetic, read_csv, to_log_returns,
-                      write_row_csv, write_series_csv, write_sweep_csv,
-                      write_tail_csv, write_trajectory_csv)
+from .baselines import (GarchParams, check_warmup, fit_garch_mle,
+                        garch_filter, simulate_garch)
+from .data_io import (ReturnSeries, Segment, _fmt, generate_synthetic,
+                      read_csv, to_log_returns, write_row_csv,
+                      write_series_csv, write_sweep_csv, write_tail_csv,
+                      write_trajectory_csv)
 from .distribution import NU_GAUSSIAN, StudentTParams
 from .errors import (DegenerateDataError, DomainError, MonotonicityError,
                      MovingTError, NonConvergenceError, ParseError,
@@ -252,8 +256,7 @@ def _restrict_by_labels(series: ReturnSeries, start, end) -> ReturnSeries:
             and (end is None or lab[:len(end)] <= end)]
     if not keep:
         raise DegenerateDataError("label range selects no rows")
-    return ReturnSeries(series.values[keep], [series.labels[i] for i in keep],
-                        series.source_id)
+    return ReturnSeries(series.values[keep], [series.labels[i] for i in keep])
 
 
 def _cmd_tail_table(args) -> int:
@@ -319,15 +322,25 @@ def _parse_segment(text: str) -> Segment:
         raise DomainError(f"bad --segment {text!r}: {exc}") from None
 
 
-def _parse_garch_scenario(text: str) -> GarchScenario:
+def _parse_garch(text: str):
+    """N,OMEGA,ALPHA,BETA[,INITIAL_VAR] -> (N, GarchParams); the start
+    variance defaults to the stationary omega / (1 - alpha - beta)."""
     parts = [c.strip() for c in text.split(",")]
     if len(parts) not in (4, 5):
         raise DomainError(
             f"--garch wants N,OMEGA,ALPHA,BETA[,INITIAL_VAR], got {text!r}")
     try:
         init = float(parts[4]) if len(parts) == 5 else None
-        return GarchScenario(int(parts[0]), float(parts[1]), float(parts[2]),
-                             float(parts[3]), init)
+        n, omega, alpha, beta = (int(parts[0]), float(parts[1]),
+                                 float(parts[2]), float(parts[3]))
+        if n < 0:
+            raise DomainError(f"length must be >= 0, got {n!r}")
+        # checked with a stand-in start variance first, so alpha + beta < 1
+        # holds before the stationary variance divides by 1 - alpha - beta
+        params = GarchParams(omega, alpha, beta, 1.0 if init is None else init)
+        if init is None:
+            params = replace(params, initial_var=omega / (1.0 - alpha - beta))
+        return n, params
     except ValueError as exc:
         raise DomainError(f"bad --garch {text!r}: {exc}") from None
 
@@ -336,14 +349,16 @@ def _cmd_synth(args) -> int:
     if args.garch is not None and args.segment:
         raise DomainError("--segment and --garch are mutually exclusive")
     if args.garch is not None:
-        scenario = _parse_garch_scenario(args.garch)
+        n, params = _parse_garch(args.garch)
+        series = ReturnSeries(
+            simulate_garch(np.random.default_rng(args.seed), n, params))
         spec_text = f"garch:{args.garch}:seed={args.seed}"
     elif args.segment:
-        scenario = [_parse_segment(s) for s in args.segment]
+        series = generate_synthetic([_parse_segment(s) for s in args.segment],
+                                    args.seed)
         spec_text = "segments:" + "|".join(args.segment) + f":seed={args.seed}"
     else:
         raise DomainError("synth needs at least one --segment or a --garch spec")
-    series = generate_synthetic(scenario, args.seed)
     config = {"spec": spec_text, "seed": args.seed}
     manifest = _manifest("synth", _digest_text(spec_text), config, args.output)
     write_series_csv(args.output, series.values, None, manifest)

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .baselines import GarchParams, simulate_garch
 from .distribution import StudentTParams, draw
 from .errors import (DegenerateDataError, DomainError, ParseError,
                      SeriesTooShortError)
@@ -26,7 +25,6 @@ __all__ = [
     "PriceSeries",
     "ReturnSeries",
     "Segment",
-    "GarchScenario",
     "to_log_returns",
     "read_csv",
     "generate_synthetic",
@@ -44,7 +42,6 @@ class PriceSeries:
 
     values: np.ndarray
     labels: Optional[List[str]] = None
-    source_id: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "values",
@@ -69,7 +66,6 @@ class ReturnSeries:
 
     values: np.ndarray
     labels: Optional[List[str]] = None
-    source_id: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "values",
@@ -88,7 +84,7 @@ def to_log_returns(prices: PriceSeries) -> ReturnSeries:
     v = prices.values
     returns = np.log(v[1:] / v[:-1])
     labels = prices.labels[1:] if prices.labels is not None else None
-    return ReturnSeries(returns, labels, prices.source_id)
+    return ReturnSeries(returns, labels)
 
 
 def _resolve_column(spec: Union[int, str]):
@@ -168,8 +164,8 @@ def read_csv(path, column: Union[int, str] = "x",
     arr = np.asarray(values, dtype=np.float64)
     label_list = labels if want_dates else None
     if kind == "prices":
-        return PriceSeries(arr, label_list, source_id=str(path))
-    return ReturnSeries(arr, label_list, source_id=str(path))
+        return PriceSeries(arr, label_list)
+    return ReturnSeries(arr, label_list)
 
 
 def _cell_is_number(cell: str) -> bool:
@@ -212,49 +208,17 @@ class Segment:
         StudentTParams(self.mu, self.sigma, self.nu)  # validates
 
 
-@dataclass(frozen=True)
-class GarchScenario:
-    """A simulated Gaussian GARCH(1,1) path."""
-
-    n: int
-    omega: float
-    alpha: float
-    beta: float
-    initial_var: Optional[float] = None
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise DomainError(f"length must be >= 0, got {self.n!r}")
-        GarchParams(self.omega, self.alpha, self.beta,
-                    self.initial_var if self.initial_var is not None
-                    else self.omega / (1.0 - self.alpha - self.beta))
-
-    def params(self) -> GarchParams:
-        init = (self.initial_var if self.initial_var is not None
-                else self.omega / (1.0 - self.alpha - self.beta))
-        return GarchParams(self.omega, self.alpha, self.beta, init)
-
-
-def generate_synthetic(scenario: Union[Sequence[Segment], GarchScenario],
-                       seed: int) -> ReturnSeries:
-    """Deterministic synthetic return series for a scenario description."""
-    rng = np.random.default_rng(seed)
-    if isinstance(scenario, GarchScenario):
-        xs = simulate_garch(rng, scenario.n, scenario.params())
-        descr = (f"synthetic:garch:n={scenario.n},omega={scenario.omega!r},"
-                 f"alpha={scenario.alpha!r},beta={scenario.beta!r},seed={seed}")
-        return ReturnSeries(xs, None, source_id=descr)
-    segments = list(scenario)
+def generate_synthetic(segments: Sequence[Segment], seed: int) -> ReturnSeries:
+    """Deterministic synthetic return series: the segments drawn in order."""
+    segments = list(segments)
     if not segments:
         raise DomainError("scenario must contain at least one segment")
     if not all(isinstance(s, Segment) for s in segments):
         raise DomainError("segment scenario must be a sequence of Segment")
+    rng = np.random.default_rng(seed)
     parts = [draw(rng, StudentTParams(s.mu, s.sigma, s.nu), s.n)
              for s in segments]
-    descr = "synthetic:segments=" + ";".join(
-        f"{s.n},{s.mu!r},{s.sigma!r},{s.nu!r}" for s in segments)
-    return ReturnSeries(np.concatenate(parts) if parts else np.empty(0),
-                        None, source_id=f"{descr}:seed={seed}")
+    return ReturnSeries(np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +286,20 @@ def write_trajectory_csv(path, traj, labels=None, manifest_lines=()):
 
 
 def write_sweep_csv(path, report, manifest_lines=()):
-    """Columns: inv_nu, static_loglik, adaptive_loglik (+ metadata block)."""
-    meta = list(manifest_lines)
-    meta.append(f"garch_loglik = {_fmt(report.garch_loglik)}")
-    for key in ("garch_omega", "garch_alpha", "garch_beta",
-                "garch_persistence_clamped", "garch_fit"):
-        if key in report.metadata:
-            meta.append(f"{key} = {_fmt(report.metadata[key])}")
-    if report.metadata.get("p_eff_overrides"):
+    """Columns: inv_nu, static_loglik, adaptive_loglik; the manifest block
+    adds the GARCH baseline and the p = nu/2 fallbacks (p_eff_overrides)."""
+    garch = report.garch
+    meta = list(manifest_lines) + [
+        f"garch_loglik = {_fmt(report.garch_loglik)}",
+        f"garch_omega = {_fmt(garch.omega)}",
+        f"garch_alpha = {_fmt(garch.alpha)}",
+        f"garch_beta = {_fmt(garch.beta)}",
+        f"garch_persistence_clamped = {garch.persistence_clamped}",
+        "garch_fit = in-sample MLE on the full series"]
+    if report.p_eff_overrides:
         meta.append("p_eff_overrides = "
                     + ";".join(f"{_fmt(k)}:{_fmt(v)}" for k, v in
-                               sorted(report.metadata["p_eff_overrides"].items())))
+                               sorted(report.p_eff_overrides.items())))
     rows = ([r.inv_nu, r.static_loglik, r.adaptive_loglik] for r in report.rows)
     with _open_out(path) as fh:
         _emit(fh, meta, ["inv_nu", "static_loglik", "adaptive_loglik"], rows)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .adaptive import (AdaptiveConfig, ParamTrajectory, moment_paths,
                        seed_state_from_prefix, sigma_and_log_density)
-from .baselines import (check_warmup, fit_garch_mle, fit_sigma_mle,
+from .baselines import (GarchFit, check_warmup, fit_garch_mle, fit_sigma_mle,
                         garch_filter)
 from .distribution import (NU_GAUSSIAN, StudentTParams, abs_central_moment,
                            cdf, draw, log_pdf)
@@ -89,9 +89,13 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """p_eff_overrides maps 1/nu to p = nu/2 for each row whose nu has
+    no finite moment of p_sigma."""
+
     rows: Tuple[SweepRow, ...]
     garch_loglik: float
-    metadata: dict
+    garch: GarchFit
+    p_eff_overrides: Dict[float, float]
 
 
 def nu_sweep(xs, nu_grid: Sequence[float], warmup: int, *,
@@ -129,43 +133,23 @@ def nu_sweep(xs, nu_grid: Sequence[float], warmup: int, *,
     scored = values[warmup:]
     p_eff_overrides: Dict[float, float] = {}
     m_sigma_paths: Dict[float, np.ndarray] = {}
-    entries = []
+    rows = []
     for cfg in configs:
         nu, p_eff, inv = cfg.nu_fixed, cfg.p_sigma, inv_nu_of(cfg.nu_fixed)
         if p_eff != p_sigma:
             p_eff_overrides[inv] = p_eff
-        sigma_hat, static_score = fit_sigma_mle(scored, 0.0, nu)
+        _, static_score = fit_sigma_mle(scored, 0.0, nu)
         if p_eff not in m_sigma_paths:
             state0 = seed_state_from_prefix(values, warmup, cfg, mu=0.0)
             m_sigma_paths[p_eff] = moment_paths(scored, state0, cfg)[1]
         _, log_density = sigma_and_log_density(
             scored, 0.0, m_sigma_paths[p_eff], nu, p_eff, moment_floor)
-        adaptive_score = float(np.mean(log_density))
-        entries.append((inv, static_score, adaptive_score, sigma_hat))
+        rows.append(SweepRow(inv, static_score, float(np.mean(log_density))))
+    rows.sort(key=lambda r: r.inv_nu)
 
-    entries.sort(key=lambda e: e[0])
-    rows = tuple(SweepRow(inv, s, a) for inv, s, a, _ in entries)
-
-    garch_params = fit_garch_mle(values)
-    _, garch_score = garch_filter(values, garch_params, warmup=warmup)
-
-    metadata = {
-        "warmup": warmup,
-        "n": int(values.size),
-        "n_scored": int(scored.size),
-        "center": 0.0,
-        "p_sigma": p_sigma,
-        "eta2": eta2,
-        "p_eff_overrides": p_eff_overrides,
-        "static_sigma_hat": {inv: sig for inv, _, _, sig in entries},
-        "garch_omega": garch_params.omega,
-        "garch_alpha": garch_params.alpha,
-        "garch_beta": garch_params.beta,
-        "garch_persistence_clamped": garch_params.persistence_clamped,
-        "garch_fit": "in-sample MLE on the full series",
-        "source_id": getattr(xs, "source_id", ""),
-    }
-    return SweepReport(rows, garch_score, metadata)
+    garch = fit_garch_mle(values)
+    _, garch_score = garch_filter(values, garch, warmup=warmup)
+    return SweepReport(tuple(rows), garch_score, garch, p_eff_overrides)
 
 
 @dataclass(frozen=True)

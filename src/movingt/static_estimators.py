@@ -41,7 +41,6 @@ class MomentSummary:
     mu_hat: float
     powers: tuple
     moments: tuple
-    count: int
 
     def moment_for(self, p: float) -> float:
         try:
@@ -76,10 +75,14 @@ def compute_moments(xs, powers, mu="mean") -> MomentSummary:
         moments = tuple(float(np.mean(d ** p)) for p in powers)
     for p, m in zip(powers, moments):
         if not math.isfinite(m):
-            raise DomainError(
-                f"the absolute moment of power {p!r} overflows float64 on "
-                "this data; choose a smaller power")
-    return MomentSummary(mu_hat, powers, moments, int(xs.size))
+            raise _power_overflow(p)
+    return MomentSummary(mu_hat, powers, moments)
+
+
+def _power_overflow(p: float) -> DomainError:
+    """The error for a power whose absolute moments overflow float64."""
+    return DomainError(f"the absolute moment of power {p!r} overflows "
+                       "float64 on this data; choose a smaller power")
 
 
 def estimate_sigma(summary: MomentSummary, nu: float, p: float) -> float:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from movingt.adaptive import (AdaptiveConfig, EmaState, moment_paths, run,
@@ -11,7 +11,7 @@ from movingt.adaptive import (AdaptiveConfig, EmaState, moment_paths, run,
 from movingt.data_io import Segment, generate_synthetic
 from movingt.distribution import (NU_GAUSSIAN, abs_central_moment, log_pdf,
                                   StudentTParams)
-from movingt.errors import DomainError, SeriesTooShortError
+from movingt.errors import DomainError, MovingTError, SeriesTooShortError
 
 
 class TestConfigValidation:
@@ -377,6 +377,32 @@ class TestCausalityProperty:
             assert (getattr(other, name)[:i + 1].tobytes()
                     == getattr(base, name)[:i + 1].tobytes())
         assert other.log_density[:i].tobytes() == base.log_density[:i].tobytes()
+
+
+# a power whose moments overflow float64 once |x - mu| passes ~4.1
+_LARGE_POWER = AdaptiveConfig(nu_fixed=1000.0, p_sigma=500.0)
+# the prefix moments underflow to 0 and a later point overflows
+_SMALL_PREFIX_THEN_UNIT_SCALE = np.concatenate(
+    [np.full(20, 1e-3), np.full(20, 10.0)])
+
+
+class TestFiniteOrTypedErrorProperty:
+    @given(case=_perturbed_hostile_series(),
+           cfg=st.sampled_from(_EDGE_CONFIGS + [_LARGE_POWER]))
+    @example(case=(_SMALL_PREFIX_THEN_UNIT_SCALE,
+                   _SMALL_PREFIX_THEN_UNIT_SCALE, 20, 20), cfg=_LARGE_POWER)
+    @settings(max_examples=60, deadline=None)
+    def test_finite_or_typed_error(self, case, cfg):
+        xs, perturbed, _, init = case
+        for series in (xs, perturbed):
+            try:
+                traj = run(series, cfg, init=init)
+            except MovingTError:
+                continue
+            for name in ("mu", "sigma", "nu"):
+                assert np.all(np.isfinite(getattr(traj, name))), name
+            # -inf is a valid log-density for a point far in the tail
+            assert not np.any(np.isnan(traj.log_density))
 
 
 class TestFoldMatchesStepProperty:

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from movingt.baselines import GarchParams, simulate_garch
 from movingt.cli import build_parser, main
 
 
@@ -246,6 +247,20 @@ class TestMomentOverflow:
             assert "power" in proc.stderr
             assert "RuntimeWarning" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["fit-adaptive", "--nu-fixed", "1000", "--p-sigma", "500"],
+        ["tail-table", "--nu-fixed", "1000", "--p-sigma", "500"],
+        ["sweep", "--p-sigma", "500"]])
+    def test_overflow_after_a_small_prefix(self, tmp_path, capsys, argv):
+        # the prefix moments underflow to 0, so only the fold overflows
+        src = tmp_path / "s.csv"
+        assert _run("synth", "--output", str(src), "--segment",
+                    "300,0,0.001,4", "--segment", "3000,0,1,4",
+                    "--seed", "1") == 0
+        assert _run(*argv, "--returns", "--input", str(src),
+                    "--output", str(tmp_path / "o.csv")) == 2
+        assert "power 500.0 overflows" in capsys.readouterr().err
+
 
 class TestTailTable:
     def test_adaptive_counts_every_point(self, synth_file, tmp_path):
@@ -433,6 +448,20 @@ class TestSynth:
         assert _run("synth", "--output", str(tmp_path / "o.csv"),
                     "--segment", "10,0,1,5",
                     "--garch", "10,1e-6,0.1,0.8") == 2
+
+    def test_garch_path_starts_at_the_stationary_variance(self, tmp_path):
+        out = tmp_path / "o.csv"
+        assert _run("synth", "--output", str(out),
+                    "--garch", "50,1e-6,0.08,0.9", "--seed", "3") == 0
+        xs = simulate_garch(np.random.default_rng(3), 50, GarchParams(
+            1e-6, 0.08, 0.9, 1e-6 / (1.0 - 0.08 - 0.9)))
+        assert [float(r[0]) for r in _data_rows(out)[1:]] == xs.tolist()
+
+    def test_nonstationary_garch_is_a_usage_error(self, tmp_path, capsys):
+        # alpha + beta = 1 has no stationary start variance to default to
+        assert _run("synth", "--output", str(tmp_path / "o.csv"),
+                    "--garch", "100,1e-6,0.1,0.9") == 2
+        assert "alpha + beta must be < 1" in capsys.readouterr().err
 
 
 class TestDeterminismAndHelp:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movingt.data_io import (GarchScenario, PriceSeries, ReturnSeries,
-                             Segment, generate_synthetic, read_csv,
-                             to_log_returns, write_series_csv,
-                             write_trajectory_csv)
+from movingt.baselines import GarchParams, simulate_garch
+from movingt.data_io import (PriceSeries, ReturnSeries, Segment,
+                             generate_synthetic, read_csv, to_log_returns,
+                             write_series_csv, write_trajectory_csv)
 from movingt.distribution import abs_central_moment
 from movingt.errors import (DegenerateDataError, DomainError, ParseError,
                             SeriesTooShortError)
@@ -195,12 +195,11 @@ class TestGenerateSynthetic:
             target, rel=0.01)
 
     def test_garch_scenario(self):
-        sc = GarchScenario(5000, 1e-6, 0.08, 0.90)
-        series = generate_synthetic(sc, seed=5)
-        assert len(series) == 5000
-        # long-run variance near omega / (1 - alpha - beta)
-        target = 1e-6 / 0.02
-        assert float(np.var(series.values)) == pytest.approx(target, rel=0.25)
+        # started at the long-run variance omega / (1 - alpha - beta)
+        xs = simulate_garch(np.random.default_rng(5), 5000, GarchParams(
+            1e-6, 0.08, 0.90, 1e-6 / (1.0 - 0.08 - 0.90)))
+        assert len(xs) == 5000
+        assert float(np.var(xs)) == pytest.approx(1e-6 / 0.02, rel=0.25)
 
     def test_invalid_scenarios(self):
         with pytest.raises(DomainError):
@@ -208,7 +207,10 @@ class TestGenerateSynthetic:
         with pytest.raises(DomainError):
             Segment(10, 0.0, -1.0, 5.0)
         with pytest.raises(DomainError):
-            GarchScenario(10, 1e-6, 0.6, 0.5)
+            GarchParams(1e-6, 0.6, 0.5, 1e-6)
+        with pytest.raises(DomainError):
+            simulate_garch(np.random.default_rng(0), -1,
+                           GarchParams(1e-6, 0.08, 0.90, 1e-6))
 
 
 def _per_row_trajectory_csv(path, traj, labels, manifest_lines):

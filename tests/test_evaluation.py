@@ -94,7 +94,7 @@ class TestNuSweep:
         assert all(math.isfinite(r.static_loglik)
                    and math.isfinite(r.adaptive_loglik) for r in rep.rows)
         # the configured p_sigma=1 has no finite moment at nu=1
-        assert rep.metadata["p_eff_overrides"] == {1.0: 0.5}
+        assert rep.p_eff_overrides == {1.0: 0.5}
 
     def test_gaussian_data_static_argmax_at_cap(self):
         xs = generate_synthetic([Segment(4000, 0, 1, NU_GAUSSIAN)], seed=55)
@@ -151,7 +151,7 @@ class TestNuSweep:
         xs = generate_synthetic([Segment(800, 0, 0.01, 5)], seed=38)
         grid = [NU_GAUSSIAN, 5.0, 2.0]
         rep = nu_sweep(xs, grid, 300, p_sigma=2.0e6)
-        assert rep.metadata["p_eff_overrides"] == {
+        assert rep.p_eff_overrides == {
             inv_nu_of(nu): 0.5 * nu for nu in grid}
         assert all(math.isfinite(r.adaptive_loglik) for r in rep.rows)
 

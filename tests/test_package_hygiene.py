@@ -4,8 +4,10 @@ No linter ships with the project, so these checks stand in for one:
 every import a module makes is used, and every module-level private
 name is referenced somewhere in the package.  Both catch copies left
 behind when a formula moves between modules.  A third check keeps the
-moving estimator's config to the settings its step reads, and a fourth
-keeps scipy out of the runtime.
+moving estimator's config to the settings its step reads, a fourth
+keeps scipy out of the runtime, and a fifth asks every dataclass field
+to be read somewhere outside validation (`__post_init__`), so no stored
+value goes unread.
 """
 
 import ast
@@ -118,3 +120,28 @@ def test_every_adaptive_setting_is_read_by_step():
     assert fields, "AdaptiveConfig declares no fields"
     assert not fields - read, \
         f"AdaptiveConfig fields step() never reads: {sorted(fields - read)}"
+
+
+def _is_dataclass(node):
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    # a field read only in a __post_init__ is checked and then dropped
+    trees = [_tree(path) for path in MODULES]
+    classes = [node for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef) and _is_dataclass(node)]
+    validation = {id(node) for cls in classes for method in cls.body
+                  if isinstance(method, ast.FunctionDef)
+                  and method.name == "__post_init__"
+                  for node in ast.walk(method)}
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and id(node) not in validation}
+    fields = [(cls.name, node.target.id) for cls in classes
+              for node in cls.body if isinstance(node, ast.AnnAssign)]
+    assert fields, "the scan found no dataclass fields"
+    unread = [field for field in fields if field[1] not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"

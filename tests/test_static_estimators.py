@@ -16,7 +16,6 @@ class TestComputeMoments:
         s = compute_moments([1.0, 1.0, 1.0], [1.0], mu="mean")
         assert s.mu_hat == 1.0
         assert s.moments == (0.0,)
-        assert s.count == 3
 
     def test_fixed_center_p2(self):
         s = compute_moments([-1.0, 1.0], [2.0], mu=0.0)
@@ -40,11 +39,11 @@ class TestComputeMoments:
 class TestEstimateSigma:
     def test_identity_case(self):
         m = abs_central_moment(5.0, 1.0)
-        s = MomentSummary(0.0, (1.0,), (m,), 10)
+        s = MomentSummary(0.0, (1.0,), (m,))
         assert estimate_sigma(s, 5.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_nu_two(self):
-        s = MomentSummary(0.0, (1.0,), (2.0 * math.sqrt(2.0),), 10)
+        s = MomentSummary(0.0, (1.0,), (2.0 * math.sqrt(2.0),))
         assert estimate_sigma(s, 2.0, 1.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_monte_carlo(self):
@@ -53,17 +52,17 @@ class TestEstimateSigma:
         assert 1.96 <= estimate_sigma(s, 5.0, 1.0) <= 2.04
 
     def test_divergent_power(self):
-        s = MomentSummary(0.0, (1.0,), (1.0,), 10)
+        s = MomentSummary(0.0, (1.0,), (1.0,))
         with pytest.raises(DivergentMomentError):
             estimate_sigma(s, 1.0, 1.0)
 
     def test_degenerate(self):
-        s = MomentSummary(0.0, (1.0,), (0.0,), 10)
+        s = MomentSummary(0.0, (1.0,), (0.0,))
         with pytest.raises(DegenerateDataError):
             estimate_sigma(s, 5.0, 1.0)
 
     def test_missing_power(self):
-        s = MomentSummary(0.0, (1.0,), (1.0,), 10)
+        s = MomentSummary(0.0, (1.0,), (1.0,))
         with pytest.raises(DomainError):
             estimate_sigma(s, 5.0, 2.0)
 
@@ -111,25 +110,25 @@ class TestEstimateNuRaw:
         t = build_nu_table(1.0, 0.5)
         s = MomentSummary(0.0, (1.0, 0.5),
                           (abs_central_moment(5.0, 1.0) ** 1.0,
-                           abs_central_moment(5.0, 0.5) ** 0.5), 100)
+                           abs_central_moment(5.0, 0.5) ** 0.5))
         assert estimate_nu_raw(s, t) == pytest.approx(5.0, abs=1e-3)
 
     def test_clamp_to_cap(self):
         t = build_nu_table(1.0, 0.5)
         # ratio below the Gaussian end of a decreasing table
         r_past_gauss = float(t.ratio_grid[-1]) * 0.99
-        s = MomentSummary(0.0, (1.0, 0.5), (r_past_gauss, 1.0), 100)
+        s = MomentSummary(0.0, (1.0, 0.5), (r_past_gauss, 1.0))
         assert estimate_nu_raw(s, t) == t.nu_cap
 
     def test_clamp_to_min(self):
         t = build_nu_table(1.0, 0.5)
         r_past_heavy = float(t.ratio_grid[0]) * 1.01
-        s = MomentSummary(0.0, (1.0, 0.5), (r_past_heavy, 1.0), 100)
+        s = MomentSummary(0.0, (1.0, 0.5), (r_past_heavy, 1.0))
         assert estimate_nu_raw(s, t) == t.nu_min
 
     def test_degenerate_moment(self):
         t = build_nu_table(1.0, 0.5)
-        s = MomentSummary(0.0, (1.0, 0.5), (0.0, 1.0), 100)
+        s = MomentSummary(0.0, (1.0, 0.5), (0.0, 1.0))
         with pytest.raises(DegenerateDataError):
             estimate_nu_raw(s, t)
 
@@ -151,7 +150,7 @@ class TestEstimateNuRaw:
             by_bisection = math.sqrt(lo * hi)
             s = MomentSummary(0.0, (1.0, 0.5),
                               (abs_central_moment(nu_true, 1.0),
-                               abs_central_moment(nu_true, 0.5) ** 0.5), 100)
+                               abs_central_moment(nu_true, 0.5) ** 0.5))
             by_table = estimate_nu_raw(s, t)
             assert by_table == pytest.approx(by_bisection, rel=5e-3)
 
