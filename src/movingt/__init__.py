@@ -7,7 +7,7 @@ GARCH(1,1) baseline accompany them for evaluation.
 """
 
 from .adaptive import (AdaptiveConfig, EmaState, ParamTrajectory, run,
-                       seed_state_from_prefix, step)
+                       seed_state_from_prefix, step, update)
 from .baselines import (GarchFit, GarchParams, fit_garch_mle, fit_sigma_mle,
                         garch_filter)
 from .data_io import (PriceSeries, ReturnSeries, Segment, generate_synthetic,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveConfig", "EmaState", "ParamTrajectory", "run",
-    "seed_state_from_prefix", "step",
+    "seed_state_from_prefix", "step", "update",
     "GarchFit", "GarchParams", "fit_garch_mle", "fit_sigma_mle", "garch_filter",
     "PriceSeries", "ReturnSeries", "Segment",
     "generate_synthetic", "read_csv", "to_log_returns",

@@ -11,10 +11,17 @@ sigma_t = max(m_sigma, floor)^{1/p_sigma} / M(nu_t, p_sigma); nu_t comes
 from the ratio of two moment EMAs inverted through a monotone table
 (plus the additive adjustment), or is held fixed.
 
-`run` folds a whole series: the center and the three moment EMAs are
-first-order recursions, built with `itertools.accumulate` from the same
-update expression as the scalar `step`, and nu, sigma and the
-log-density are numpy maps of those state paths.
+`update` folds a series from an explicit state and returns the state
+after its last point, which is where a `step` loop over the same points
+ends.  It works through fixed-size chunks, carrying the state from one
+to the next, and writes each chunk into preallocated output arrays, so
+its memory beyond the output does not grow with the series.  Within a
+chunk the center and the three moment EMAs are first-order recursions,
+built with `itertools.accumulate` from the same update expression as
+`step`, and nu, sigma and the log-density are numpy maps of those state
+paths.  Every value depends only on the values before it, so the output
+does not depend on the chunk size.  `run` is `seed_state_from_prefix`
+plus `update`.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ __all__ = [
     "EmaState",
     "ParamTrajectory",
     "step",
+    "update",
     "run",
     "seed_state_from_prefix",
     "moment_paths",
@@ -195,10 +203,16 @@ def step(state: EmaState, x: float, config: AdaptiveConfig):
     sigma_t = math.exp(math.log(mf) / p_sigma - _log_abs_moment(nu_t, p_sigma))
 
     d = abs(x - mu)
-    m_sigma += config.eta2 * (d ** p_sigma - m_sigma)
-    if config.nu_fixed is None:
-        m1 += config.eta3 * (d ** config.p1 - m1)
-        m2 += config.eta3 * (d ** config.p2 - m2)
+    p = p_sigma  # the power being raised, named if it overflows
+    try:
+        m_sigma += config.eta2 * (d ** p - m_sigma)
+        if config.nu_fixed is None:
+            p = config.p1
+            m1 += config.eta3 * (d ** p - m1)
+            p = config.p2
+            m2 += config.eta3 * (d ** p - m2)
+    except OverflowError:
+        raise _power_overflow(p) from None
     new_state = EmaState(mu + config.eta1 * (x - mu), m_sigma, m1, m2)
     return new_state, StudentTParams(mu, sigma_t, nu_t)
 
@@ -223,16 +237,18 @@ def seed_state_from_prefix(xs, k: int, config: AdaptiveConfig,
 # --------------------------------------------------------------------------
 # vectorized fold
 
-_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+# points per chunk of `update`; the fold's transient memory is a few
+# Python lists of this length, whatever the length of the series
+_CHUNK = 8192
 
 
 def _ema_path(m0: float, eta: float, observations: list) -> np.ndarray:
-    """EMA value before each observation: m0, then m <- m + eta*(v - m)
-    (the update of `step`)."""
+    """EMA value before each observation and after the last: m0, then
+    m <- m + eta*(v - m) (the update of `step`)."""
     return np.fromiter(
         accumulate(observations, lambda m, v, eta=eta: m + eta * (v - m),
                    initial=m0),
-        dtype=np.float64, count=len(observations))
+        dtype=np.float64, count=len(observations) + 1)
 
 
 def _powers(d: np.ndarray, p: float) -> list:
@@ -248,13 +264,14 @@ def moment_paths(xs, state: EmaState, config: AdaptiveConfig):
     """State paths (mu, m_sigma, m1, m2) of the fold over xs.
 
     Entry t of each path is the state the estimate for xs[t] is formed
-    from, so it depends on xs[:t] only.  With a fixed nu the two nu
-    moments never move and m1, m2 are None.  Raises DomainError when a
-    power of |x_t - mu_t| overflows float64.
+    from, so it depends on xs[:t] only; the last entry, one past the
+    end of xs, is the state after the last point.  With a fixed nu the
+    two nu moments never move and m1, m2 are None.  Raises DomainError
+    when a power of |x_t - mu_t| overflows float64.
     """
     xs = np.asarray(xs, dtype=np.float64)
     mu = _ema_path(state.mu, config.eta1, xs.tolist())
-    d = np.abs(xs - mu)
+    d = np.abs(xs - mu[:-1])
     m_sigma = _ema_path(state.m_sigma, config.eta2, _powers(d, config.p_sigma))
     if config.nu_fixed is not None:
         return mu, m_sigma, None, None
@@ -273,8 +290,8 @@ def _nu_path(m1, m2, config: AdaptiveConfig) -> np.ndarray:
     return np.minimum(nu, config.nu_cap)
 
 
-def _lgamma_of(a) -> np.ndarray:
-    return np.asarray(_lgamma(a), dtype=np.float64)
+def _lgamma_of(a: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, a.tolist()), np.float64, count=a.size)
 
 
 def sigma_and_log_density(xs, mu, m_sigma, nu, p_sigma: float, floor: float):
@@ -283,7 +300,7 @@ def sigma_and_log_density(xs, mu, m_sigma, nu, p_sigma: float, floor: float):
     nu is one value or one per step; steps with nu >= NU_GAUSSIAN use
     the Gaussian limit, as `step` does.
     """
-    nu = np.asarray(nu, dtype=np.float64)
+    nu = np.atleast_1d(np.asarray(nu, dtype=np.float64))
     gauss = nu >= NU_GAUSSIAN
     # the Student-t terms are evaluated at a finite stand-in where the
     # Gaussian branch is taken, so lgamma never sees a huge argument
@@ -309,6 +326,41 @@ def sigma_and_log_density(xs, mu, m_sigma, nu, p_sigma: float, floor: float):
     return sigma, log_norm - np.log(sigma) - tail
 
 
+def update(state: EmaState, xs, config: AdaptiveConfig):
+    """Fold xs from `state`: (state after the last point, trajectory).
+
+    The same fold as a `step` loop over xs, which ends in the returned
+    state; entry t of the trajectory is the estimate for xs[t], made
+    before xs[t] is ingested, and its t counts from 0.  Folding a
+    series in pieces, each from the state the previous piece returned,
+    gives the trajectory of one call.  Raises DomainError when a power
+    of |x_t - mu_t| overflows float64 or the state leaves its domain.
+    """
+    x = np.array(xs, dtype=np.float64)
+    n = int(x.size)
+    traj = ParamTrajectory(t=np.arange(n, dtype=np.int64), x=x,
+                           mu=np.empty(n), sigma=np.empty(n),
+                           nu=np.empty(n), log_density=np.empty(n))
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        chunk = x[lo:hi]
+        mu, m_sigma, m1, m2 = moment_paths(chunk, state, config)
+        if config.nu_fixed is None:
+            nu = _nu_path(m1[:-1], m2[:-1], config)
+            state = EmaState(mu[-1].item(), m_sigma[-1].item(),
+                             m1[-1].item(), m2[-1].item())
+        else:
+            nu = config.nu_fixed
+            state = EmaState(mu[-1].item(), m_sigma[-1].item(),
+                             state.m1, state.m2)
+        traj.mu[lo:hi] = mu[:-1]
+        traj.nu[lo:hi] = nu
+        traj.sigma[lo:hi], traj.log_density[lo:hi] = sigma_and_log_density(
+            chunk, mu[:-1], m_sigma[:-1], nu, config.p_sigma,
+            config.moment_floor)
+    return state, traj
+
+
 def run(xs, config: AdaptiveConfig,
         init: Union[EmaState, int] = 300) -> ParamTrajectory:
     """Fold the moving estimator over a return series.
@@ -328,18 +380,6 @@ def run(xs, config: AdaptiveConfig,
             f"series of {n} points leaves nothing to fold from t={t_start}")
     state = (init if explicit
              else seed_state_from_prefix(values, t_start, config))
-
-    folded = values[t_start:].copy()
-    mu, m_sigma, m1, m2 = moment_paths(folded, state, config)
-    if config.nu_fixed is None:
-        nu = _nu_path(m1, m2, config)
-    else:
-        nu = config.nu_fixed
-    sigma, log_density = sigma_and_log_density(
-        folded, mu, m_sigma, nu, config.p_sigma, config.moment_floor)
-
-    return ParamTrajectory(
-        t=np.arange(t_start, n, dtype=np.int64),
-        x=folded, mu=mu, sigma=sigma,
-        nu=np.broadcast_to(nu, folded.shape).copy(),
-        log_density=log_density)
+    _, traj = update(state, values[t_start:], config)
+    traj.t[:] += t_start  # update counts t from 0 within what it folds
+    return traj

@@ -3,8 +3,10 @@
 CSV dialect: comma separated, UTF-8 (a leading byte-order mark is
 skipped), optional single header line, lines starting with '#' skipped
 (reports embed their run manifest that way, so outputs can be
-re-ingested).  The writer emits LF and formats floats with repr, which
-round-trips bit-exactly through float().
+re-ingested).  The reader collects the value column in a float64
+`array`, 8 bytes a value where a list of Python floats takes 32.  The
+writer emits LF and formats floats with repr, which round-trips
+bit-exactly through float().
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
@@ -113,7 +116,7 @@ def read_csv(path, column: Union[int, str] = "x",
     if date_column is not None:
         date_idx, date_name = _resolve_column(date_column)
 
-    values: List[float] = []
+    values = array("d")
     labels: List[str] = []
     want_dates = date_column is not None
 
@@ -161,7 +164,7 @@ def read_csv(path, column: Union[int, str] = "x",
 
     if not values:
         raise ParseError(f"{path}: no data rows found")
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.frombuffer(values, dtype=np.float64)
     label_list = labels if want_dates else None
     if kind == "prices":
         return PriceSeries(arr, label_list)

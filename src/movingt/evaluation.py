@@ -141,7 +141,7 @@ def nu_sweep(xs, nu_grid: Sequence[float], warmup: int, *,
         _, static_score = fit_sigma_mle(scored, 0.0, nu)
         if p_eff not in m_sigma_paths:
             state0 = seed_state_from_prefix(values, warmup, cfg, mu=0.0)
-            m_sigma_paths[p_eff] = moment_paths(scored, state0, cfg)[1]
+            m_sigma_paths[p_eff] = moment_paths(scored, state0, cfg)[1][:-1]
         _, log_density = sigma_and_log_density(
             scored, 0.0, m_sigma_paths[p_eff], nu, p_eff, moment_floor)
         rows.append(SweepRow(inv, static_score, float(np.mean(log_density))))

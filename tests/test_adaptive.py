@@ -1,17 +1,21 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from movingt import adaptive
 from movingt.adaptive import (AdaptiveConfig, EmaState, moment_paths, run,
-                              seed_state_from_prefix, step)
+                              seed_state_from_prefix, step, update)
 from movingt.data_io import Segment, generate_synthetic
 from movingt.distribution import (NU_GAUSSIAN, abs_central_moment, log_pdf,
                                   StudentTParams)
 from movingt.errors import DomainError, MovingTError, SeriesTooShortError
+from movingt.static_estimators import _power_overflow
 
 
 class TestConfigValidation:
@@ -80,6 +84,21 @@ class TestStep:
         new, _ = step(state, x, cfg)
         obs = abs(x) ** cfg.p_sigma
         assert min(m, obs) - 1e-12 <= new.m_sigma <= max(m, obs) + 1e-12
+
+    @pytest.mark.parametrize("cfg, p", [
+        (AdaptiveConfig(nu_fixed=1000.0, p_sigma=500.0), 500.0),
+        (AdaptiveConfig(nu_min=100.0, nu_cap=1000.0, p1=50.0, p2=0.5), 50.0),
+        (AdaptiveConfig(nu_min=100.0, nu_cap=1000.0, p1=0.5, p2=50.0), 50.0),
+    ])
+    def test_overflowing_power_is_a_domain_error(self, cfg, p):
+        # |x - mu| = 1e10 raised to p overflows float64; run says so too
+        state = EmaState(0.0, 1.0, 1.0, 1.0)
+        with pytest.raises(DomainError) as from_step:
+            step(state, 1e10, cfg)
+        with pytest.raises(DomainError) as from_run:
+            run(np.array([1e10]), cfg, init=state)
+        assert (str(from_step.value) == str(from_run.value)
+                == str(_power_overflow(p)))
 
 
 class TestSeedStateFromPrefix:
@@ -247,6 +266,29 @@ class TestRun:
         assert new.m_sigma != state.m_sigma
 
 
+def _start(xs, init, cfg):
+    """(state, index) the fold of `run(xs, cfg, init=init)` starts from."""
+    if isinstance(init, EmaState):
+        return init, 0
+    return seed_state_from_prefix(xs, init, cfg), init
+
+
+def _final_state(xs, state, cfg):
+    """The state a loop of the scalar step over xs ends in."""
+    for x in np.asarray(xs, dtype=np.float64).tolist():
+        state, _ = step(state, x, cfg)
+    return state
+
+
+def _error_type(fold):
+    """The MovingTError subclass `fold()` raises, or None."""
+    try:
+        fold()
+    except MovingTError as exc:
+        return type(exc)
+    return None
+
+
 def _step_fold(xs, state, cfg):
     """Fold the scalar step over xs: arrays mu, sigma, nu, log_density."""
     rows = []
@@ -262,10 +304,7 @@ class TestFoldMatchesStepOnHostileSeries:
     @staticmethod
     def _check(xs, cfg, init):
         xs = np.asarray(xs, dtype=np.float64)
-        if isinstance(init, EmaState):
-            state, start = init, 0
-        else:
-            state, start = seed_state_from_prefix(xs, init, cfg), init
+        state, start = _start(xs, init, cfg)
         traj = run(xs, cfg, init=init)
         mu, sigma, nu, logd = _step_fold(xs[start:], state, cfg)
         assert np.all(np.isfinite(traj.sigma))
@@ -292,7 +331,7 @@ class TestFoldMatchesStepOnHostileSeries:
         state = seed_state_from_prefix(xs, 300, cfg, mu=0.0)
         _, m_sigma, m1, m2 = moment_paths(xs, state, cfg)
         for path in (m_sigma, m1, m2):
-            assert path.min() < cfg.moment_floor
+            assert path[:-1].min() < cfg.moment_floor
         self._check(xs, cfg, state)
 
     def test_constant_prefix(self):
@@ -413,3 +452,100 @@ class TestFoldMatchesStepProperty:
         xs, perturbed, _, init = case
         for series in (xs, perturbed):
             TestFoldMatchesStepOnHostileSeries._check(series, cfg, init)
+
+
+class TestUpdateProperty:
+    @given(case=_perturbed_hostile_series(),
+           cfg=st.sampled_from(_EDGE_CONFIGS),
+           cuts=st.lists(st.integers(0, 200), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_any_chunking_matches_one_run(self, case, cfg, cuts):
+        xs, _, _, init = case
+        state, start = _start(xs, init, cfg)
+        folded = xs[start:]
+        bounds = sorted({0, folded.size, *(c for c in cuts if c < folded.size)})
+        end, pieces = state, []
+        for lo, hi in zip(bounds, bounds[1:]):
+            end, piece = update(end, folded[lo:hi], cfg)
+            assert piece.t.tolist() == list(range(hi - lo))
+            pieces.append(piece)
+        whole = run(xs, cfg, init=init)
+        for name, rtol in (("mu", 1e-12), ("sigma", 1e-9), ("nu", 1e-9),
+                           ("log_density", 1e-9)):
+            joined = np.concatenate([getattr(p, name) for p in pieces])
+            assert np.allclose(joined, getattr(whole, name),
+                               rtol=rtol, atol=0.0), name
+        # the end state is the one a step loop over the same points ends in
+        looped = _final_state(folded, state, cfg)
+        assert end.mu == pytest.approx(looped.mu, rel=1e-12, abs=0.0)
+        for name in ("m_sigma", "m1", "m2"):
+            assert getattr(end, name) == pytest.approx(
+                getattr(looped, name), rel=1e-9, abs=0.0), name
+
+    @given(case=_perturbed_hostile_series(),
+           cfg=st.sampled_from(_EDGE_CONFIGS), chunk=st.integers(1, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_output_does_not_depend_on_the_chunk_size(self, case, cfg, chunk):
+        # run's own chunks are larger than any drawn series, so shrink them
+        xs, _, _, init = case
+        whole = run(xs, cfg, init=init)
+        with mock.patch.object(adaptive, "_CHUNK", chunk):
+            chunked = run(xs, cfg, init=init)
+        for name in ("mu", "sigma", "nu", "log_density"):
+            assert (getattr(chunked, name).tobytes()
+                    == getattr(whole, name).tobytes()), name
+
+    @given(case=_perturbed_hostile_series(),
+           cfg=st.sampled_from(_EDGE_CONFIGS + [_LARGE_POWER]))
+    @example(case=(_SMALL_PREFIX_THEN_UNIT_SCALE,
+                   _SMALL_PREFIX_THEN_UNIT_SCALE, 20, 20), cfg=_LARGE_POWER)
+    @settings(max_examples=60, deadline=None)
+    def test_step_and_run_raise_alike(self, case, cfg):
+        xs, perturbed, _, init = case
+        for series in (xs, perturbed):
+            def step_loop():
+                state, start = _start(series, init, cfg)
+                _final_state(series[start:], state, cfg)
+            assert (_error_type(step_loop)
+                    == _error_type(lambda: run(series, cfg, init=init)))
+
+
+class TestTranslationEquivarianceProperty:
+    @given(case=_perturbed_hostile_series(),
+           cfg=st.sampled_from(_EDGE_CONFIGS),
+           c=st.sampled_from([1.0, -1.0, 0.5, -0.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_shift_moves_only_the_center(self, case, cfg, c):
+        xs, _, _, init = case
+        # on a dyadic grid xs + c is exact, so the shift adds no rounding
+        # of its own; otherwise a zero run folded with eta1 = 1 has
+        # |x - mu| = 0 on one side and one ulp of c on the other, which
+        # lifts a moment from the floor
+        xs = np.round(xs * 2.0 ** 20) / 2.0 ** 20
+        shifted_init = (replace(init, mu=init.mu + c)
+                        if isinstance(init, EmaState) else init)
+        base = run(xs, cfg, init=init)
+        shifted = run(xs + c, cfg, init=shifted_init)
+        # mu + c may cancel to near 0, so mu is compared to the size of
+        # its operands
+        assert np.all(np.abs(shifted.mu - (base.mu + c))
+                      <= 1e-12 * (np.abs(base.mu) + abs(c)))
+        assert np.allclose(shifted.sigma, base.sigma, rtol=1e-9, atol=0.0)
+        assert np.allclose(shifted.nu, base.nu, rtol=1e-9, atol=0.0)
+
+
+class TestFoldMemory:
+    @staticmethod
+    def _transient_peak(n):
+        """Peak bytes `run` allocates over n points, beyond its output."""
+        xs = generate_synthetic([Segment(n, 0, 1, 4)], seed=40).values
+        tracemalloc.start()
+        try:
+            traj = run(xs, AdaptiveConfig(), init=300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(getattr(traj, f.name).nbytes for f in fields(traj))
+
+    def test_transient_does_not_grow_with_the_series(self):
+        assert self._transient_peak(200_000) < 1.5 * self._transient_peak(50_000)

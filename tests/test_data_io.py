@@ -144,6 +144,61 @@ class TestReadCsv:
             read_csv(f, kind="prices", **kwargs)
 
 
+# (case, file bytes, column, the values read or the ParseError message,
+# with {f} for the path)
+_READER_CASES = [
+    ("plain", b"x\n0.5\n-0.25\n1e-3\n", "x", [0.5, -0.25, 1e-3]),
+    ("mid-line #", b"x\n0.5 # note\n1.0\n", "x",
+     "{f}: cannot parse '0.5 # note' at line 2, column 0"),
+    ("comment after the header", b"x\n0.5\n# note\n1.0\n", "x", [0.5, 1.0]),
+    ("comment row, value in column 1", b"a,x\n1,0.5\n#c,9\n2,0.75\n", "x",
+     [0.5, 0.75]),
+    ("# in another column", b"a,b\n0.5,# note\n1.0,2.0\n", "a", [0.5, 1.0]),
+    ("nan cell", b"x\n1.0\nnan\n", "x",
+     "{f}: non-finite value 'nan' at line 3, column 0"),
+    ("inf cell", b"x\n1.0\n-inf\n", "x",
+     "{f}: non-finite value '-inf' at line 3, column 0"),
+    ("overflowing cell", b"x\n1.0\n1e999\n", "x",
+     "{f}: non-finite value '1e999' at line 3, column 0"),
+    ("empty cell", b"a,b\n1.0,2.0\n1.0,\n", "b",
+     "{f}: empty value cell at line 3, column 1"),
+    ("quoted cell", b'x\n"1.5"\n2.0\n', "x", [1.5, 2.0]),
+    ("quoted commas", b'a,b\n1.0,2.0\n"3.0,4.0,5.0"\n', "b",
+     "{f}: missing value cell at line 3"),
+    ("padded cells", b"x\n  0.5 \n\t+1e-3\n", "x", [0.5, 1e-3]),
+    ("underscore", b"x\n1_0\n2.0\n", "x", [10.0, 2.0]),
+    ("CRLF and a BOM", b"\xef\xbb\xbfx\r\n0.5\r\n1.5\r\n", "x", [0.5, 1.5]),
+    ("CR line endings", b"x\r0.5\r1.5\r", "x", [0.5, 1.5]),
+    ("headerless", b"0.5\n-0.25\n", 0, [0.5, -0.25]),
+    ("headerless after a comment", b"# m\n\n0.5\n-0.25\n", 0, [0.5, -0.25]),
+    ("named column of several", b"# k = v\na,x,b\n1,0.5,2\n3,-0.25,4\n",
+     "x", [0.5, -0.25]),
+    ("ragged row, short", b"a,x\n1,0.5\n2\n", "x",
+     "{f}: missing value cell at line 3"),
+    ("ragged row, long", b"a,x\n1,0.5\n2,0.75,9\n", "x", [0.5, 0.75]),
+    ("blank lines", b"x\n0.5\n\n1.5\n\n", "x", [0.5, 1.5]),
+    ("whitespace-only line", b"x\n0.5\n   \n1.5\n", "x", [0.5, 1.5]),
+    ("no data row", b"# m\nx\n# n\n", "x", "{f}: no data rows found"),
+]
+
+
+class TestReaderCases:
+    @pytest.mark.parametrize("data, column, want",
+                             [c[1:] for c in _READER_CASES],
+                             ids=[c[0] for c in _READER_CASES])
+    def test_values_or_parse_error(self, tmp_path, data, column, want):
+        f = tmp_path / "in.csv"
+        f.write_bytes(data)
+        if isinstance(want, str):
+            with pytest.raises(ParseError) as exc:
+                read_csv(f, column=column)
+            assert str(exc.value) == want.format(f=f)
+        else:
+            values = read_csv(f, column=column).values
+            assert values.dtype == np.float64 and values.flags.writeable
+            assert values.tobytes() == np.array(want).tobytes()
+
+
 class TestRoundTrips:
     def test_series_csv_bit_exact(self, tmp_path):
         values = np.array([0.1, -1.0 / 3.0, 1e-17, 123456.789012345678,
