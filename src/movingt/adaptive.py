@@ -130,6 +130,11 @@ class EmaState:
     m2: float
 
     def __post_init__(self):
+        # one chained comparison for the common valid case (NaN fails it);
+        # the loops below name the first bad field
+        if (-math.inf < self.mu < math.inf and 0.0 <= self.m_sigma < math.inf
+                and 0.0 <= self.m1 < math.inf and 0.0 <= self.m2 < math.inf):
+            return
         for name, v in (("mu", self.mu), ("m_sigma", self.m_sigma),
                         ("m1", self.m1), ("m2", self.m2)):
             if not math.isfinite(v):

@@ -43,6 +43,11 @@ class StudentTParams:
     nu: float
 
     def __post_init__(self):
+        # one chained comparison for the common valid case (NaN fails it);
+        # the checks below name the first bad field
+        if (-math.inf < self.mu < math.inf and 0.0 < self.sigma < math.inf
+                and 0.0 < self.nu < math.inf):
+            return
         for name, v in (("mu", self.mu), ("sigma", self.sigma), ("nu", self.nu)):
             if not math.isfinite(v):
                 raise DomainError(f"{name} must be finite, got {v!r}")

@@ -487,15 +487,25 @@ class TestDeterminismAndHelp:
         for name, (a, b) in outputs.items():
             assert a == b, f"{name} output changed between identical runs"
 
-    def test_import_loads_no_scipy(self):
+    @staticmethod
+    def _loaded_by_import(package):
+        """Modules of ``package`` that `import movingt.cli` loads, fresh."""
         import movingt
         src = os.path.dirname(os.path.dirname(os.path.abspath(movingt.__file__)))
         code = ("import sys, movingt.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        return out.strip()
+
+    def test_import_loads_no_scipy(self):
+        assert self._loaded_by_import("scipy") == "[]"
+
+    def test_import_loads_no_multiprocessing(self):
+        # the trajectory writer imports it only when it starts workers,
+        # so no command's start-up pays for it
+        assert self._loaded_by_import("multiprocessing") == "[]"
 
     def test_garch_and_sweep_load_no_scipy(self, synth_file, tmp_path):
         import movingt

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -288,6 +289,57 @@ def _per_row_trajectory_csv(path, traj, labels, manifest_lines):
                 traj.log_density[i])])
 
 
+def _per_row_series_csv(path, values, labels, manifest_lines):
+    # the series writer as it was before it formatted column chunks
+    import csv
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for line in manifest_lines:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        if labels is None:
+            writer.writerow(["x"])
+            writer.writerows([repr(float(v))] for v in values)
+        else:
+            writer.writerow(["date", "x"])
+            writer.writerows([d, repr(float(v))] for d, v in zip(labels, values))
+
+
+_AWKWARD_LABELS = ["a,b", 'say "x"', "two\nlines", "cr\rhere", " padded ",
+                   "'q'", ""]
+
+
+def _with_awkward_labels(n, first):
+    labels = [f"2001-01-{i % 28 + 1:02d}" for i in range(n)]
+    for i, awkward in enumerate(_AWKWARD_LABELS):
+        labels[first + 3 * i] = awkward
+    return labels
+
+
+@pytest.fixture(params=["serial", "parallel"])
+def writer_path(request, monkeypatch):
+    """Force the trajectory writer's serial or forked-worker path through
+    the CPU affinity it reads, and report which path each write took."""
+    import multiprocessing
+    from movingt import data_io
+    if request.param == "parallel":
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+    cpus = {0, 1} if request.param == "parallel" else {0}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    taken = []
+    choose = data_io._writer_processes
+
+    def spy(rows):
+        taken.append(choose(rows))
+        return taken[-1]
+    monkeypatch.setattr(data_io, "_writer_processes", spy)
+    yield request.param, taken
+    assert multiprocessing.active_children() == []
+
+
 class TestTrajectoryWriterBytes:
     @staticmethod
     def _trajectory(n, t0):
@@ -298,17 +350,43 @@ class TestTrajectoryWriterBytes:
         cols[:, 3] = -np.inf
         return ParamTrajectory(np.arange(t0, t0 + n, dtype=np.int64), *cols)
 
+    @staticmethod
+    def _long_enough():
+        # above the parallel threshold and not a whole number of chunks
+        from movingt import data_io
+        return data_io._PARALLEL_MIN_ROWS + 1234
+
     @pytest.mark.parametrize("labelled", [False, True])
-    def test_same_bytes_as_per_row_writer(self, tmp_path, labelled):
-        # long enough to cross a chunk boundary of the writer
-        traj = self._trajectory(20_000, 7)
-        labels = None
-        if labelled:
-            labels = [f"2001-01-{i % 28 + 1:02d}" for i in range(traj.t[-1] + 1)]
-            for i, awkward in enumerate(["a,b", 'say "x"', "two\nlines",
-                                         "cr\rhere", " padded ", "'q'", ""]):
-                labels[7 + 3 * i] = awkward
+    def test_same_bytes_as_per_row_writer(self, tmp_path, writer_path,
+                                          labelled):
+        path, taken = writer_path
+        traj = self._trajectory(self._long_enough(), 7)
+        labels = _with_awkward_labels(traj.t[-1] + 1, 7) if labelled else None
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         write_trajectory_csv(new, traj, labels, ["k = v"])
         _per_row_trajectory_csv(old, traj, labels, ["k = v"])
+        assert new.read_bytes() == old.read_bytes()
+        assert (taken[0] > 1) == (path == "parallel")
+
+    def test_short_labels_raise_on_either_path(self, tmp_path, writer_path):
+        # the labels end before the last step: a worker's IndexError
+        # reaches the caller as the serial path's own, and no worker is
+        # left running (the fixture checks after the call)
+        path, taken = writer_path
+        traj = self._trajectory(self._long_enough(), 7)
+        with pytest.raises(IndexError):
+            write_trajectory_csv(tmp_path / "t.csv", traj,
+                                 ["d"] * (len(traj) - 100))
+        assert (taken[0] > 1) == (path == "parallel")
+
+
+class TestSeriesWriterBytes:
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_same_bytes_as_per_row_writer(self, tmp_path, labelled):
+        # crosses a chunk boundary of the writer
+        values = TestTrajectoryWriterBytes._trajectory(20_000, 0).x
+        labels = _with_awkward_labels(values.size, 8190) if labelled else None
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_series_csv(new, values, labels, ["k = v"])
+        _per_row_series_csv(old, values, labels, ["k = v"])
         assert new.read_bytes() == old.read_bytes()
