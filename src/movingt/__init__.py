@@ -20,7 +20,7 @@ from .errors import (DegenerateDataError, DivergentMomentError, DomainError,
 from .evaluation import (SweepReport, TailTable, expected_tail_fraction,
                          mean_log_likelihood, nu_sweep,
                          sigma_power_error_sweep, tail_table)
-from .special_math import log_gamma, regularized_incomplete_beta
+from .special_math import regularized_incomplete_beta
 from .static_estimators import (MomentSummary, NuInversionTable,
                                 build_nu_table, compute_moments,
                                 estimate_nu_adjusted, estimate_nu_raw,
@@ -42,7 +42,7 @@ __all__ = [
     "SweepReport", "TailTable", "expected_tail_fraction",
     "mean_log_likelihood", "nu_sweep", "sigma_power_error_sweep",
     "tail_table",
-    "log_gamma", "regularized_incomplete_beta",
+    "regularized_incomplete_beta",
     "MomentSummary", "NuInversionTable", "build_nu_table",
     "compute_moments", "estimate_nu_adjusted", "estimate_nu_raw",
     "estimate_sigma",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
 from typing import Optional, Union
@@ -147,17 +147,17 @@ class EmaState:
 
 @dataclass(frozen=True)
 class ParamTrajectory:
-    """Per-step records (t, x, mu, sigma, nu, log_density)."""
+    """Per-step estimates: entry i of mu, sigma, nu and the out-of-sample
+    log_density is for point start + i of the folded series."""
 
-    t: np.ndarray
-    x: np.ndarray
+    start: int
     mu: np.ndarray
     sigma: np.ndarray
     nu: np.ndarray
     log_density: np.ndarray
 
     def __len__(self) -> int:
-        return int(self.t.size)
+        return int(self.mu.size)
 
 
 @lru_cache(maxsize=32)
@@ -336,15 +336,14 @@ def update(state: EmaState, xs, config: AdaptiveConfig):
 
     The same fold as a `step` loop over xs, which ends in the returned
     state; entry t of the trajectory is the estimate for xs[t], made
-    before xs[t] is ingested, and its t counts from 0.  Folding a
+    before xs[t] is ingested, and its start is 0.  Folding a
     series in pieces, each from the state the previous piece returned,
     gives the trajectory of one call.  Raises DomainError when a power
     of |x_t - mu_t| overflows float64 or the state leaves its domain.
     """
-    x = np.array(xs, dtype=np.float64)
+    x = np.asarray(xs, dtype=np.float64)
     n = int(x.size)
-    traj = ParamTrajectory(t=np.arange(n, dtype=np.int64), x=x,
-                           mu=np.empty(n), sigma=np.empty(n),
+    traj = ParamTrajectory(start=0, mu=np.empty(n), sigma=np.empty(n),
                            nu=np.empty(n), log_density=np.empty(n))
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
@@ -372,9 +371,9 @@ def run(xs, config: AdaptiveConfig,
 
     ``init`` is either an explicit EmaState (the fold starts at t=0) or
     a prefix length k: the state is seeded with the first k points'
-    statistics and the fold starts at t=k.  The trajectory holds every
-    folded step; which of them count is the scoring functions' warmup.
-    Raises SeriesTooShortError when no point is left to fold.
+    statistics and the fold starts at t=k, the trajectory's start.  It
+    holds every folded step; which of them count is the scoring
+    functions' warmup.  Raises SeriesTooShortError when nothing is left.
     """
     values = np.ascontiguousarray(getattr(xs, "values", xs), dtype=np.float64)
     n = int(values.size)
@@ -386,5 +385,4 @@ def run(xs, config: AdaptiveConfig,
     state = (init if explicit
              else seed_state_from_prefix(values, t_start, config))
     _, traj = update(state, values[t_start:], config)
-    traj.t[:] += t_start  # update counts t from 0 within what it folds
-    return traj
+    return replace(traj, start=t_start)

@@ -51,8 +51,11 @@ def _nu_value(text: str) -> float:
 
 
 def _digest_file(path) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _digest_text(text: str) -> str:
@@ -188,7 +191,7 @@ def _cmd_fit_adaptive(args) -> int:
         **_flag_values(args, _ESTIMATOR_KEYS + _ADAPTIVE_KEYS),
         "warmup": args.warmup, "init_prefix": args.init_prefix})
     manifest.append(f"mean_log_likelihood = {score!r}")
-    write_trajectory_csv(args.output, traj, series.labels, manifest)
+    write_trajectory_csv(args.output, traj, series, manifest)
     print(f"mean_log_likelihood = {score!r}")
     return 0
 

@@ -363,29 +363,34 @@ def write_series_csv(path, values, labels=None, manifest_lines=()):
             fh.writelines(chunk(lo))
 
 
-def write_trajectory_csv(path, traj, labels=None, manifest_lines=()):
+def write_trajectory_csv(path, traj, series, manifest_lines=()):
     """Columns: t, date, x, mu, sigma, nu, log_density.
 
-    Same bytes as writing each row through `_emit`, formatted in chunks
-    of rows.  From `_PARALLEL_MIN_ROWS` rows, on a host with two or more
-    usable CPUs and the fork start method, forked workers format the
-    chunks and this process writes them in order; the chunk strings
-    are the same either way, so the bytes cannot depend on the path.
+    Row i is point t = traj.start + i of the ReturnSeries ``series``,
+    which supplies x and the date, and its estimate; DomainError, before
+    the file is opened, when the trajectory runs past the series.  Same
+    bytes as writing each row through `_emit`, whether `_write_chunks`
+    formats the row chunks in this process or in forked workers.
     """
+    start, n, labels = traj.start, len(traj), series.labels
+    if not 0 <= start <= len(series) - n:
+        raise DomainError(f"a trajectory of {n} points from t={start} "
+                          f"runs past a series of {len(series)}")
+
     def chunk(lo):
-        hi = lo + _CHUNK
-        ts = traj.t[lo:hi].tolist()
-        dates = ([_csv_cell(labels[t]) for t in ts] if labels is not None
-                 else [""] * len(ts))
+        hi = min(lo + _CHUNK, n)
+        a, b = start + lo, start + hi
+        dates = ([_csv_cell(label) for label in labels[a:b]]
+                 if labels is not None else [""] * (hi - lo))
         return _format_rows(
-            [map(str, ts), dates],
-            [a[lo:hi] for a in (traj.x, traj.mu, traj.sigma, traj.nu,
-                                traj.log_density)])
+            [map(str, range(a, b)), dates],
+            [series.values[a:b]] + [c[lo:hi] for c in (
+                traj.mu, traj.sigma, traj.nu, traj.log_density)])
 
     with _open_out(path) as fh:
         _emit(fh, manifest_lines,
               ["t", "date", "x", "mu", "sigma", "nu", "log_density"], ())
-        _write_chunks(fh, chunk, len(traj))
+        _write_chunks(fh, chunk, n)
 
 
 def write_sweep_csv(path, report, manifest_lines=()):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentMomentError, DomainError
-from .special_math import log_gamma, regularized_incomplete_beta
+from .special_math import regularized_incomplete_beta
 
 __all__ = [
     "NU_GAUSSIAN",
@@ -65,7 +65,7 @@ def log_pdf(params: StudentTParams, x):
             out = -_HALF_LOG_2PI - math.log(params.sigma) - 0.5 * z * z
         else:
             nu = params.nu
-            const = (log_gamma(0.5 * (nu + 1.0)) - log_gamma(0.5 * nu)
+            const = (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
                      - 0.5 * math.log(nu * math.pi) - math.log(params.sigma))
             out = const - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
     return out if out.ndim else float(out)

@@ -56,6 +56,14 @@ def _values_of(xs) -> np.ndarray:
     return np.asarray(getattr(xs, "values", xs), dtype=np.float64)
 
 
+def _aligned_values(traj: ParamTrajectory, values: np.ndarray) -> np.ndarray:
+    """The points of ``values`` that ``traj`` estimates, one per entry."""
+    if len(traj) == 0 or not 0 <= traj.start <= values.size - len(traj):
+        raise DomainError(
+            "trajectory does not align with the series (length mismatch)")
+    return values[traj.start:traj.start + len(traj)]
+
+
 def mean_log_likelihood(subject: Union[ParamTrajectory, StudentTParams],
                         xs, warmup: int) -> float:
     """Mean of ln rho_{theta_t}(x_t) over t >= warmup.
@@ -67,10 +75,8 @@ def mean_log_likelihood(subject: Union[ParamTrajectory, StudentTParams],
     values = _values_of(xs)
     check_warmup(warmup, values.size)
     if isinstance(subject, ParamTrajectory):
-        if len(subject) == 0 or int(subject.t[-1]) >= values.size:
-            raise DomainError(
-                "trajectory does not align with the series (length mismatch)")
-        scored = subject.log_density[subject.t >= warmup]
+        _aligned_values(subject, values)
+        scored = subject.log_density[max(warmup - subject.start, 0):]
     elif isinstance(subject, StudentTParams):
         scored = log_pdf(subject, values[warmup:])
     else:
@@ -183,10 +189,7 @@ def tail_table(xs, normalization, nu_labels: Sequence[float],
 
     if isinstance(normalization, ParamTrajectory):
         traj = normalization
-        if len(traj) == 0 or int(traj.t[-1]) >= values.size:
-            raise DomainError(
-                "trajectory does not align with the series (length mismatch)")
-        z = np.abs(traj.x - traj.mu) / traj.sigma
+        z = np.abs(_aligned_values(traj, values) - traj.mu) / traj.sigma
         kind = "adaptive"
     else:
         mu_hat, sigma_hat = (float(v) for v in normalization)

@@ -121,8 +121,9 @@ def test_criterion_5_adaptive_tracking():
     series = generate_synthetic([Segment(5000, 0.0, 1.0, 5.0),
                                  Segment(1000, 0.0, 3.0, 5.0)], seed=7)
     traj = run(series, AdaptiveConfig(nu_fixed=5.0), init=300)
-    pre = float(traj.sigma[(traj.t >= 4000) & (traj.t <= 5000)].mean())
-    post = float(traj.sigma[(traj.t >= 5200) & (traj.t <= 5400)].mean())
+    t = traj.start + np.arange(len(traj))
+    pre = float(traj.sigma[(t >= 4000) & (t <= 5000)].mean())
+    post = float(traj.sigma[(t >= 5200) & (t <= 5400)].mean())
     elapsed = time.perf_counter() - t0
     ok = 0.9 <= pre <= 1.1 and 2.6 <= post <= 3.3 and elapsed < 1.0
     _report(5, ok, f"mean sigma [4000,5000]={pre:.3f} (in [0.9,1.1]), "

@@ -138,15 +138,14 @@ class TestRun:
         xs = generate_synthetic([Segment(1000, 0, 1, 5)], seed=1)
         cfg = AdaptiveConfig()
         traj = run(xs, cfg, init=200)
-        assert traj.t[0] == 200 and traj.t[-1] == 999
-        assert len(traj) == 800
+        assert traj.start == 200 and len(traj) == 800
 
     def test_explicit_init_starts_at_zero(self):
         xs = generate_synthetic([Segment(500, 0, 1, 5)], seed=1)
         cfg = AdaptiveConfig()
         state = seed_state_from_prefix(xs.values, 100, cfg)
         traj = run(xs, cfg, init=state)
-        assert traj.t[0] == 0 and len(traj) == 500
+        assert traj.start == 0 and len(traj) == 500
 
     def test_determinism(self):
         xs = generate_synthetic([Segment(2000, 0, 1, 5)], seed=2)
@@ -193,7 +192,7 @@ class TestRun:
         for i in (0, 100, 399):
             params = StudentTParams(traj.mu[i], traj.sigma[i], traj.nu[i])
             assert traj.log_density[i] == pytest.approx(
-                log_pdf(params, traj.x[i]), rel=1e-12)
+                log_pdf(params, xs.values[traj.start + i]), rel=1e-12)
 
     def test_nu_stays_in_clamp_range(self):
         xs = generate_synthetic(
@@ -212,8 +211,9 @@ class TestRun:
         xs = generate_synthetic(
             [Segment(5000, 0, 1, 5), Segment(1000, 0, 3, 5)], seed=7)
         traj = run(xs, AdaptiveConfig(nu_fixed=5.0), init=300)
-        pre = traj.sigma[(traj.t >= 4000) & (traj.t <= 5000)].mean()
-        post = traj.sigma[(traj.t >= 5200) & (traj.t <= 5400)].mean()
+        t = traj.start + np.arange(len(traj))
+        pre = traj.sigma[(t >= 4000) & (t <= 5000)].mean()
+        post = traj.sigma[(t >= 5200) & (t <= 5400)].mean()
         assert 0.9 <= pre <= 1.1
         assert 2.6 <= post <= 3.3
 
@@ -410,7 +410,7 @@ class TestCausalityProperty:
         xs, perturbed, t, init = case
         base = run(xs, cfg, init=init)
         other = run(perturbed, cfg, init=init)
-        i = t - int(base.t[0])
+        i = t - base.start
         # theta_s for s <= t uses x_<s only, and so does ln rho_s(x_s), s < t
         for name in ("mu", "sigma", "nu"):
             assert (getattr(other, name)[:i + 1].tobytes()
@@ -467,7 +467,7 @@ class TestUpdateProperty:
         end, pieces = state, []
         for lo, hi in zip(bounds, bounds[1:]):
             end, piece = update(end, folded[lo:hi], cfg)
-            assert piece.t.tolist() == list(range(hi - lo))
+            assert piece.start == 0 and len(piece) == hi - lo
             pieces.append(piece)
         whole = run(xs, cfg, init=init)
         for name, rtol in (("mu", 1e-12), ("sigma", 1e-9), ("nu", 1e-9),
@@ -534,10 +534,20 @@ class TestTranslationEquivarianceProperty:
         assert np.allclose(shifted.nu, base.nu, rtol=1e-9, atol=0.0)
 
 
+def _array_bytes(traj):
+    """Bytes held by the array fields of a trajectory."""
+    return sum(v.nbytes for v in (getattr(traj, f.name) for f in fields(traj))
+               if isinstance(v, np.ndarray))
+
+
 class TestFoldMemory:
     @staticmethod
     def _transient_peak(n):
-        """Peak bytes `run` allocates over n points, beyond its output."""
+        """Peak bytes `run` allocates over n points, beyond its output.
+
+        A copy of the input would be 8 bytes a point of it, so this
+        also grows if the fold copies what it folds.
+        """
         xs = generate_synthetic([Segment(n, 0, 1, 4)], seed=40).values
         tracemalloc.start()
         try:
@@ -545,7 +555,15 @@ class TestFoldMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak - sum(getattr(traj, f.name).nbytes for f in fields(traj))
+        return peak - _array_bytes(traj)
 
     def test_transient_does_not_grow_with_the_series(self):
         assert self._transient_peak(200_000) < 1.5 * self._transient_peak(50_000)
+
+    def test_output_holds_only_the_estimates(self):
+        # mu, sigma, nu and log_density: four float64 values a point; the
+        # points and their indices stay with the series
+        xs = generate_synthetic([Segment(5000, 0, 1, 4)], seed=41).values
+        traj = run(xs, AdaptiveConfig(), init=300)
+        assert len(traj) == 4700
+        assert _array_bytes(traj) == 32 * len(traj)

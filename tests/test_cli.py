@@ -102,6 +102,19 @@ class TestReturnsCommand:
         assert "column index must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_input_sha256_is_of_the_raw_bytes(self, tmp_path):
+        # a byte-order mark, and more than one 1 MiB block of hashing
+        src = tmp_path / "big.csv"
+        filler = "# " + "z" * 1000 + "\n"
+        src.write_bytes(b"\xef\xbb\xbf" + (
+            "x\n" + filler * 1100 + "0.25\n-0.5\n").encode())
+        assert src.stat().st_size > 1 << 20
+        out = tmp_path / "out.csv"
+        assert _run("returns", "--input", str(src), "--returns",
+                    "--output", str(out)) == 0
+        assert f"# input_sha256 = {_sha(src)}\n" in out.read_text()
+        assert [float(r[0]) for r in _data_rows(out)[1:]] == [0.25, -0.5]
+
     def test_manifest_embedded(self, tmp_path):
         src = tmp_path / "r.csv"
         src.write_text("x\n0.1\n")

@@ -214,7 +214,7 @@ class TestRoundTrips:
         xs = generate_synthetic([Segment(500, 0, 1, 5)], seed=60)
         traj = run(xs, AdaptiveConfig(), init=300)
         f = tmp_path / "traj.csv"
-        write_trajectory_csv(f, traj, None, ["k = v"])
+        write_trajectory_csv(f, traj, xs, ["k = v"])
         import csv
         with open(f, newline="") as fh:
             rows = [r for r in csv.reader(fh)
@@ -222,7 +222,7 @@ class TestRoundTrips:
         header, data = rows[0], rows[1:]
         assert header == ["t", "date", "x", "mu", "sigma", "nu", "log_density"]
         got = np.array([[float(r[i]) for i in (2, 3, 4, 5, 6)] for r in data])
-        assert np.array_equal(got[:, 0], traj.x)
+        assert np.array_equal(got[:, 0], xs.values[300:])
         assert np.array_equal(got[:, 1], traj.mu)
         assert np.array_equal(got[:, 2], traj.sigma)
         assert np.array_equal(got[:, 3], traj.nu)
@@ -269,7 +269,7 @@ class TestGenerateSynthetic:
                            GarchParams(1e-6, 0.08, 0.90, 1e-6))
 
 
-def _per_row_trajectory_csv(path, traj, labels, manifest_lines):
+def _per_row_trajectory_csv(path, traj, series, manifest_lines):
     # the writer as it was before it formatted column chunks: one
     # csv.writer row per step, floats through repr
     import csv
@@ -282,11 +282,11 @@ def _per_row_trajectory_csv(path, traj, labels, manifest_lines):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "date", "x", "mu", "sigma", "nu", "log_density"])
         for i in range(len(traj)):
-            t = int(traj.t[i])
-            date = labels[t] if labels is not None else ""
+            t = traj.start + i
+            date = series.labels[t] if series.labels is not None else ""
             writer.writerow([fmt(v) for v in (
-                t, date, traj.x[i], traj.mu[i], traj.sigma[i], traj.nu[i],
-                traj.log_density[i])])
+                t, date, series.values[t], traj.mu[i], traj.sigma[i],
+                traj.nu[i], traj.log_density[i])])
 
 
 def _per_row_series_csv(path, values, labels, manifest_lines):
@@ -340,15 +340,28 @@ def writer_path(request, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _awkward_floats(n):
+    """Five rows of floats over the whole exponent range, each led by
+    0.0, -0.0, 1e-320 and -inf."""
+    rng = np.random.default_rng(61)
+    cols = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-300, 300, (5, n))
+    cols[:, :3] = [0.0, -0.0, 1e-320]
+    cols[:, 3] = -np.inf
+    return cols
+
+
 class TestTrajectoryWriterBytes:
     @staticmethod
-    def _trajectory(n, t0):
+    def _trajectory(n, t0, labelled=False):
+        """(trajectory, series): entry i estimates point t0 + i of a
+        series that ends with the trajectory's last point."""
         from movingt.adaptive import ParamTrajectory
-        rng = np.random.default_rng(61)
-        cols = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-300, 300, (5, n))
-        cols[:, :3] = [0.0, -0.0, 1e-320]
-        cols[:, 3] = -np.inf
-        return ParamTrajectory(np.arange(t0, t0 + n, dtype=np.int64), *cols)
+        x, *estimates = _awkward_floats(n)
+        x[3] = 1.0  # a series holds finite points only
+        values = np.concatenate([np.ones(t0), x])
+        labels = _with_awkward_labels(t0 + n, t0) if labelled else None
+        return (ParamTrajectory(t0, *estimates),
+                ReturnSeries(values, labels))
 
     @staticmethod
     def _long_enough():
@@ -360,33 +373,65 @@ class TestTrajectoryWriterBytes:
     def test_same_bytes_as_per_row_writer(self, tmp_path, writer_path,
                                           labelled):
         path, taken = writer_path
-        traj = self._trajectory(self._long_enough(), 7)
-        labels = _with_awkward_labels(traj.t[-1] + 1, 7) if labelled else None
+        traj, series = self._trajectory(self._long_enough(), 7, labelled)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-        write_trajectory_csv(new, traj, labels, ["k = v"])
-        _per_row_trajectory_csv(old, traj, labels, ["k = v"])
+        write_trajectory_csv(new, traj, series, ["k = v"])
+        _per_row_trajectory_csv(old, traj, series, ["k = v"])
         assert new.read_bytes() == old.read_bytes()
         assert (taken[0] > 1) == (path == "parallel")
 
     def test_short_labels_raise_on_either_path(self, tmp_path, writer_path):
-        # the labels end before the last step: a worker's IndexError
-        # reaches the caller as the serial path's own, and no worker is
-        # left running (the fixture checks after the call)
-        path, taken = writer_path
-        traj = self._trajectory(self._long_enough(), 7)
-        with pytest.raises(IndexError):
-            write_trajectory_csv(tmp_path / "t.csv", traj,
-                                 ["d"] * (len(traj) - 100))
-        assert (taken[0] > 1) == (path == "parallel")
+        # the series ends before the last step: the writer refuses
+        # before it opens the file or chooses a path, so nothing is
+        # written and no worker starts (the fixture checks after the call)
+        _, taken = writer_path
+        for labelled in (False, True):
+            traj, series = self._trajectory(self._long_enough(), 7, labelled)
+            short = ReturnSeries(series.values[:-100],
+                                 None if series.labels is None
+                                 else series.labels[:-100])
+            out = tmp_path / "t.csv"
+            with pytest.raises(DomainError):
+                write_trajectory_csv(out, traj, short)
+            assert not out.exists()
+        assert taken == []
 
 
 class TestSeriesWriterBytes:
     @pytest.mark.parametrize("labelled", [False, True])
     def test_same_bytes_as_per_row_writer(self, tmp_path, labelled):
         # crosses a chunk boundary of the writer
-        values = TestTrajectoryWriterBytes._trajectory(20_000, 0).x
+        values = _awkward_floats(20_000)[0]
         labels = _with_awkward_labels(values.size, 8190) if labelled else None
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         write_series_csv(new, values, labels, ["k = v"])
         _per_row_series_csv(old, values, labels, ["k = v"])
         assert new.read_bytes() == old.read_bytes()
+
+
+class TestRowCountsOfTracedCalls:
+    """perfbench/child.py counts the rows of a traced call as
+    ``len(args[1])`` for both writers and ``len(result)`` for
+    `adaptive.run`; these pin the argument order and the lengths."""
+
+    @staticmethod
+    def _data_lines(path):
+        lines = [line for line in path.read_text().splitlines()
+                 if not line.startswith("#")]
+        return lines[1:]  # below the header
+
+    def test_second_positional_argument_has_one_entry_per_row(self, tmp_path):
+        import inspect
+        from movingt.adaptive import AdaptiveConfig, run
+        for writer, first_two in ((write_trajectory_csv, ["path", "traj"]),
+                                  (write_series_csv, ["path", "values"])):
+            params = list(inspect.signature(writer).parameters)
+            assert params[:2] == first_two, writer.__name__
+        xs = generate_synthetic([Segment(700, 0, 1, 5)], seed=62)
+        traj = run(xs, AdaptiveConfig(), init=300)
+        assert len(traj) == 400  # the folded points, after the prefix
+        calls = ((write_trajectory_csv, tmp_path / "t.csv", traj, xs),
+                 (write_series_csv, tmp_path / "s.csv", xs.values, None))
+        for writer, *args in calls:
+            writer(*args, ["k = v"])
+            assert len(self._data_lines(args[0])) == len(args[1])

@@ -17,6 +17,13 @@ from movingt.evaluation import (expected_tail_fraction, format_nu_label,
 from quadrature import integrate_adaptive
 
 
+def _flat_trajectory(start, n):
+    """A trajectory whose log-density at point t is t."""
+    return ParamTrajectory(
+        start=start, mu=np.zeros(n), sigma=np.ones(n), nu=np.full(n, 5.0),
+        log_density=np.arange(start, start + n, dtype=np.float64))
+
+
 class TestMeanLogLikelihood:
     def test_single_point_cauchy(self):
         params = StudentTParams(0.5, 1.0, 1.0)
@@ -35,7 +42,7 @@ class TestMeanLogLikelihood:
         params = StudentTParams(0.1, 0.9, 4.0)
         from movingt.distribution import log_pdf
         traj = ParamTrajectory(
-            t=np.arange(500), x=xs,
+            start=0,
             mu=np.full(500, params.mu), sigma=np.full(500, params.sigma),
             nu=np.full(500, params.nu),
             log_density=np.asarray(log_pdf(params, xs)))
@@ -52,11 +59,23 @@ class TestMeanLogLikelihood:
 
     def test_length_mismatch(self):
         xs = np.zeros(10)
-        traj = ParamTrajectory(
-            t=np.arange(20), x=np.zeros(20), mu=np.zeros(20),
-            sigma=np.ones(20), nu=np.full(20, 5.0), log_density=np.zeros(20))
+        traj = _flat_trajectory(0, 20)
         with pytest.raises(DomainError):
             mean_log_likelihood(traj, xs, 0)
+
+    @pytest.mark.parametrize("start, n, size", [(5, 10, 14), (1, 0, 5),
+                                                (-1, 3, 5)])
+    def test_offset_trajectory_must_fit_the_series(self, start, n, size):
+        with pytest.raises(DomainError):
+            mean_log_likelihood(_flat_trajectory(start, n), np.zeros(size), 0)
+
+    @pytest.mark.parametrize("warmup", [0, 3, 5, 9, 14])
+    def test_offset_trajectory_scores_from_the_warmup(self, warmup):
+        # entry i estimates point 5 + i; points before the warmup, and
+        # the unfolded prefix, are not scored
+        traj = _flat_trajectory(5, 10)
+        got = mean_log_likelihood(traj, np.zeros(15), warmup)
+        assert got == float(np.mean(np.arange(max(warmup, 5), 15)))
 
     def test_nothing_to_score(self):
         params = StudentTParams(0.0, 1.0, 2.0)
@@ -211,6 +230,30 @@ class TestTailTable:
         table = tail_table(xs, traj, [5.0])
         assert table.normalization == "adaptive"
         assert table.n_effective == 2000
+
+    def test_offset_trajectory_normalizes_its_own_points(self):
+        # entry i normalizes point 2 + i; the unfolded prefix is not counted
+        xs = np.array([100.0, -100.0, 0.5, -1.5, 2.5, -3.5])
+        traj = ParamTrajectory(start=2, mu=np.zeros(4), sigma=np.ones(4),
+                               nu=np.full(4, 5.0), log_density=np.zeros(4))
+        table = tail_table(xs, traj, [5.0], k_values=[1, 2, 3, 100])
+        assert table.n_effective == 4
+        assert table.observed == (3, 2, 1, 0)
+
+    def test_offset_trajectory_from_run(self):
+        xs = generate_synthetic([Segment(2000, 0, 1, 5)], seed=42).values
+        traj = run(xs, AdaptiveConfig(nu_fixed=5.0), init=300)
+        z = np.abs(xs[300:] - traj.mu) / traj.sigma
+        table = tail_table(xs, traj, [5.0], k_values=[1, 2, 3])
+        assert table.n_effective == 1700
+        assert table.observed == tuple(int(np.count_nonzero(z > k))
+                                       for k in (1, 2, 3))
+
+    @pytest.mark.parametrize("start, n, size", [(0, 7, 6), (3, 4, 6),
+                                                (1, 0, 6), (-1, 3, 6)])
+    def test_misaligned_trajectory(self, start, n, size):
+        with pytest.raises(DomainError):
+            tail_table(np.zeros(size), _flat_trajectory(start, n), [5.0])
 
     def test_empty_series(self):
         with pytest.raises(SeriesTooShortError):
