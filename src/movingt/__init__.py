@@ -13,13 +13,12 @@ from .baselines import (GarchFit, GarchParams, fit_garch_mle, fit_sigma_mle,
 from .data_io import (PriceSeries, ReturnSeries, Segment, generate_synthetic,
                       read_csv, to_log_returns)
 from .distribution import (NU_GAUSSIAN, StudentTParams, abs_central_moment,
-                           cdf, log_pdf, pdf, sample)
+                           cdf, log_pdf)
 from .errors import (DegenerateDataError, DivergentMomentError, DomainError,
                      MonotonicityError, MovingTError, NonConvergenceError,
                      ParseError, SeriesTooShortError)
 from .evaluation import (SweepReport, TailTable, expected_tail_fraction,
-                         mean_log_likelihood, nu_sweep,
-                         sigma_power_error_sweep, tail_table)
+                         mean_log_likelihood, nu_sweep, tail_table)
 from .special_math import regularized_incomplete_beta
 from .static_estimators import (MomentSummary, NuInversionTable,
                                 build_nu_table, compute_moments,
@@ -35,13 +34,12 @@ __all__ = [
     "PriceSeries", "ReturnSeries", "Segment",
     "generate_synthetic", "read_csv", "to_log_returns",
     "NU_GAUSSIAN", "StudentTParams", "abs_central_moment", "cdf",
-    "log_pdf", "pdf", "sample",
+    "log_pdf",
     "DegenerateDataError", "DivergentMomentError", "DomainError",
     "MonotonicityError", "MovingTError", "NonConvergenceError",
     "ParseError", "SeriesTooShortError",
     "SweepReport", "TailTable", "expected_tail_fraction",
-    "mean_log_likelihood", "nu_sweep", "sigma_power_error_sweep",
-    "tail_table",
+    "mean_log_likelihood", "nu_sweep", "tail_table",
     "regularized_incomplete_beta",
     "MomentSummary", "NuInversionTable", "build_nu_table",
     "compute_moments", "estimate_nu_adjusted", "estimate_nu_raw",

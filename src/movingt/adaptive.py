@@ -49,6 +49,7 @@ __all__ = [
     "step",
     "update",
     "run",
+    "run_pieces",
     "seed_state_from_prefix",
     "moment_paths",
     "sigma_and_log_density",
@@ -376,13 +377,40 @@ def run(xs, config: AdaptiveConfig,
     functions' warmup.  Raises SeriesTooShortError when nothing is left.
     """
     values = np.ascontiguousarray(getattr(xs, "values", xs), dtype=np.float64)
-    n = int(values.size)
-    explicit = isinstance(init, EmaState)
-    t_start = 0 if explicit else int(init)
-    if n <= t_start:
+    if not isinstance(init, EmaState):
+        (_, traj), = run_pieces([values], config, int(init))
+        return traj
+    if values.size == 0:
         raise SeriesTooShortError(
-            f"series of {n} points leaves nothing to fold from t={t_start}")
-    state = (init if explicit
-             else seed_state_from_prefix(values, t_start, config))
-    _, traj = update(state, values[t_start:], config)
-    return replace(traj, start=t_start)
+            "series of 0 points leaves nothing to fold from t=0")
+    return update(init, values, config)[1]
+
+
+def run_pieces(pieces, config: AdaptiveConfig, init: int):
+    """`run` with a prefix length, over a series that arrives in pieces.
+
+    ``pieces`` are consecutive float arrays, or ReturnSeries, of any
+    lengths.  The first ``init`` points, which may span pieces, seed the
+    state; then each piece is folded from the state the previous one
+    ended in.  Yields (points, trajectory) per folded piece: the piece
+    past the prefix, and its estimates, whose start is the series index
+    of its first point.  The trajectories joined are `run`'s, bit for
+    bit.  Raises SeriesTooShortError, after the last piece, when nothing
+    is left to fold.
+    """
+    head, seen, state = [], 0, None
+    for piece in pieces:
+        if state is None:
+            seen += len(piece)
+            split = len(piece) - max(seen - init, 0)  # points in the prefix
+            head.append(getattr(piece, "values", piece)[:split])
+            if seen <= init:
+                continue
+            state = seed_state_from_prefix(np.concatenate(head), init, config)
+            piece, t, head = piece[split:], init, None
+        state, traj = update(state, getattr(piece, "values", piece), config)
+        yield piece, replace(traj, start=t)
+        t += len(piece)
+    if state is None:
+        raise SeriesTooShortError(
+            f"series of {seen} points leaves nothing to fold from t={init}")

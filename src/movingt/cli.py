@@ -14,23 +14,26 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .adaptive import AdaptiveConfig, run, seed_state_from_prefix
+from .adaptive import (AdaptiveConfig, run, run_pieces,
+                       seed_state_from_prefix)
 from .baselines import (GarchParams, check_warmup, fit_garch_mle,
                         garch_filter, simulate_garch)
-from .data_io import (ReturnSeries, Segment, _fmt, generate_synthetic,
-                      read_csv, to_log_returns, write_row_csv,
-                      write_series_csv, write_sweep_csv, write_tail_csv,
-                      write_trajectory_csv)
+from .data_io import (ReturnSeries, Segment, TrajectoryWriter, _fmt,
+                      generate_synthetic, read_csv, read_returns,
+                      to_log_returns, write_row_csv, write_series_csv,
+                      write_sweep_csv, write_tail_csv)
 from .distribution import NU_GAUSSIAN, StudentTParams
 from .errors import (DegenerateDataError, DomainError, MonotonicityError,
                      MovingTError, NonConvergenceError, ParseError,
                      SeriesTooShortError)
-from .evaluation import mean_log_likelihood, nu_of_inv, nu_sweep, tail_table
+from .evaluation import (ExactSum, mean_log_likelihood, nu_of_inv, nu_sweep,
+                         tail_table)
 from .static_estimators import (build_nu_table, compute_moments,
                                 estimate_nu_adjusted, estimate_nu_raw,
                                 estimate_sigma)
@@ -183,15 +186,26 @@ def _cmd_returns(args) -> int:
 
 
 def _cmd_fit_adaptive(args) -> int:
-    series = _read_series(args)
-    check_warmup(args.warmup, len(series))
-    traj = run(series, _adaptive_config(args), init=args.init_prefix)
-    score = mean_log_likelihood(traj, series, args.warmup)
-    manifest = _input_manifest(args, {
-        **_flag_values(args, _ESTIMATOR_KEYS + _ADAPTIVE_KEYS),
-        "warmup": args.warmup, "init_prefix": args.init_prefix})
-    manifest.append(f"mean_log_likelihood = {score!r}")
-    write_trajectory_csv(args.output, traj, series, manifest)
+    """One pass over the input in chunks: read, fold, score and format
+    the rows; the manifest, which holds the score, is written last."""
+    cfg = _adaptive_config(args)
+    check_warmup(args.warmup, math.inf)  # its sign; n is known at the end
+    pieces = read_returns(args.input, column=args.column,
+                          date_column=args.date_column,
+                          kind="prices" if args.prices else "returns")
+    total, n = ExactSum(), 0
+    with TrajectoryWriter(args.output) as out:
+        for points, traj in run_pieces(pieces, cfg, args.init_prefix):
+            total.add(traj.log_density[max(args.warmup - traj.start, 0):])
+            out.write(traj, points.values, points.labels)
+            n = traj.start + len(traj)
+        check_warmup(args.warmup, n)
+        score = total.mean()
+        manifest = _input_manifest(args, {
+            **_flag_values(args, _ESTIMATOR_KEYS + _ADAPTIVE_KEYS),
+            "warmup": args.warmup, "init_prefix": args.init_prefix})
+        manifest.append(f"mean_log_likelihood = {score!r}")
+        out.commit(manifest)
     print(f"mean_log_likelihood = {score!r}")
     return 0
 

@@ -3,18 +3,21 @@
 CSV dialect: comma separated, UTF-8 (a leading byte-order mark is
 skipped), optional single header line, lines starting with '#' skipped
 (reports embed their run manifest that way, so outputs can be
-re-ingested).  The reader collects the value column in a float64
-`array`, 8 bytes a value where a list of Python floats takes 32.  The
-writers emit LF and format floats with repr, which round-trips
-bit-exactly through float().
+re-ingested).  The writers emit LF and format floats with repr, which
+round-trips bit-exactly through float().
 
-The series and trajectory writers format 8192-row chunks with one
-function.  Shortest round-trip repr is most of a large write, so from
-`_PARALLEL_MIN_ROWS` rows, when the process may run on two or more CPUs
-and can fork, the trajectory writer hands its chunks to forked workers
-and writes their strings in order.  A chunk's string depends only on
-its rows, so the bytes do not depend on which path ran or on how many
-workers there were.
+Everything moves in chunks of `_CHUNK` (8192) rows.  One row parser
+yields the value column in float64 chunks (with the date cells when
+asked): `read_csv` joins them into one series, and `read_returns`
+hands them on as return pieces, so a caller can fold and write a
+series without holding it.  The series and trajectory writers format
+chunks with one function.  Shortest round-trip repr is most of a large
+write, so once `_PARALLEL_MIN_ROWS` rows are written, when the process
+may run on two or more CPUs and can fork, a `TrajectoryWriter` sends
+each later chunk's arrays to a pool of worker processes and writes
+their strings in order.  A chunk's string depends only on its rows, so
+the bytes do not depend on which path ran, on how many workers there
+were, or on the chunk size.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ import csv
 import io
 import math
 import os
+import shutil
+import tempfile
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -41,9 +45,11 @@ __all__ = [
     "Segment",
     "to_log_returns",
     "read_csv",
+    "read_returns",
     "generate_synthetic",
     "write_series_csv",
     "write_trajectory_csv",
+    "TrajectoryWriter",
     "write_sweep_csv",
     "write_tail_csv",
     "write_row_csv",
@@ -61,12 +67,8 @@ class PriceSeries:
         object.__setattr__(self, "values",
                            np.asarray(self.values, dtype=np.float64))
         if self.values.size < 2:
-            raise SeriesTooShortError(
-                f"a price series needs at least 2 points, got {self.values.size}")
-        bad = np.flatnonzero(~(self.values > 0.0))
-        if bad.size:
-            raise DegenerateDataError(
-                f"nonpositive price {self.values[bad[0]]!r} at index {bad[0]}")
+            raise _too_few_prices(self.values.size)
+        _check_prices(self.values)
         if self.labels is not None and len(self.labels) != self.values.size:
             raise DomainError("labels and values must have equal length")
 
@@ -91,6 +93,27 @@ class ReturnSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+    def __getitem__(self, index: slice) -> "ReturnSeries":
+        """The points of a slice, with their labels."""
+        if not isinstance(index, slice):
+            raise TypeError("a ReturnSeries takes slices, not indices")
+        return ReturnSeries(self.values[index], None if self.labels is None
+                            else self.labels[index])
+
+
+def _too_few_prices(n):
+    return SeriesTooShortError(
+        f"a price series needs at least 2 points, got {n}")
+
+
+def _check_prices(values, offset=0):
+    """DegenerateDataError naming the first price that is not > 0, as
+    point offset + i of the series."""
+    bad = np.flatnonzero(~(values > 0.0))
+    if bad.size:
+        raise DegenerateDataError(
+            f"nonpositive price {values[bad[0]]!r} at index {offset + bad[0]}")
 
 
 def to_log_returns(prices: PriceSeries) -> ReturnSeries:
@@ -118,18 +141,70 @@ def read_csv(path, column: Union[int, str] = "x",
 
     ``column``/``date_column`` may be header names or 0-based indices.
     NaN, infinite and empty cells are rejected with their line number.
-    Returns a PriceSeries or ReturnSeries according to ``kind``.
+    Returns a PriceSeries or ReturnSeries according to ``kind``: the
+    chunks of `_read_chunks`, joined.
     """
+    _check_kind(kind)
+    values = array("d")
+    labels: List[str] = []
+    for chunk, chunk_labels in _read_chunks(path, column, date_column):
+        values.frombytes(chunk.tobytes())
+        if chunk_labels is not None:
+            labels += chunk_labels
+    arr = np.frombuffer(values, dtype=np.float64)
+    label_list = labels if date_column is not None else None
+    if kind == "prices":
+        return PriceSeries(arr, label_list)
+    return ReturnSeries(arr, label_list)
+
+
+def read_returns(path, column: Union[int, str] = "x",
+                 date_column: Union[int, str, None] = None,
+                 kind: str = "returns"):
+    """The ReturnSeries of `read_csv` (then `to_log_returns` for prices)
+    in consecutive pieces of at most `_CHUNK` points, read as they are
+    needed.
+
+    A price column's last price carries into the next piece, so each
+    return is the one the whole series gives, bit for bit.  Errors are
+    those of `read_csv`, raised where the file first shows them.
+    """
+    _check_kind(kind)
+    seen, last = 0, None
+    for chunk, labels in _read_chunks(path, column, date_column):
+        if kind == "returns":
+            yield ReturnSeries(chunk, labels)
+            continue
+        _check_prices(chunk, seen)
+        seen += chunk.size
+        if last is not None:
+            chunk = np.concatenate(([last[0]], chunk))
+            labels = None if labels is None else [last[1]] + labels
+        last = (chunk[-1], None if labels is None else labels[-1])
+        if chunk.size > 1:
+            yield to_log_returns(PriceSeries(chunk, labels))
+    if kind == "prices" and seen < 2:
+        raise _too_few_prices(seen)
+
+
+def _check_kind(kind):
     if kind not in ("prices", "returns"):
         raise DomainError(f"kind must be 'prices' or 'returns', got {kind!r}")
+
+
+def _read_chunks(path, column, date_column):
+    """(values, labels) of consecutive runs of at most `_CHUNK` data rows:
+    a float64 array and, with a date column, the date cells as a list
+    (else None).  The one row parser of the CSV dialect."""
     col_idx, col_name = _resolve_column(column)
     date_idx, date_name = (None, None)
     if date_column is not None:
         date_idx, date_name = _resolve_column(date_column)
 
-    values = array("d")
-    labels: List[str] = []
     want_dates = date_column is not None
+    values = array("d")
+    labels: Optional[List[str]] = [] if want_dates else None
+    found = False
 
     # utf-8-sig skips a byte-order mark instead of reading it as text
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -172,14 +247,15 @@ def read_csv(path, column: Union[int, str] = "x",
                     raise ParseError(
                         f"{path}: missing date cell at line {line_no}")
                 labels.append(row[date_idx].strip())
+            if len(values) == _CHUNK:
+                yield np.frombuffer(values, dtype=np.float64), labels
+                found = True
+                values, labels = array("d"), [] if want_dates else None
 
-    if not values:
+    if values:
+        yield np.frombuffer(values, dtype=np.float64), labels
+    elif not found:
         raise ParseError(f"{path}: no data rows found")
-    arr = np.frombuffer(values, dtype=np.float64)
-    label_list = labels if want_dates else None
-    if kind == "prices":
-        return PriceSeries(arr, label_list)
-    return ReturnSeries(arr, label_list)
 
 
 def _cell_is_number(cell: str) -> bool:
@@ -268,15 +344,12 @@ def _csv_cell(text: str) -> str:
 
 
 _CHUNK = 8192
-# Rows from which write_trajectory_csv formats in forked workers.  Whole
-# fit-adaptive runs on a 2-CPU host, serial against a 2-worker pool
-# (medians): 27k rows 0.365 s vs 0.415 s, 40k 0.412 vs 0.418, 65536
-# 0.649 vs 0.550.  Below the break-even the pool only adds its workers'
-# memory (about 1 MB of peak RSS).
+# Rows written in this process before a trajectory writer may start
+# workers.  Whole fit-adaptive runs on a 2-CPU host, serial against a
+# 2-worker pool (medians): 27k rows 0.365 s vs 0.415 s, 40k 0.412 vs
+# 0.418, 65536 0.649 vs 0.550.  Below the break-even the pool only adds
+# its workers' memory (about 1 MB of peak RSS).
 _PARALLEL_MIN_ROWS = 65536
-# Set in each forked worker by its pool's initializer, never in the
-# parent: the chunk formatter, holding the arrays it reads.
-_forked_chunk = None
 
 
 def _format_rows(text_columns, float_columns):
@@ -291,24 +364,31 @@ def _format_rows(text_columns, float_columns):
                *(c.tolist() for c in float_columns))
 
 
-def _adopt_chunk(chunk):
-    global _forked_chunk
-    _forked_chunk = chunk
+def _trajectory_rows(start, labels, *float_columns):
+    """Lines of trajectory rows t = start, start + 1, ...: the date from
+    ``labels`` (empty without them), then x, mu, sigma, nu, log_density."""
+    n = float_columns[0].size
+    dates = ([_csv_cell(label) for label in labels] if labels is not None
+             else [""] * n)
+    return _format_rows([map(str, range(start, start + n)), dates],
+                        float_columns)
 
 
-def _call_forked_chunk(lo):
-    return "".join(_forked_chunk(lo))
+def _trajectory_text(*chunk):
+    # what a worker process returns for one chunk
+    return "".join(_trajectory_rows(*chunk))
 
 
 def _writer_processes(rows: int) -> int:
-    """Worker processes for formatting ``rows`` rows; 0 means serial.
+    """Worker processes for a trajectory writer that has written ``rows``
+    rows in this process; 0 means it stays serial.
 
-    Parallel needs the row threshold, two or more usable CPUs and the fork
-    start method, so the workers inherit the arrays instead of having
-    them pickled.  The output does not depend on the choice: both paths
-    write the same chunk strings in the same order.
+    Parallel needs two or more usable CPUs and the fork start method,
+    which starts a worker without importing the package again.  The
+    output does not depend on the choice: both paths write the same
+    chunk strings in the same order.
     """
-    if rows < _PARALLEL_MIN_ROWS or not hasattr(os, "sched_getaffinity"):
+    if not hasattr(os, "sched_getaffinity"):
         return 0
     cpus = len(os.sched_getaffinity(0))
     if cpus < 2:
@@ -319,29 +399,89 @@ def _writer_processes(rows: int) -> int:
     return min(cpus, -(-rows // _CHUNK))
 
 
-def _write_chunks(fh, chunk, rows):
-    """Write the lines of chunk(lo) for lo = 0, _CHUNK, ... below ``rows``,
-    in order."""
-    starts = range(0, rows, _CHUNK)
-    workers = _writer_processes(rows)
-    if not workers:
-        for lo in starts:
-            fh.writelines(chunk(lo))
-        return
-    import multiprocessing
-    # a forked child must not inherit bytes still buffered for the file
-    fh.flush()
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_adopt_chunk,
-                  initargs=(chunk,)) as pool:
-        # at most two chunks per worker in flight, so memory stays flat in n
-        todo = iter(starts)
-        pending = deque(pool.apply_async(_call_forked_chunk, (lo,))
-                        for lo in islice(todo, 2 * workers))
-        while pending:
-            fh.write(pending.popleft().get())
-            for lo in islice(todo, 1):
-                pending.append(pool.apply_async(_call_forked_chunk, (lo,)))
+class TrajectoryWriter:
+    """A trajectory CSV written chunk by chunk, before its manifest is
+    known.
+
+    Columns: t, date, x, mu, sigma, nu, log_density.  `write` formats
+    rows into an unnamed temporary file in the directory of ``path``;
+    `commit` writes the manifest and header to ``path`` and copies the
+    rows after them.  Leaving the ``with`` block stops the workers and
+    drops the temporary file, so a run that fails before `commit`
+    leaves no file, and any file at ``path`` as it was.
+
+    From `_PARALLEL_MIN_ROWS` rows written, when `_writer_processes`
+    allows, each later chunk's arrays go to a pool of worker processes,
+    started then, and their strings are written in order.  At most one
+    chunk per worker is in flight: this process folds the next chunk
+    while the workers format, so a deeper queue would only hold more
+    strings.  A chunk's string depends only on its rows, so the bytes do
+    not depend on which path ran.
+    """
+
+    def __init__(self, path):
+        self._path = path
+        # write-only text: a readable one resets its decoder on every write
+        self._tmp = tempfile.TemporaryFile(
+            "w", encoding="utf-8", newline="",
+            dir=os.path.dirname(os.path.abspath(path)))
+        self._rows = 0
+        self._workers = None  # decided at the row threshold
+        self._pool = None
+        self._pending = deque()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self):
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
+        self._tmp.close()
+
+    def write(self, traj, values, labels=None):
+        """Append the rows of ``traj``: row i is point traj.start + i,
+        whose value is values[i] and date labels[i]."""
+        n = len(traj)
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            chunk = (traj.start + lo,
+                     None if labels is None else labels[lo:hi],
+                     *(c[lo:hi] for c in (values, traj.mu, traj.sigma,
+                                          traj.nu, traj.log_density)))
+            if self._pool is not None:
+                self._pending.append(
+                    self._pool.apply_async(_trajectory_text, chunk))
+                if len(self._pending) > self._workers:
+                    self._tmp.write(self._pending.popleft().get())
+                continue
+            self._tmp.writelines(_trajectory_rows(*chunk))
+            self._rows += hi - lo
+            if self._workers is None and self._rows >= _PARALLEL_MIN_ROWS:
+                self._workers = _writer_processes(self._rows)
+                if self._workers:
+                    import multiprocessing
+                    # a forked child must not inherit bytes still buffered
+                    self._tmp.flush()
+                    self._pool = multiprocessing.get_context("fork").Pool(
+                        self._workers)
+
+    def commit(self, manifest_lines=()):
+        """Write ``path``: the manifest, the header, then every row."""
+        while self._pending:
+            self._tmp.write(self._pending.popleft().get())
+        self._tmp.flush()
+        with _open_out(self._path) as out, \
+                open(self._tmp.fileno(), "rb", closefd=False) as rows:
+            _emit(out, manifest_lines,
+                  ["t", "date", "x", "mu", "sigma", "nu", "log_density"], ())
+            out.flush()
+            rows.seek(0)
+            shutil.copyfileobj(rows, out.buffer, 1 << 20)
 
 
 def write_series_csv(path, values, labels=None, manifest_lines=()):
@@ -369,28 +509,17 @@ def write_trajectory_csv(path, traj, series, manifest_lines=()):
     Row i is point t = traj.start + i of the ReturnSeries ``series``,
     which supplies x and the date, and its estimate; DomainError, before
     the file is opened, when the trajectory runs past the series.  Same
-    bytes as writing each row through `_emit`, whether `_write_chunks`
-    formats the row chunks in this process or in forked workers.
+    bytes as writing each row through `_emit`; a `TrajectoryWriter`
+    writes them.
     """
-    start, n, labels = traj.start, len(traj), series.labels
+    start, n = traj.start, len(traj)
     if not 0 <= start <= len(series) - n:
         raise DomainError(f"a trajectory of {n} points from t={start} "
                           f"runs past a series of {len(series)}")
-
-    def chunk(lo):
-        hi = min(lo + _CHUNK, n)
-        a, b = start + lo, start + hi
-        dates = ([_csv_cell(label) for label in labels[a:b]]
-                 if labels is not None else [""] * (hi - lo))
-        return _format_rows(
-            [map(str, range(a, b)), dates],
-            [series.values[a:b]] + [c[lo:hi] for c in (
-                traj.mu, traj.sigma, traj.nu, traj.log_density)])
-
-    with _open_out(path) as fh:
-        _emit(fh, manifest_lines,
-              ["t", "date", "x", "mu", "sigma", "nu", "log_density"], ())
-        _write_chunks(fh, chunk, n)
+    points = series[start:start + n]
+    with TrajectoryWriter(path) as out:
+        out.write(traj, points.values, points.labels)
+        out.commit(manifest_lines)
 
 
 def write_sweep_csv(path, report, manifest_lines=()):

@@ -19,12 +19,10 @@ from .special_math import regularized_incomplete_beta
 __all__ = [
     "NU_GAUSSIAN",
     "StudentTParams",
-    "pdf",
     "log_pdf",
     "cdf",
     "abs_central_moment",
     "log_abs_central_moment",
-    "sample",
 ]
 
 #: degrees of freedom at and beyond which the Gaussian limit is used
@@ -69,11 +67,6 @@ def log_pdf(params: StudentTParams, x):
                      - 0.5 * math.log(nu * math.pi) - math.log(params.sigma))
             out = const - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
     return out if out.ndim else float(out)
-
-
-def pdf(params: StudentTParams, x):
-    """Density; may underflow to 0 in the far tails."""
-    return np.exp(log_pdf(params, x))
 
 
 def cdf(params: StudentTParams, x: float) -> float:
@@ -133,8 +126,3 @@ def draw(rng: np.random.Generator, params: StudentTParams, n: int) -> np.ndarray
     v = 2.0 * rng.standard_gamma(0.5 * params.nu, n)
     t = z / np.sqrt(v / params.nu)
     return params.mu + params.sigma * t
-
-
-def sample(params: StudentTParams, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws, deterministic for a given seed."""
-    return draw(np.random.default_rng(seed), params, n)

@@ -1,24 +1,25 @@
 """Scoring and report generation.
 
 Mean log-likelihood with a shared warmup convention, the fixed-nu
-likelihood sweep (static sigma-MLE vs adaptive sigma vs GARCH), the
-tail-event table, and the Monte Carlo power-choice error sweep.
+likelihood sweep (static sigma-MLE vs adaptive sigma vs GARCH) and the
+tail-event table.  Means of log-densities are exact sums (`math.fsum`)
+divided by the count, so they do not depend on how the terms were
+chunked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from .adaptive import (AdaptiveConfig, ParamTrajectory, moment_paths,
+from .adaptive import (_CHUNK, AdaptiveConfig, ParamTrajectory, moment_paths,
                        seed_state_from_prefix, sigma_and_log_density)
 from .baselines import (GarchFit, check_warmup, fit_garch_mle, fit_sigma_mle,
                         garch_filter)
-from .distribution import (NU_GAUSSIAN, StudentTParams, abs_central_moment,
-                           cdf, draw, log_pdf)
+from .distribution import NU_GAUSSIAN, StudentTParams, cdf, log_pdf
 from .errors import DomainError, SeriesTooShortError
 
 __all__ = [
@@ -29,7 +30,7 @@ __all__ = [
     "nu_sweep",
     "tail_table",
     "expected_tail_fraction",
-    "sigma_power_error_sweep",
+    "ExactSum",
     "format_nu_label",
     "inv_nu_of",
     "nu_of_inv",
@@ -64,6 +65,59 @@ def _aligned_values(traj: ParamTrajectory, values: np.ndarray) -> np.ndarray:
     return values[traj.start:traj.start + len(traj)]
 
 
+class ExactSum:
+    """A running sum of floats, exact until it is read.
+
+    `add` keeps the exact total of every value added so far as a few
+    floats whose sum it is exactly, so `mean` is math.fsum over all of
+    the values, divided by their count, however they were chunked.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self._parts = np.zeros(0)
+
+    def add(self, values):
+        values = np.asarray(values, dtype=np.float64).ravel()
+        self.count += values.size
+        for lo in range(0, values.size, 1 << 20):
+            self._parts = _exact_parts(np.concatenate(
+                (self._parts, values[lo:lo + (1 << 20)])))
+
+    def mean(self) -> float:
+        return math.fsum(self._parts.tolist()) / self.count
+
+
+def _exact_parts(terms: np.ndarray) -> np.ndarray:
+    """A few floats whose sum is exactly that of ``terms`` (fewer than
+    2**26 of them).
+
+    Error-free extraction (Rump, Ogita and Oishi 2008): with fewer than
+    2**k terms and sigma a power of two at least 2**k times max|terms|,
+    (sigma + terms) - sigma rounds each term to a multiple of
+    sigma * 2**-53.  Those heads sum exactly in any order, and the tails,
+    terms - heads, are exact and below that unit, so each pass takes
+    some 30 bits or more off the range the terms span.  Terms within a
+    factor 2**k of overflow are kept as they are; an inf or nan gives
+    math.fsum's result.
+    """
+    parts = []
+    while True:
+        terms = terms[terms != 0.0]
+        if not terms.size:
+            return np.array(parts)
+        big = float(np.max(np.abs(terms)))
+        if not math.isfinite(big):
+            return np.array([math.fsum(parts + terms.tolist())])
+        exponent = math.frexp(big)[1] + terms.size.bit_length()
+        if exponent > 1023:
+            return np.concatenate((parts, terms))
+        sigma = math.ldexp(1.0, exponent)
+        heads = (sigma + terms) - sigma
+        parts.append(float(heads.sum()))
+        terms = terms - heads
+
+
 def mean_log_likelihood(subject: Union[ParamTrajectory, StudentTParams],
                         xs, warmup: int) -> float:
     """Mean of ln rho_{theta_t}(x_t) over t >= warmup.
@@ -83,7 +137,7 @@ def mean_log_likelihood(subject: Union[ParamTrajectory, StudentTParams],
         raise DomainError(f"cannot score a {type(subject).__name__}")
     if scored.size == 0:
         raise SeriesTooShortError("no records at or beyond the warmup index")
-    return float(np.mean(scored))
+    return math.fsum(scored.tolist()) / scored.size
 
 
 @dataclass(frozen=True)
@@ -115,9 +169,10 @@ def nu_sweep(xs, nu_grid: Sequence[float], warmup: int, *,
     warmup prefix (moments about 0), fold the sigma moment at rate eta2
     with power p_sigma (nu/2 where nu has no finite moment of it), and
     score the same points.  With the center pinned the moment path does
-    not depend on nu, so there is one fold per distinct power and every
-    nu is scored from it.  One GARCH(1,1) baseline (in-sample MLE on the
-    full series, scored on xs[warmup:]) accompanies the grid.
+    not depend on nu, so there is one fold per distinct power, carried
+    through fixed-size chunks, and every nu is scored from it.  One
+    GARCH(1,1) baseline (in-sample MLE on the full series, scored on
+    xs[warmup:]) accompanies the grid.
     """
     values = _values_of(xs)
     nu_list = [float(nu) for nu in nu_grid]
@@ -138,20 +193,29 @@ def nu_sweep(xs, nu_grid: Sequence[float], warmup: int, *,
 
     scored = values[warmup:]
     p_eff_overrides: Dict[float, float] = {}
-    m_sigma_paths: Dict[float, np.ndarray] = {}
-    rows = []
+    static = []
     for cfg in configs:
-        nu, p_eff, inv = cfg.nu_fixed, cfg.p_sigma, inv_nu_of(cfg.nu_fixed)
-        if p_eff != p_sigma:
-            p_eff_overrides[inv] = p_eff
-        _, static_score = fit_sigma_mle(scored, 0.0, nu)
-        if p_eff not in m_sigma_paths:
-            state0 = seed_state_from_prefix(values, warmup, cfg, mu=0.0)
-            m_sigma_paths[p_eff] = moment_paths(scored, state0, cfg)[1][:-1]
-        _, log_density = sigma_and_log_density(
-            scored, 0.0, m_sigma_paths[p_eff], nu, p_eff, moment_floor)
-        rows.append(SweepRow(inv, static_score, float(np.mean(log_density))))
-    rows.sort(key=lambda r: r.inv_nu)
+        if cfg.p_sigma != p_sigma:
+            p_eff_overrides[inv_nu_of(cfg.nu_fixed)] = cfg.p_sigma
+        static.append(fit_sigma_mle(scored, 0.0, cfg.nu_fixed)[1])
+    # one fold per distinct power, in chunks that carry its state; every
+    # nu of that power is scored from each chunk's moment path
+    adaptive = [ExactSum() for _ in configs]
+    for p_eff in dict.fromkeys(cfg.p_sigma for cfg in configs):
+        group = [(cfg, total) for cfg, total in zip(configs, adaptive)
+                 if cfg.p_sigma == p_eff]
+        state = seed_state_from_prefix(values, warmup, group[0][0], mu=0.0)
+        for lo in range(0, scored.size, _CHUNK):
+            chunk = scored[lo:lo + _CHUNK]
+            m_sigma = moment_paths(chunk, state, group[0][0])[1]
+            state = replace(state, m_sigma=m_sigma[-1].item())
+            for cfg, total in group:
+                total.add(sigma_and_log_density(
+                    chunk, 0.0, m_sigma[:-1], cfg.nu_fixed, p_eff,
+                    moment_floor)[1])
+    rows = sorted((SweepRow(inv_nu_of(cfg.nu_fixed), score, total.mean())
+                   for cfg, score, total in zip(configs, static, adaptive)),
+                  key=lambda r: r.inv_nu)
 
     garch = fit_garch_mle(values)
     _, garch_score = garch_filter(values, garch, warmup=warmup)
@@ -206,26 +270,3 @@ def tail_table(xs, normalization, nu_labels: Sequence[float],
         fracs = [expected_tail_fraction(nu, k) for k in ks]
         expected[format_nu_label(nu)] = tuple(n_eff * f for f in fracs)
     return TailTable(ks, observed, expected, n_eff, kind)
-
-
-def sigma_power_error_sweep(nu: float, powers: Sequence[float], n: int,
-                            reps: int, seed: int) -> List[Tuple[float, float]]:
-    """Relative RMSE of the moment sigma estimator per power, true sigma=1.
-
-    Each repetition draws one sample and evaluates every power on it
-    (common random numbers), so the ranking across powers is stable.
-    """
-    powers = [float(p) for p in powers]
-    if n < 1 or reps < 1:
-        raise DomainError(f"n and reps must be >= 1, got n={n}, reps={reps}")
-    consts = [abs_central_moment(nu, p) for p in powers]  # raises if p >= nu
-    params = StudentTParams(0.0, 1.0, nu)
-    rng = np.random.default_rng(seed)
-    acc = np.zeros(len(powers))
-    for _ in range(reps):
-        xs = draw(rng, params, n)
-        d = np.abs(xs - xs.mean())
-        for j, (p, m_const) in enumerate(zip(powers, consts)):
-            sigma_hat = float(np.mean(d ** p)) ** (1.0 / p) / m_const
-            acc[j] += (sigma_hat - 1.0) ** 2
-    return [(p, math.sqrt(acc[j] / reps)) for j, p in enumerate(powers)]

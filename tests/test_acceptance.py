@@ -22,11 +22,11 @@ from movingt.cli import main as cli_main
 from movingt.data_io import Segment, generate_synthetic
 from movingt.distribution import NU_GAUSSIAN, StudentTParams
 from movingt.errors import DivergentMomentError
-from movingt.evaluation import (mean_log_likelihood, sigma_power_error_sweep,
-                                tail_table)
+from movingt.evaluation import mean_log_likelihood, tail_table
 from movingt.static_estimators import (build_nu_table, compute_moments,
                                        estimate_nu_raw, estimate_sigma)
 
+from oracles import pdf, sample, sigma_power_error_sweep
 from quadrature import integrate_adaptive
 
 
@@ -65,7 +65,7 @@ def test_criterion_2_closed_form_spot_values():
     m32 = abs(mt.abs_central_moment(3.0, 2.0) - math.sqrt(3.0))
     cauchy = StudentTParams(0.0, 1.0, 1.0)
     c_cdf = abs(mt.cdf(cauchy, 1.0) - 0.75)
-    c_pdf = abs(mt.pdf(cauchy, 0.0) - 1.0 / math.pi)
+    c_pdf = abs(pdf(cauchy, 0.0) - 1.0 / math.pi)
     ok = m21 <= 1e-10 and m32 <= 1e-10 and c_cdf <= 1e-12 and c_pdf <= 1e-12
     _report(2, ok, f"|M(2,1)-sqrt2|={m21:.1e}, |M(3,2)-sqrt3|={m32:.1e}, "
                    f"|cdf(1)-0.75|={c_cdf:.1e}, |pdf(0)-1/pi|={c_pdf:.1e}")
@@ -73,7 +73,7 @@ def test_criterion_2_closed_form_spot_values():
 
 def test_criterion_3_static_estimator_consistency():
     t0 = time.perf_counter()
-    xs = mt.sample(StudentTParams(0.0, 2.0, 5.0), 10 ** 6, seed=123)
+    xs = sample(StudentTParams(0.0, 2.0, 5.0), 10 ** 6, seed=123)
     summary = compute_moments(xs, (1.0, 0.5), mu="mean")
     sigma_hat = estimate_sigma(summary, 5.0, 1.0)
     nu_raw = estimate_nu_raw(summary, build_nu_table(1.0, 0.5))
@@ -208,7 +208,7 @@ def test_criterion_9_tail_table_arithmetic():
     cauchy_frac = mt.expected_tail_fraction(1.0, 1)
     ok_exact = abs(cauchy_frac - 0.5) <= 1e-12
 
-    xs = mt.sample(StudentTParams(0.0, 1.0, 5.0), 10 ** 6, seed=5)
+    xs = sample(StudentTParams(0.0, 1.0, 5.0), 10 ** 6, seed=5)
     summary = compute_moments(xs, (1.0, 0.5), mu="mean")
     nu_raw = estimate_nu_raw(summary, build_nu_table(1.0, 0.5))
     sigma_hat = estimate_sigma(summary, nu_raw, 1.0)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from movingt import adaptive
 from movingt.adaptive import (AdaptiveConfig, EmaState, moment_paths, run,
-                              seed_state_from_prefix, step, update)
-from movingt.data_io import Segment, generate_synthetic
+                              run_pieces, seed_state_from_prefix, step,
+                              update)
+from movingt.data_io import ReturnSeries, Segment, generate_synthetic
 from movingt.distribution import (NU_GAUSSIAN, abs_central_moment, log_pdf,
                                   StudentTParams)
 from movingt.errors import DomainError, MovingTError, SeriesTooShortError
@@ -508,6 +509,44 @@ class TestUpdateProperty:
                 _final_state(series[start:], state, cfg)
             assert (_error_type(step_loop)
                     == _error_type(lambda: run(series, cfg, init=init)))
+
+
+class TestRunPiecesProperty:
+    @given(case=_perturbed_hostile_series(),
+           cfg=st.sampled_from(_EDGE_CONFIGS + [_LARGE_POWER]),
+           cuts=st.lists(st.integers(0, 200), max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_pieces_give_run_bit_for_bit(self, case, cfg, cuts):
+        # cuts fall anywhere, so the prefix may span pieces, end inside
+        # one or end at a cut; the labels follow their points
+        xs, _, _, init = case
+        k = init if isinstance(init, int) else 1
+        series = ReturnSeries(xs, [f"d{i}" for i in range(xs.size)])
+        bounds = sorted({0, xs.size, *(c for c in cuts if c < xs.size)})
+        pieces = [series[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        error = _error_type(lambda: run(xs, cfg, init=k))
+        assert _error_type(lambda: list(run_pieces(pieces, cfg, k))) == error
+        if error is not None:
+            return
+        whole, folded = run(xs, cfg, init=k), list(run_pieces(pieces, cfg, k))
+        t = k
+        for points, traj in folded:
+            assert traj.start == t and len(points) == len(traj) > 0
+            assert points.labels == series.labels[t:t + len(traj)]
+            assert points.values.tobytes() == xs[t:t + len(traj)].tobytes()
+            t += len(traj)
+        assert t == xs.size
+        for name in ("mu", "sigma", "nu", "log_density"):
+            joined = np.concatenate([getattr(p, name) for _, p in folded])
+            assert joined.tobytes() == getattr(whole, name).tobytes(), name
+
+    def test_nothing_left_after_the_prefix(self):
+        pieces = [np.zeros(3), np.ones(2)]
+        with pytest.raises(SeriesTooShortError) as got:
+            list(run_pieces(pieces, AdaptiveConfig(), 5))
+        with pytest.raises(SeriesTooShortError) as want:
+            run(np.zeros(5), AdaptiveConfig(), init=5)
+        assert str(got.value) == str(want.value)
 
 
 class TestTranslationEquivarianceProperty:

@@ -7,8 +7,10 @@ from movingt import baselines
 from movingt.baselines import (GarchParams, _ar1_scan, _garch_mean_loglik,
                                _stationary_beta, fit_garch_mle, fit_sigma_mle,
                                garch_filter, simulate_garch)
-from movingt.distribution import NU_GAUSSIAN, StudentTParams, log_pdf, sample
+from movingt.distribution import NU_GAUSSIAN, StudentTParams, log_pdf
 from movingt.errors import DomainError, NonConvergenceError, SeriesTooShortError
+
+from oracles import sample
 
 
 class TestGarchParams:

@@ -632,3 +632,180 @@ class TestEveryFlagReachesTheReport:
             assert f"{flag} applies only to" in capsys.readouterr().err
         else:
             assert changed != self._defaults[key]
+
+
+class TestOnePassFitAdaptive:
+    """fit-adaptive reads, folds, scores and writes its input in one pass
+    over fixed-size chunks.  Its report is the one the whole-series
+    functions give: `run`, then `write_trajectory_csv` under the manifest,
+    whose score is the exact mean of the scored log-densities."""
+
+    @staticmethod
+    def _write_input(path, n, prices=False, dated=False, bad_line=None):
+        # CRLF line ends, so csv quotes the awkward label that holds a CR
+        from test_data_io import _with_awkward_labels
+        x = 0.01 * np.random.default_rng(n).standard_t(4, n)
+        cells = list(map(repr, (100.0 * np.exp(np.cumsum(x)) if prices
+                                else x).tolist()))
+        if bad_line is not None:
+            cells[bad_line - 2] = "abc"  # file line = data row + 2
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\r\n")
+            if dated:
+                writer.writerow(["date", "x"])
+                writer.writerows(zip(_with_awkward_labels(n, n // 2), cells))
+            else:
+                writer.writerow(["x"])
+                writer.writerows([c] for c in cells)
+
+    @staticmethod
+    def _manifest(report):
+        return [line[2:] for line in report.read_text().splitlines()
+                if line.startswith("# ")]
+
+    @classmethod
+    def _reference(cls, src, report, argv):
+        """The report's bytes as `write_trajectory_csv` writes `run`'s
+        trajectory of the whole series, under the CLI report's manifest,
+        whose score line is checked against the exact mean."""
+        from movingt.adaptive import AdaptiveConfig, run
+        from movingt.data_io import (read_csv, to_log_returns,
+                                     write_trajectory_csv)
+
+        def flag(name, default):
+            return int(argv[argv.index(name) + 1]) if name in argv else default
+        init, warmup = flag("--init-prefix", 300), flag("--warmup", 300)
+        prices = "--prices" in argv
+        series = read_csv(src, date_column="date" if "--date-column" in argv
+                          else None, kind="prices" if prices else "returns")
+        if prices:
+            series = to_log_returns(series)
+        traj = run(series, AdaptiveConfig(), init=init)
+        scored = traj.log_density[max(warmup - init, 0):].tolist()
+        manifest = cls._manifest(report)
+        assert manifest[-1] == \
+            f"mean_log_likelihood = {math.fsum(scored) / len(scored)!r}"
+        ref = report.with_name("reference.csv")
+        write_trajectory_csv(ref, traj, series, manifest)
+        return ref.read_bytes()
+
+    # (id, points in the file, prices, dated, flags); the fold starts at
+    # --init-prefix (300 by default), and the writer may start workers
+    # once 65536 rows are written, so only the last three cases can
+    # take the parallel path
+    _CASES = [
+        ("k+8192-1", 300 + 8192 - 1, False, False, []),
+        ("k+8192+1", 300 + 8192 + 1, False, False, []),
+        ("65536-1", 65536 - 1, False, False, []),
+        ("65536+1", 65536 + 1, False, False, []),
+        ("k+65536+1", 300 + 65536 + 1, False, False, []),
+        ("prices, dates", 300 + 65536 + 8192 + 2, True, True,
+         ["--prices", "--date-column", "date"]),
+        ("init-prefix 9000", 9000 + 65536 + 8192 + 1, False, True,
+         ["--date-column", "date", "--init-prefix", "9000",
+          "--warmup", "12000"]),
+    ]
+    _PATHS = [(case, path) for case in _CASES
+              for path in (("serial", "parallel") if case[1] > 65836
+                           else ("serial",))]
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """run(case) runs the CLI on the case's input, written once, and
+        returns (report path, reference bytes).  Every run of a case
+        writes the same report path, so its manifest, and with it the
+        reference, made after its first run, stays the same."""
+        work, made = tmp_path_factory.mktemp("one-pass"), {}
+
+        def run_case(case):
+            name, n, prices, dated, argv = case
+            src = work / f"{name}.csv"
+            out = work / f"{name}.out.csv"
+            argv = ["fit-adaptive", "--input", str(src), "--output", str(out),
+                    *(argv if prices else ["--returns", *argv])]
+            if name not in made:
+                self._write_input(src, n, prices, dated)
+            assert main(argv) == 0
+            if name not in made:
+                made[name] = self._reference(src, out, argv)
+            return out, made[name]
+        return run_case
+
+    @pytest.mark.parametrize("case, writer_path", _PATHS,
+                             indirect=["writer_path"],
+                             ids=[f"{c[0]}-{p}" for c, p in _PATHS])
+    def test_same_bytes_as_the_whole_series_functions(
+            self, runs, writer_path, capsys, case):
+        path, taken = writer_path
+        out, want = runs(case)
+        assert out.read_bytes() == want
+        _, n, prices, _, argv = case
+        # a price column gives one return fewer; the prefix is not written
+        rows = n - prices - (9000 if "--init-prefix" in argv else 300)
+        # the CLI's choice (then the reference writer's, on a first run)
+        assert taken[:1] == ([] if rows < 65536 else
+                             [2 if path == "parallel" else 0])
+        assert capsys.readouterr().out == self._manifest(out)[-1] + "\n"
+
+    @pytest.mark.parametrize("writer_path", ["parallel"], indirect=True)
+    def test_same_bytes_in_chunks_of_1000(self, runs, writer_path,
+                                          monkeypatch):
+        # the 9000-point prefix spans nine chunks
+        from movingt import adaptive, data_io
+        runs(self._CASES[-1])  # the reference, in chunks of 8192
+        monkeypatch.setattr(data_io, "_CHUNK", 1000)
+        monkeypatch.setattr(adaptive, "_CHUNK", 1000)
+        out, want = runs(self._CASES[-1])
+        assert out.read_bytes() == want
+
+    @pytest.mark.parametrize("writer_path", ["parallel"], indirect=True)
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("failure, argv, code", [
+        ("parse error", [], 3),
+        ("power overflow", ["--nu-fixed", "40", "--p-sigma", "2"], 2),
+        ("warmup", ["--warmup", str(300 + 65536 + 8192)], 3)])
+    def test_failure_after_the_pool_started_leaves_nothing(
+            self, tmp_path, writer_path, capsys, existing, failure, argv,
+            code):
+        import multiprocessing
+        _, taken = writer_path
+        n = 300 + 65536 + 8192
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        if failure == "power overflow":
+            # |x - mu|^2 overflows float64 at the last chunk's 1e200
+            x = 0.01 * np.random.default_rng(3).standard_t(4, n)
+            x[-10] = 1e200
+            src.write_text("x\n" + "".join(f"{v!r}\n" for v in x.tolist()))
+        else:
+            self._write_input(src, n, bad_line=n if failure == "parse error"
+                              else None)
+        if existing:
+            out.write_bytes(b"an earlier report\n")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["fit-adaptive", "--returns", "--input", str(src),
+                     "--output", str(out), *argv]) == code
+        assert taken == [2]
+        assert "error:" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+        if existing:
+            assert out.read_bytes() == b"an earlier report\n"
+        assert multiprocessing.active_children() == []
+
+    def test_memory_does_not_grow_with_the_series(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # serial: workers are other processes, which tracemalloc cannot see
+        import tracemalloc
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        peaks = []
+        for n in (1000, 30_000, 300_000):  # the first fills the caches
+            src = tmp_path / f"in{n}.csv"
+            self._write_input(src, n)
+            tracemalloc.start()
+            try:
+                assert main(["fit-adaptive", "--returns", "--input", str(src),
+                             "--output", str(tmp_path / "out.csv")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[2] - peaks[1]) < 2 ** 20, peaks

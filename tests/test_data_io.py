@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -8,8 +7,9 @@ from hypothesis import strategies as st
 
 from movingt.baselines import GarchParams, simulate_garch
 from movingt.data_io import (PriceSeries, ReturnSeries, Segment,
-                             generate_synthetic, read_csv, to_log_returns,
-                             write_series_csv, write_trajectory_csv)
+                             generate_synthetic, read_csv, read_returns,
+                             to_log_returns, write_series_csv,
+                             write_trajectory_csv)
 from movingt.distribution import abs_central_moment
 from movingt.errors import (DegenerateDataError, DomainError, ParseError,
                             SeriesTooShortError)
@@ -200,6 +200,56 @@ class TestReaderCases:
             assert values.tobytes() == np.array(want).tobytes()
 
 
+class TestReadReturns:
+    """`read_returns` hands on the series `read_csv` reads, in pieces."""
+
+    @staticmethod
+    def _write(path, n):
+        # prices over 200 orders of magnitude, awkward date cells; CRLF
+        # line ends, so csv quotes the cell that holds a CR
+        import csv
+        rng = np.random.default_rng(63)
+        values = (np.exp(rng.standard_normal(n))
+                  * 10.0 ** rng.integers(-100, 100, n))
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\r\n")
+            writer.writerow(["date", "x"])
+            writer.writerows(zip(_with_awkward_labels(n, 5),
+                                 map(repr, values.tolist())))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 8192])
+    @pytest.mark.parametrize("kind", ["returns", "prices"])
+    def test_pieces_join_to_the_whole_series(self, tmp_path, monkeypatch,
+                                             chunk, kind):
+        from movingt import data_io
+        f = tmp_path / "in.csv"
+        self._write(f, 50)
+        whole = read_csv(f, date_column="date", kind=kind)
+        if kind == "prices":
+            whole = to_log_returns(whole)
+        monkeypatch.setattr(data_io, "_CHUNK", chunk)
+        pieces = list(read_returns(f, date_column="date", kind=kind))
+        assert all(0 < len(p) <= chunk for p in pieces)
+        assert (np.concatenate([p.values for p in pieces]).tobytes()
+                == whole.values.tobytes())
+        assert sum((p.labels for p in pieces), []) == whole.labels
+
+    def test_price_errors_as_read_csv_gives_them(self, tmp_path,
+                                                 monkeypatch):
+        from movingt import data_io
+        monkeypatch.setattr(data_io, "_CHUNK", 4)
+        f = tmp_path / "in.csv"
+        for text, error in (("x\n" + "1.0\n" * 9 + "-2.0\n1.0\n",
+                             DegenerateDataError),
+                            ("x\n1.0\n", SeriesTooShortError)):
+            f.write_text(text)
+            with pytest.raises(error) as whole:
+                read_csv(f, kind="prices")
+            with pytest.raises(error) as pieces:
+                list(read_returns(f, kind="prices"))
+            assert str(pieces.value) == str(whole.value)
+
+
 class TestRoundTrips:
     def test_series_csv_bit_exact(self, tmp_path):
         values = np.array([0.1, -1.0 / 3.0, 1e-17, 123456.789012345678,
@@ -313,31 +363,6 @@ def _with_awkward_labels(n, first):
     for i, awkward in enumerate(_AWKWARD_LABELS):
         labels[first + 3 * i] = awkward
     return labels
-
-
-@pytest.fixture(params=["serial", "parallel"])
-def writer_path(request, monkeypatch):
-    """Force the trajectory writer's serial or forked-worker path through
-    the CPU affinity it reads, and report which path each write took."""
-    import multiprocessing
-    from movingt import data_io
-    if request.param == "parallel":
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-        if not hasattr(os, "sched_getaffinity"):
-            pytest.skip("no CPU affinity on this platform")
-    cpus = {0, 1} if request.param == "parallel" else {0}
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
-                        raising=False)
-    taken = []
-    choose = data_io._writer_processes
-
-    def spy(rows):
-        taken.append(choose(rows))
-        return taken[-1]
-    monkeypatch.setattr(data_io, "_writer_processes", spy)
-    yield request.param, taken
-    assert multiprocessing.active_children() == []
 
 
 def _awkward_floats(n):

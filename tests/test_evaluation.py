@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataclasses import replace
 
 from movingt.adaptive import (AdaptiveConfig, ParamTrajectory, run,
                               seed_state_from_prefix)
 from movingt.data_io import Segment, generate_synthetic
-from movingt.distribution import NU_GAUSSIAN, StudentTParams, sample
+from movingt.distribution import NU_GAUSSIAN, StudentTParams
 from movingt.errors import DivergentMomentError, DomainError, SeriesTooShortError
-from movingt.evaluation import (expected_tail_fraction, format_nu_label,
-                                inv_nu_of, mean_log_likelihood, nu_of_inv,
-                                nu_sweep, sigma_power_error_sweep, tail_table)
+from movingt.evaluation import (ExactSum, expected_tail_fraction,
+                                format_nu_label, inv_nu_of,
+                                mean_log_likelihood, nu_of_inv, nu_sweep,
+                                tail_table)
 
+from oracles import sample, sigma_power_error_sweep
 from quadrature import integrate_adaptive
 
 
@@ -22,6 +26,44 @@ def _flat_trajectory(start, n):
     return ParamTrajectory(
         start=start, mu=np.zeros(n), sigma=np.ones(n), nu=np.full(n, 5.0),
         log_density=np.arange(start, start + n, dtype=np.float64))
+
+
+class TestExactSum:
+    @given(values=st.lists(st.floats(min_value=-1e300, max_value=1e300,
+                                     allow_nan=False), min_size=1,
+                           max_size=60)
+           | st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0 ** -1074,
+                                       1.5, 2.0 ** 60, 3e-310]),
+                      min_size=1, max_size=60),
+           cuts=st.lists(st.integers(0, 60), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_mean_is_the_exact_mean_however_chunked(self, values, cuts):
+        total = ExactSum()
+        bounds = sorted({0, len(values), *(c for c in cuts if c < len(values))})
+        for lo, hi in zip(bounds, bounds[1:]):
+            total.add(np.array(values[lo:hi]))
+        assert total.count == len(values)
+        assert total.mean() == math.fsum(values) / len(values)
+
+    def test_cancellation_across_chunks(self):
+        # a sum of chunk sums, each rounded, would give 0.0
+        total = ExactSum()
+        for chunk in ([1e300, 1.0], [-1e300], [1e-300]):
+            total.add(chunk)
+        assert total.mean() == 0.25
+
+    def test_minus_infinity_carries(self):
+        total = ExactSum()
+        for chunk in ([1.0], [-math.inf, 2.0], [3.0]):
+            total.add(chunk)
+        assert total.mean() == -math.inf
+
+    def test_terms_near_the_overflow_threshold(self):
+        values = [1.7e308, 1e-300, -1.6e308, 3.0, -1e-300, 5e-324]
+        total = ExactSum()
+        for chunk in (values[:2], values[2:4], values[4:]):
+            total.add(chunk)
+        assert total.mean() == math.fsum(values) / len(values)
 
 
 class TestMeanLogLikelihood:
@@ -144,6 +186,17 @@ class TestNuSweep:
             want = mean_log_likelihood(traj, xs[300:], 0)
             assert by_inv[inv_nu_of(nu)] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("chunk", [1, 97, 700])
+    def test_scores_do_not_depend_on_the_chunk_size(self, monkeypatch,
+                                                    chunk):
+        from movingt import evaluation
+        xs = generate_synthetic([Segment(800, 0, 1, 5), Segment(700, 0, 2, 3)],
+                                seed=35).values
+        grid = [NU_GAUSSIAN, 8.0, 3.0, 1.5, 1.0, 0.8]
+        whole = nu_sweep(xs, grid, 300)
+        monkeypatch.setattr(evaluation, "_CHUNK", chunk)
+        assert nu_sweep(xs, grid, 300).rows == whole.rows
+
     def test_warmup_bounds(self):
         xs = generate_synthetic([Segment(500, 0, 1, 5)], seed=36)
         with pytest.raises(DomainError):
@@ -189,7 +242,7 @@ class TestTailTable:
         frac = expected_tail_fraction(NU_GAUSSIAN, 1)
         assert frac == pytest.approx(math.erfc(1.0 / math.sqrt(2.0)), abs=1e-12)
         p = StudentTParams(0.0, 1.0, NU_GAUSSIAN)
-        from movingt.distribution import pdf
+        from oracles import pdf
         res = integrate_adaptive(lambda x: pdf(p, x), 1.0, math.inf, 1e-10)
         assert res.converged
         assert frac == pytest.approx(2.0 * res.value, abs=1e-9)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from movingt.distribution import NU_GAUSSIAN, StudentTParams, abs_central_moment, sample
+from movingt.distribution import NU_GAUSSIAN, StudentTParams, abs_central_moment
 from movingt.errors import (DegenerateDataError, DivergentMomentError,
                             DomainError, SeriesTooShortError)
 from movingt.static_estimators import (MomentSummary, build_nu_table,
                                        compute_moments, estimate_nu_adjusted,
                                        estimate_nu_raw, estimate_sigma)
+
+from oracles import sample
 
 
 class TestComputeMoments:
