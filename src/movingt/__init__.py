@@ -10,8 +10,8 @@ from .adaptive import (AdaptiveConfig, EmaState, ParamTrajectory, run,
                        seed_state_from_prefix, step, update)
 from .baselines import (GarchFit, GarchParams, fit_garch_mle, fit_sigma_mle,
                         garch_filter)
-from .data_io import (PriceSeries, ReturnSeries, Segment, generate_synthetic,
-                      read_csv, to_log_returns)
+from .data_io import (ReturnSeries, Segment, generate_synthetic, read_csv,
+                      to_log_returns)
 from .distribution import (NU_GAUSSIAN, StudentTParams, abs_central_moment,
                            cdf, log_pdf)
 from .errors import (DegenerateDataError, DivergentMomentError, DomainError,
@@ -31,7 +31,7 @@ __all__ = [
     "AdaptiveConfig", "EmaState", "ParamTrajectory", "run",
     "seed_state_from_prefix", "step", "update",
     "GarchFit", "GarchParams", "fit_garch_mle", "fit_sigma_mle", "garch_filter",
-    "PriceSeries", "ReturnSeries", "Segment",
+    "ReturnSeries", "Segment",
     "generate_synthetic", "read_csv", "to_log_returns",
     "NU_GAUSSIAN", "StudentTParams", "abs_central_moment", "cdf",
     "log_pdf",

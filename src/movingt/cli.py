@@ -26,8 +26,8 @@ from .baselines import (GarchParams, check_warmup, fit_garch_mle,
                         garch_filter, simulate_garch)
 from .data_io import (ReturnSeries, Segment, TrajectoryWriter, _fmt,
                       generate_synthetic, read_csv, read_returns,
-                      to_log_returns, write_row_csv, write_series_csv,
-                      write_sweep_csv, write_tail_csv)
+                      write_row_csv, write_series_csv, write_sweep_csv,
+                      write_tail_csv)
 from .distribution import NU_GAUSSIAN, StudentTParams
 from .errors import (DegenerateDataError, DomainError, MonotonicityError,
                      MovingTError, NonConvergenceError, ParseError,
@@ -125,18 +125,18 @@ def _add_adaptive_flags(p, init_help, action="store"):
                    help=init_help)
 
 
+def _kind(args) -> str:
+    return "prices" if args.prices else "returns"
+
+
 def _read_series(args) -> ReturnSeries:
-    kind = "prices" if args.prices else "returns"
-    series = read_csv(args.input, column=args.column,
-                      date_column=args.date_column, kind=kind)
-    if kind == "prices":
-        series = to_log_returns(series)
-    return series
+    return read_csv(args.input, column=args.column,
+                    date_column=args.date_column, kind=_kind(args))
 
 
 def _input_manifest(args, config: dict) -> list:
     """Manifest of a command that reads --input: I/O flags plus `config`."""
-    io = {"input": args.input, "mode": "prices" if args.prices else "returns",
+    io = {"input": args.input, "mode": _kind(args),
           "column": args.column, "date_column": args.date_column}
     return _manifest(args.command, _digest_file(args.input),
                      {**io, **config}, args.output)
@@ -191,8 +191,7 @@ def _cmd_fit_adaptive(args) -> int:
     cfg = _adaptive_config(args)
     check_warmup(args.warmup, math.inf)  # its sign; n is known at the end
     pieces = read_returns(args.input, column=args.column,
-                          date_column=args.date_column,
-                          kind="prices" if args.prices else "returns")
+                          date_column=args.date_column, kind=_kind(args))
     total, n = ExactSum(), 0
     with TrajectoryWriter(args.output) as out:
         for points, traj in run_pieces(pieces, cfg, args.init_prefix):

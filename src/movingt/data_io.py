@@ -3,19 +3,21 @@
 CSV dialect: comma separated, UTF-8 (a leading byte-order mark is
 skipped), optional single header line, lines starting with '#' skipped
 (reports embed their run manifest that way, so outputs can be
-re-ingested).  The writers emit LF and format floats with repr, which
-round-trips bit-exactly through float().
+re-ingested).  The writers emit LF, format floats with repr, which
+round-trips bit-exactly through float(), and quote a text cell that
+holds a comma, a quote, CR or LF.
 
 Everything moves in chunks of `_CHUNK` (8192) rows.  One row parser
 yields the value column in float64 chunks (with the date cells when
-asked): `read_csv` joins them into one series, and `read_returns`
-hands them on as return pieces, so a caller can fold and write a
-series without holding it.  The series and trajectory writers format
-chunks with one function.  Shortest round-trip repr is most of a large
-write, so once `_PARALLEL_MIN_ROWS` rows are written, when the process
-may run on two or more CPUs and can fork, a `TrajectoryWriter` sends
-each later chunk's arrays to a pool of worker processes and writes
-their strings in order.  A chunk's string depends only on its rows, so
+asked); `read_returns` hands them on as return pieces (log-returns,
+for a price column), so a caller can fold and write a series without
+holding it, and `read_csv` joins those pieces into one series.  The
+series and trajectory writers format chunks with one function.
+Shortest round-trip repr is most of a large write, so once
+`_PARALLEL_MIN_ROWS` rows are written, when the process may run on two
+or more CPUs and can fork, a `TrajectoryWriter` sends each later
+chunk's arrays to a pool of worker processes and writes their strings
+in order.  A chunk's string depends only on its rows, so
 the bytes do not depend on which path ran, on how many workers there
 were, or on the chunk size.
 """
@@ -23,7 +25,7 @@ were, or on the chunk size.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import math
 import os
 import shutil
@@ -40,7 +42,6 @@ from .errors import (DegenerateDataError, DomainError, ParseError,
                      SeriesTooShortError)
 
 __all__ = [
-    "PriceSeries",
     "ReturnSeries",
     "Segment",
     "to_log_returns",
@@ -48,32 +49,11 @@ __all__ = [
     "read_returns",
     "generate_synthetic",
     "write_series_csv",
-    "write_trajectory_csv",
     "TrajectoryWriter",
     "write_sweep_csv",
     "write_tail_csv",
     "write_row_csv",
 ]
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """Ordered daily close prices, all strictly positive."""
-
-    values: np.ndarray
-    labels: Optional[List[str]] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=np.float64))
-        if self.values.size < 2:
-            raise _too_few_prices(self.values.size)
-        _check_prices(self.values)
-        if self.labels is not None and len(self.labels) != self.values.size:
-            raise DomainError("labels and values must have equal length")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True)
@@ -102,26 +82,29 @@ class ReturnSeries:
                             else self.labels[index])
 
 
-def _too_few_prices(n):
-    return SeriesTooShortError(
-        f"a price series needs at least 2 points, got {n}")
+def to_log_returns(prices, labels=None, offset=0) -> ReturnSeries:
+    """x_t = ln(v_{t+1} / v_t) of a price array; the label of x_t is the
+    later date.
 
-
-def _check_prices(values, offset=0):
-    """DegenerateDataError naming the first price that is not > 0, as
-    point offset + i of the series."""
-    bad = np.flatnonzero(~(values > 0.0))
+    DegenerateDataError names the first price that is not > 0, or else
+    the first return that leaves float64's range (a price ratio that
+    overflows or underflows), by its index offset + i in the series.
+    """
+    v = np.asarray(prices, dtype=np.float64)
+    bad = np.flatnonzero(~(v > 0.0))
     if bad.size:
+        i = int(bad[0])
         raise DegenerateDataError(
-            f"nonpositive price {values[bad[0]]!r} at index {offset + bad[0]}")
-
-
-def to_log_returns(prices: PriceSeries) -> ReturnSeries:
-    """x_t = ln(v_{t+1} / v_t); the label of x_t is the later date."""
-    v = prices.values
-    returns = np.log(v[1:] / v[:-1])
-    labels = prices.labels[1:] if prices.labels is not None else None
-    return ReturnSeries(returns, labels)
+            f"nonpositive price {v[i].item()!r} at index {offset + i}")
+    with np.errstate(all="ignore"):
+        returns = np.log(v[1:] / v[:-1])
+    bad = np.flatnonzero(~np.isfinite(returns))
+    if bad.size:
+        i = int(bad[0])
+        raise DegenerateDataError(
+            f"non-finite log-return at index {offset + i}: price "
+            f"{v[i + 1].item()!r} after {v[i].item()!r}")
+    return ReturnSeries(returns, None if labels is None else labels[1:])
 
 
 def _resolve_column(spec: Union[int, str]):
@@ -136,55 +119,53 @@ def _resolve_column(spec: Union[int, str]):
 
 def read_csv(path, column: Union[int, str] = "x",
              date_column: Union[int, str, None] = None,
-             kind: str = "returns"):
-    """Read one numeric column (plus an optional date column) from a CSV.
+             kind: str = "returns") -> ReturnSeries:
+    """Read one numeric column (plus an optional date column) from a CSV
+    as a ReturnSeries: the pieces of `read_returns`, joined.
 
     ``column``/``date_column`` may be header names or 0-based indices.
     NaN, infinite and empty cells are rejected with their line number.
-    Returns a PriceSeries or ReturnSeries according to ``kind``: the
-    chunks of `_read_chunks`, joined.
+    With ``kind="prices"`` the column holds prices, and the series is
+    their log-returns (`to_log_returns`).
     """
-    _check_kind(kind)
     values = array("d")
-    labels: List[str] = []
-    for chunk, chunk_labels in _read_chunks(path, column, date_column):
-        values.frombytes(chunk.tobytes())
-        if chunk_labels is not None:
-            labels += chunk_labels
-    arr = np.frombuffer(values, dtype=np.float64)
-    label_list = labels if date_column is not None else None
-    if kind == "prices":
-        return PriceSeries(arr, label_list)
-    return ReturnSeries(arr, label_list)
+    labels: Optional[List[str]] = [] if date_column is not None else None
+    for piece in read_returns(path, column, date_column, kind):
+        values.frombytes(piece.values.tobytes())
+        if labels is not None:
+            labels += piece.labels
+    return ReturnSeries(np.frombuffer(values, dtype=np.float64), labels)
 
 
 def read_returns(path, column: Union[int, str] = "x",
                  date_column: Union[int, str, None] = None,
                  kind: str = "returns"):
-    """The ReturnSeries of `read_csv` (then `to_log_returns` for prices)
-    in consecutive pieces of at most `_CHUNK` points, read as they are
-    needed.
+    """The ReturnSeries of a CSV column in consecutive pieces of at most
+    `_CHUNK` points, read as they are needed; `read_csv` joins them.
 
-    A price column's last price carries into the next piece, so each
-    return is the one the whole series gives, bit for bit.  Errors are
-    those of `read_csv`, raised where the file first shows them.
+    A price column's pieces go through `to_log_returns`, and each
+    piece's last price carries into the next, so each return is the one
+    the whole series gives, bit for bit.  Errors are raised in file
+    order: a bad price stops the read before a bad cell in a later
+    chunk is parsed.
     """
     _check_kind(kind)
-    seen, last = 0, None
+    start, last = 0, None  # start: the series index of the piece's first price
     for chunk, labels in _read_chunks(path, column, date_column):
         if kind == "returns":
             yield ReturnSeries(chunk, labels)
             continue
-        _check_prices(chunk, seen)
-        seen += chunk.size
         if last is not None:
             chunk = np.concatenate(([last[0]], chunk))
             labels = None if labels is None else [last[1]] + labels
         last = (chunk[-1], None if labels is None else labels[-1])
-        if chunk.size > 1:
-            yield to_log_returns(PriceSeries(chunk, labels))
-    if kind == "prices" and seen < 2:
-        raise _too_few_prices(seen)
+        returns = to_log_returns(chunk, labels, start)
+        start += len(returns)
+        if len(returns):
+            yield returns
+    if kind == "prices" and start == 0:
+        raise SeriesTooShortError(
+            "a price series needs at least 2 points, got 1")
 
 
 def _check_kind(kind):
@@ -328,18 +309,15 @@ def _open_out(path):
 def _emit(fh, manifest_lines, header, rows):
     for line in manifest_lines:
         fh.write(f"# {line}\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    for row in itertools.chain([header], rows):
+        fh.write(",".join([_csv_cell(_fmt(v)) for v in row]) + "\n")
 
 
 def _csv_cell(text: str) -> str:
-    """A text cell as csv.writer writes it inside a row of several cells."""
+    """A text cell of a report row: quoted, with its quotes doubled, when
+    it holds a comma, a quote, CR or LF, so the row parser reads it back."""
     if any(c in text for c in ',"\r\n'):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([text, ""])
-        return buf.getvalue()[:-2]
+        return '"' + text.replace('"', '""') + '"'
     return text
 
 
@@ -445,8 +423,15 @@ class TrajectoryWriter:
 
     def write(self, traj, values, labels=None):
         """Append the rows of ``traj``: row i is point traj.start + i,
-        whose value is values[i] and date labels[i]."""
+        whose value is values[i] and date labels[i].  DomainError, before
+        a row is written, unless values (and labels) hold one entry a
+        row."""
         n = len(traj)
+        if len(values) != n or (labels is not None and len(labels) != n):
+            raise DomainError(
+                f"{n} trajectory rows from t={traj.start} need as many "
+                f"values and labels, got {len(values)} values"
+                + ("" if labels is None else f" and {len(labels)} labels"))
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
             chunk = (traj.start + lo,
@@ -501,25 +486,6 @@ def write_series_csv(path, values, labels=None, manifest_lines=()):
               ())
         for lo in range(0, len(values), _CHUNK):
             fh.writelines(chunk(lo))
-
-
-def write_trajectory_csv(path, traj, series, manifest_lines=()):
-    """Columns: t, date, x, mu, sigma, nu, log_density.
-
-    Row i is point t = traj.start + i of the ReturnSeries ``series``,
-    which supplies x and the date, and its estimate; DomainError, before
-    the file is opened, when the trajectory runs past the series.  Same
-    bytes as writing each row through `_emit`; a `TrajectoryWriter`
-    writes them.
-    """
-    start, n = traj.start, len(traj)
-    if not 0 <= start <= len(series) - n:
-        raise DomainError(f"a trajectory of {n} points from t={start} "
-                          f"runs past a series of {len(series)}")
-    points = series[start:start + n]
-    with TrajectoryWriter(path) as out:
-        out.write(traj, points.values, points.labels)
-        out.commit(manifest_lines)
 
 
 def write_sweep_csv(path, report, manifest_lines=()):

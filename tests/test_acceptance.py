@@ -172,13 +172,12 @@ def test_criterion_8_historical_index_reproduction():
               "fallback clause (set MOVINGT_DJIA_CSV to enable)")
         pytest.skip("input data file unavailable; replaced by criteria 5-7")
 
-    from movingt.data_io import read_csv, to_log_returns
+    from movingt.data_io import read_csv
     from movingt.evaluation import nu_sweep
 
-    prices = read_csv(path, column=os.environ.get("MOVINGT_DJIA_COLUMN", "1"),
-                      date_column=os.environ.get("MOVINGT_DJIA_DATE", "0"),
-                      kind="prices")
-    returns = to_log_returns(prices)
+    returns = read_csv(path, column=os.environ.get("MOVINGT_DJIA_COLUMN", "1"),
+                       date_column=os.environ.get("MOVINGT_DJIA_DATE", "0"),
+                       kind="prices")
     ok_len = len(returns) == 29349
 
     cfg = AdaptiveConfig()

@@ -125,6 +125,40 @@ class TestReturnsCommand:
         assert "# input_sha256 = " in text
 
 
+class TestPriceErrors:
+    """A price column's errors, the same for every command that reads one."""
+
+    @pytest.mark.parametrize("command", ["returns", "fit-adaptive",
+                                         "fit-static", "sweep", "tail-table",
+                                         "garch"])
+    def test_first_error_in_file_order(self, tmp_path, capsys, command):
+        # a nonpositive price in the first chunk, an unparseable cell in a
+        # later one: the price is reported, as a plain float
+        src, out = tmp_path / "p.csv", tmp_path / "out.csv"
+        src.write_text("x\n1.0\n2.0\n0.0\n" + "3.0\n" * 9000 + "abc\n")
+        assert _run(command, "--prices", "--input", str(src),
+                    "--output", str(out)) == 3
+        assert capsys.readouterr().err == \
+            "error: nonpositive price 0.0 at index 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["returns", "fit-adaptive"])
+    @pytest.mark.parametrize("prices, later", [
+        ("1e-300\n1e300\n1\n", "1e+300 after 1e-300"),
+        ("1e300\n1e-300\n1\n", "1e-300 after 1e+300")],
+        ids=["overflow", "underflow"])
+    def test_ratio_out_of_range_exits_3(self, tmp_path, capsys, command,
+                                        prices, later):
+        # a typed error and no numpy warning, which the suite makes an error
+        src, out = tmp_path / "p.csv", tmp_path / "out.csv"
+        src.write_text("x\n" + prices)
+        assert _run(command, "--prices", "--input", str(src),
+                    "--output", str(out)) == 3
+        assert capsys.readouterr().err == \
+            f"error: non-finite log-return at index 0: price {later}\n"
+        assert not out.exists()
+
+
 class TestFitAdaptive:
     def test_trajectory_written(self, synth_file, tmp_path, capsys):
         out = tmp_path / "traj.csv"
@@ -636,9 +670,10 @@ class TestEveryFlagReachesTheReport:
 
 class TestOnePassFitAdaptive:
     """fit-adaptive reads, folds, scores and writes its input in one pass
-    over fixed-size chunks.  Its report is the one the whole-series
-    functions give: `run`, then `write_trajectory_csv` under the manifest,
-    whose score is the exact mean of the scored log-densities."""
+    over fixed-size chunks.  Its report is the one the whole series gives:
+    the input's cells parsed by the csv module, `run` over all of them,
+    and one csv row per step under the manifest, whose score is the exact
+    mean of the scored log-densities."""
 
     @staticmethod
     def _write_input(path, n, prices=False, dated=False, bad_line=None):
@@ -665,28 +700,35 @@ class TestOnePassFitAdaptive:
 
     @classmethod
     def _reference(cls, src, report, argv):
-        """The report's bytes as `write_trajectory_csv` writes `run`'s
-        trajectory of the whole series, under the CLI report's manifest,
+        """The report's bytes from parts independent of the CLI's reader
+        and writer: the input's cells parsed by the csv module, the
+        log-returns of prices by numpy, `run`'s trajectory of the whole
+        series, and one csv row per step under the CLI report's manifest,
         whose score line is checked against the exact mean."""
         from movingt.adaptive import AdaptiveConfig, run
-        from movingt.data_io import (read_csv, to_log_returns,
-                                     write_trajectory_csv)
+        from movingt.data_io import ReturnSeries
+        from test_data_io import _per_row_trajectory_csv
 
         def flag(name, default):
             return int(argv[argv.index(name) + 1]) if name in argv else default
         init, warmup = flag("--init-prefix", 300), flag("--warmup", 300)
-        prices = "--prices" in argv
-        series = read_csv(src, date_column="date" if "--date-column" in argv
-                          else None, kind="prices" if prices else "returns")
-        if prices:
-            series = to_log_returns(series)
+        with open(src, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        values = np.array([float(row[-1]) for row in rows])
+        # the reader strips cells
+        labels = ([row[0].strip() for row in rows]
+                  if "--date-column" in argv else None)
+        if "--prices" in argv:
+            values = np.log(values[1:] / values[:-1])
+            labels = None if labels is None else labels[1:]
+        series = ReturnSeries(values, labels)
         traj = run(series, AdaptiveConfig(), init=init)
         scored = traj.log_density[max(warmup - init, 0):].tolist()
         manifest = cls._manifest(report)
         assert manifest[-1] == \
             f"mean_log_likelihood = {math.fsum(scored) / len(scored)!r}"
         ref = report.with_name("reference.csv")
-        write_trajectory_csv(ref, traj, series, manifest)
+        _per_row_trajectory_csv(ref, traj, series, manifest)
         return ref.read_bytes()
 
     # (id, points in the file, prices, dated, flags); the fold starts at
@@ -742,9 +784,9 @@ class TestOnePassFitAdaptive:
         _, n, prices, _, argv = case
         # a price column gives one return fewer; the prefix is not written
         rows = n - prices - (9000 if "--init-prefix" in argv else 300)
-        # the CLI's choice (then the reference writer's, on a first run)
-        assert taken[:1] == ([] if rows < 65536 else
-                             [2 if path == "parallel" else 0])
+        # the CLI's choice of writer path
+        assert taken == ([] if rows < 65536 else
+                         [2 if path == "parallel" else 0])
         assert capsys.readouterr().out == self._manifest(out)[-1] + "\n"
 
     @pytest.mark.parametrize("writer_path", ["parallel"], indirect=True)

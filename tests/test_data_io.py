@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,25 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from movingt.baselines import GarchParams, simulate_garch
-from movingt.data_io import (PriceSeries, ReturnSeries, Segment,
+from movingt.data_io import (ReturnSeries, Segment, TrajectoryWriter,
                              generate_synthetic, read_csv, read_returns,
-                             to_log_returns, write_series_csv,
-                             write_trajectory_csv)
+                             to_log_returns, write_series_csv)
 from movingt.distribution import abs_central_moment
 from movingt.errors import (DegenerateDataError, DomainError, ParseError,
                             SeriesTooShortError)
 
 
 class TestSeriesTypes:
-    def test_prices_must_be_positive(self):
-        with pytest.raises(DegenerateDataError):
-            PriceSeries(np.array([1.0, -2.0, 3.0]))
-        with pytest.raises(DegenerateDataError):
-            PriceSeries(np.array([1.0, 0.0]))
+    def test_prices_must_be_positive(self, tmp_path):
+        with pytest.raises(DegenerateDataError,
+                           match=r"^nonpositive price -2\.0 at index 1$"):
+            to_log_returns(np.array([1.0, -2.0, 3.0]))
+        f = tmp_path / "p.csv"
+        f.write_text("x\n1.0\n2.0\n0.0\n")
+        with pytest.raises(DegenerateDataError,
+                           match=r"^nonpositive price 0\.0 at index 2$"):
+            read_csv(f, kind="prices")
 
-    def test_prices_need_two_points(self):
+    def test_prices_need_two_points(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text("x\n1.0\n")
         with pytest.raises(SeriesTooShortError):
-            PriceSeries(np.array([1.0]))
+            read_csv(f, kind="prices")
 
     def test_returns_must_be_finite(self):
         with pytest.raises(DegenerateDataError):
@@ -37,29 +43,37 @@ class TestSeriesTypes:
 
 class TestToLogReturns:
     def test_e_ratio(self):
-        rs = to_log_returns(PriceSeries(np.array([1.0, math.e])))
+        rs = to_log_returns(np.array([1.0, math.e]))
         assert rs.values == pytest.approx([1.0], abs=1e-15)
 
     def test_constant_prices(self):
-        rs = to_log_returns(PriceSeries(np.array([2.0, 2.0, 2.0])))
+        rs = to_log_returns(np.array([2.0, 2.0, 2.0]))
         assert np.array_equal(rs.values, [0.0, 0.0])
 
     def test_length(self):
-        prices = PriceSeries(np.linspace(1.0, 2.0, 2518))
-        assert len(to_log_returns(prices)) == 2517
+        assert len(to_log_returns(np.linspace(1.0, 2.0, 2518))) == 2517
 
     def test_labels_shift_to_later_date(self):
-        prices = PriceSeries(np.array([1.0, 2.0, 3.0]),
-                             labels=["d0", "d1", "d2"])
-        rs = to_log_returns(prices)
+        rs = to_log_returns(np.array([1.0, 2.0, 3.0]), ["d0", "d1", "d2"])
         assert rs.labels == ["d1", "d2"]
+
+    @pytest.mark.parametrize("prices, later", [
+        ([1.0, 1e-300, 1e300, 1.0], "1e+300 after 1e-300"),  # overflows
+        ([1.0, 1e300, 1e-300, 1.0], "1e-300 after 1e+300")],  # underflows
+        ids=["overflow", "underflow"])
+    def test_ratio_out_of_range_is_named(self, prices, later):
+        # no numpy warning (the suite makes it an error), one typed error
+        with pytest.raises(DegenerateDataError) as exc:
+            to_log_returns(np.array(prices), offset=10)
+        assert str(exc.value) == f"non-finite log-return at index 11: " \
+                                 f"price {later}"
 
     @given(st.lists(st.floats(-0.2, 0.2), min_size=1, max_size=50))
     @settings(max_examples=50, deadline=None)
     def test_round_trip(self, returns):
         returns = np.asarray(returns)
         prices = np.concatenate([[1.0], np.exp(np.cumsum(returns))])
-        back = to_log_returns(PriceSeries(prices)).values
+        back = to_log_returns(prices).values
         assert np.allclose(back, returns, atol=1e-12)
 
 
@@ -68,9 +82,9 @@ class TestReadCsv:
         f = tmp_path / "prices.csv"
         f.write_text("date,close\n2020-01-01,1.5\n2020-01-02,1.7\n")
         series = read_csv(f, column="close", date_column="date", kind="prices")
-        assert isinstance(series, PriceSeries)
-        assert series.values == pytest.approx([1.5, 1.7])
-        assert series.labels == ["2020-01-01", "2020-01-02"]
+        assert isinstance(series, ReturnSeries)
+        assert series.values == pytest.approx([math.log(1.7 / 1.5)])
+        assert series.labels == ["2020-01-02"]
 
     def test_headerless_single_column(self, tmp_path):
         f = tmp_path / "vals.csv"
@@ -118,15 +132,15 @@ class TestReadCsv:
         f = tmp_path / "two.csv"
         f.write_text("2020-01-01,1.0\n2020-01-02,2.0\n")
         series = read_csv(f, column=1, date_column=0, kind="prices")
-        assert series.values == pytest.approx([1.0, 2.0])
-        assert series.labels == ["2020-01-01", "2020-01-02"]
+        assert series.values == pytest.approx([math.log(2.0)])
+        assert series.labels == ["2020-01-02"]
 
     def test_byte_order_mark_before_header(self, tmp_path):
         f = tmp_path / "bom.csv"
         f.write_bytes(b"\xef\xbb\xbfdate,close\n2020-01-01,1.5\n2020-01-02,1.7\n")
         series = read_csv(f, column="close", date_column="date", kind="prices")
-        assert series.values == pytest.approx([1.5, 1.7])
-        assert series.labels == ["2020-01-01", "2020-01-02"]
+        assert series.values == pytest.approx([math.log(1.7 / 1.5)])
+        assert series.labels == ["2020-01-02"]
 
     def test_byte_order_mark_before_headerless_value(self, tmp_path):
         # the first row must still read as data, not as a header
@@ -201,7 +215,9 @@ class TestReaderCases:
 
 
 class TestReadReturns:
-    """`read_returns` hands on the series `read_csv` reads, in pieces."""
+    """`read_returns`, and `read_csv` that joins its pieces, give the
+    series the csv module and numpy make of the file: its values, or the
+    log-returns of its prices, dated by the later price."""
 
     @staticmethod
     def _write(path, n):
@@ -217,6 +233,17 @@ class TestReadReturns:
             writer.writerows(zip(_with_awkward_labels(n, 5),
                                  map(repr, values.tolist())))
 
+    @staticmethod
+    def _expected(path, kind):
+        import csv
+        with open(path, newline="", encoding="utf-8") as fh:
+            dates, cells = zip(*list(csv.reader(fh))[1:])
+        values = np.array([float(cell) for cell in cells])
+        labels = [date.strip() for date in dates]  # the reader strips cells
+        if kind == "prices":
+            return np.log(values[1:] / values[:-1]), labels[1:]
+        return values, labels
+
     @pytest.mark.parametrize("chunk", [1, 2, 7, 8192])
     @pytest.mark.parametrize("kind", ["returns", "prices"])
     def test_pieces_join_to_the_whole_series(self, tmp_path, monkeypatch,
@@ -224,30 +251,35 @@ class TestReadReturns:
         from movingt import data_io
         f = tmp_path / "in.csv"
         self._write(f, 50)
-        whole = read_csv(f, date_column="date", kind=kind)
-        if kind == "prices":
-            whole = to_log_returns(whole)
+        values, labels = self._expected(f, kind)
         monkeypatch.setattr(data_io, "_CHUNK", chunk)
         pieces = list(read_returns(f, date_column="date", kind=kind))
         assert all(0 < len(p) <= chunk for p in pieces)
-        assert (np.concatenate([p.values for p in pieces]).tobytes()
-                == whole.values.tobytes())
-        assert sum((p.labels for p in pieces), []) == whole.labels
+        joined = ReturnSeries(np.concatenate([p.values for p in pieces]),
+                              sum((p.labels for p in pieces), []))
+        for series in (joined, read_csv(f, date_column="date", kind=kind)):
+            assert series.values.tobytes() == values.tobytes()
+            assert series.labels == labels
 
     def test_price_errors_as_read_csv_gives_them(self, tmp_path,
                                                  monkeypatch):
+        # named by their index in the whole series, not in the piece
         from movingt import data_io
         monkeypatch.setattr(data_io, "_CHUNK", 4)
         f = tmp_path / "in.csv"
-        for text, error in (("x\n" + "1.0\n" * 9 + "-2.0\n1.0\n",
-                             DegenerateDataError),
-                            ("x\n1.0\n", SeriesTooShortError)):
+        for text, error, message in (
+                ("x\n" + "1.0\n" * 9 + "-2.0\n1.0\n", DegenerateDataError,
+                 "nonpositive price -2.0 at index 9"),
+                ("x\n" + "1.0\n" * 9 + "1e-300\n1e300\n", DegenerateDataError,
+                 "non-finite log-return at index 9: price 1e+300 after 1e-300"),
+                ("x\n1.0\n", SeriesTooShortError,
+                 "a price series needs at least 2 points, got 1")):
             f.write_text(text)
             with pytest.raises(error) as whole:
                 read_csv(f, kind="prices")
             with pytest.raises(error) as pieces:
                 list(read_returns(f, kind="prices"))
-            assert str(pieces.value) == str(whole.value)
+            assert str(whole.value) == str(pieces.value) == message
 
 
 class TestRoundTrips:
@@ -264,7 +296,7 @@ class TestRoundTrips:
         xs = generate_synthetic([Segment(500, 0, 1, 5)], seed=60)
         traj = run(xs, AdaptiveConfig(), init=300)
         f = tmp_path / "traj.csv"
-        write_trajectory_csv(f, traj, xs, ["k = v"])
+        _write_trajectory(f, traj, xs, ["k = v"])
         import csv
         with open(f, newline="") as fh:
             rows = [r for r in csv.reader(fh)
@@ -277,6 +309,19 @@ class TestRoundTrips:
         assert np.array_equal(got[:, 2], traj.sigma)
         assert np.array_equal(got[:, 3], traj.nu)
         assert np.array_equal(got[:, 4], traj.log_density)
+
+    def test_awkward_labels_read_back(self, tmp_path):
+        # a label with a bare CR among them: the writers must quote it
+        from movingt.adaptive import ParamTrajectory
+        labels = ["d0", *_AWKWARD_LABELS]
+        series = ReturnSeries(np.arange(len(labels), dtype=float), labels)
+        traj = ParamTrajectory(1, *np.ones((4, len(labels) - 1)))
+        f, t = tmp_path / "series.csv", tmp_path / "traj.csv"
+        write_series_csv(f, series.values, series.labels)
+        _write_trajectory(t, traj, series)
+        want = [label.strip() for label in labels]  # the reader strips cells
+        assert read_csv(f, date_column="date").labels == want
+        assert read_csv(t, date_column="date").labels == want[1:]
 
 
 class TestGenerateSynthetic:
@@ -319,17 +364,41 @@ class TestGenerateSynthetic:
                            GarchParams(1e-6, 0.08, 0.90, 1e-6))
 
 
+def _write_trajectory(path, traj, series, manifest_lines=()):
+    """The rows of ``traj`` and their points of ``series`` through the
+    trajectory writer."""
+    points = series[traj.start:traj.start + len(traj)]
+    with TrajectoryWriter(path) as out:
+        out.write(traj, points.values, points.labels)
+        out.commit(manifest_lines)
+
+
+class _LineFeed:
+    """A file for csv.writer(lineterminator="\\r\\n") that ends its rows in
+    LF: csv quotes the cells that hold a character of its line
+    terminator, so a cell with a bare CR is quoted, as a report's is."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, row):
+        return self._fh.write(row[:-2] + "\n")
+
+
+def _per_row_writer(fh):
+    import csv
+    return csv.writer(_LineFeed(fh), lineterminator="\r\n")
+
+
 def _per_row_trajectory_csv(path, traj, series, manifest_lines):
     # the writer as it was before it formatted column chunks: one
     # csv.writer row per step, floats through repr
-    import csv
-
     def fmt(v):
         return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in manifest_lines:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _per_row_writer(fh)
         writer.writerow(["t", "date", "x", "mu", "sigma", "nu", "log_density"])
         for i in range(len(traj)):
             t = traj.start + i
@@ -341,11 +410,10 @@ def _per_row_trajectory_csv(path, traj, series, manifest_lines):
 
 def _per_row_series_csv(path, values, labels, manifest_lines):
     # the series writer as it was before it formatted column chunks
-    import csv
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in manifest_lines:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _per_row_writer(fh)
         if labels is None:
             writer.writerow(["x"])
             writer.writerows([repr(float(v))] for v in values)
@@ -400,26 +468,28 @@ class TestTrajectoryWriterBytes:
         path, taken = writer_path
         traj, series = self._trajectory(self._long_enough(), 7, labelled)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-        write_trajectory_csv(new, traj, series, ["k = v"])
+        _write_trajectory(new, traj, series, ["k = v"])
         _per_row_trajectory_csv(old, traj, series, ["k = v"])
         assert new.read_bytes() == old.read_bytes()
         assert (taken[0] > 1) == (path == "parallel")
 
     def test_short_labels_raise_on_either_path(self, tmp_path, writer_path):
-        # the series ends before the last step: the writer refuses
-        # before it opens the file or chooses a path, so nothing is
-        # written and no worker starts (the fixture checks after the call)
+        # fewer values or labels than rows: the writer refuses before it
+        # formats a row or chooses a path, so nothing is written and no
+        # worker starts (the fixture checks after the call)
         _, taken = writer_path
-        for labelled in (False, True):
-            traj, series = self._trajectory(self._long_enough(), 7, labelled)
-            short = ReturnSeries(series.values[:-100],
-                                 None if series.labels is None
-                                 else series.labels[:-100])
-            out = tmp_path / "t.csv"
+        traj, series = self._trajectory(self._long_enough(), 7, True)
+        values, labels = series.values[7:], series.labels[7:]
+        out = tmp_path / "t.csv"
+        for short in ((values[:-100], None), (values[:-100], labels[:-100]),
+                      (values, labels[:-1])):
             with pytest.raises(DomainError):
-                write_trajectory_csv(out, traj, short)
+                with TrajectoryWriter(out) as writer:
+                    writer.write(traj, *short)
+                    writer.commit()
             assert not out.exists()
         assert taken == []
+        assert os.listdir(tmp_path) == []
 
 
 class TestSeriesWriterBytes:
@@ -436,7 +506,7 @@ class TestSeriesWriterBytes:
 
 class TestRowCountsOfTracedCalls:
     """perfbench/child.py counts the rows of a traced call as
-    ``len(args[1])`` for both writers and ``len(result)`` for
+    ``len(args[1])`` for `write_series_csv` and ``len(result)`` for
     `adaptive.run`; these pin the argument order and the lengths."""
 
     @staticmethod
@@ -448,15 +518,11 @@ class TestRowCountsOfTracedCalls:
     def test_second_positional_argument_has_one_entry_per_row(self, tmp_path):
         import inspect
         from movingt.adaptive import AdaptiveConfig, run
-        for writer, first_two in ((write_trajectory_csv, ["path", "traj"]),
-                                  (write_series_csv, ["path", "values"])):
-            params = list(inspect.signature(writer).parameters)
-            assert params[:2] == first_two, writer.__name__
+        params = list(inspect.signature(write_series_csv).parameters)
+        assert params[:2] == ["path", "values"]
         xs = generate_synthetic([Segment(700, 0, 1, 5)], seed=62)
         traj = run(xs, AdaptiveConfig(), init=300)
         assert len(traj) == 400  # the folded points, after the prefix
-        calls = ((write_trajectory_csv, tmp_path / "t.csv", traj, xs),
-                 (write_series_csv, tmp_path / "s.csv", xs.values, None))
-        for writer, *args in calls:
-            writer(*args, ["k = v"])
-            assert len(self._data_lines(args[0])) == len(args[1])
+        f = tmp_path / "s.csv"
+        write_series_csv(f, xs.values, None, ["k = v"])
+        assert len(self._data_lines(f)) == len(xs.values)

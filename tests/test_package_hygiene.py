@@ -7,11 +7,13 @@ behind when a formula moves between modules.  A third check keeps the
 moving estimator's config to the settings its step reads, a fourth
 keeps scipy out of the runtime, and a fifth asks every dataclass field
 to be read somewhere outside validation (`__post_init__`), so no stored
-value goes unread.
+value goes unread.  Last, the README's library example runs, so the API
+it documents cannot drift from the code.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -145,3 +147,16 @@ def test_every_dataclass_field_is_read():
     assert fields, "the scan found no dataclass fields"
     unread = [field for field in fields if field[1] not in read]
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (pathlib.Path(__file__).resolve().parents[1]
+              / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    monkeypatch.chdir(tmp_path)  # the example writes a report here
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert (tmp_path / "trajectory.csv").read_text().startswith(
+        "# scenario = regime switch at t = 5000\nt,date,x,mu,sigma,nu,"
+        "log_density\n300,,")
