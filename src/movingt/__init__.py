@@ -19,7 +19,6 @@ from .errors import (DegenerateDataError, DivergentMomentError, DomainError,
                      ParseError, SeriesTooShortError)
 from .evaluation import (SweepReport, TailTable, expected_tail_fraction,
                          mean_log_likelihood, nu_sweep, tail_table)
-from .special_math import regularized_incomplete_beta
 from .static_estimators import (MomentSummary, NuInversionTable,
                                 build_nu_table, compute_moments,
                                 estimate_nu_adjusted, estimate_nu_raw,
@@ -40,7 +39,6 @@ __all__ = [
     "ParseError", "SeriesTooShortError",
     "SweepReport", "TailTable", "expected_tail_fraction",
     "mean_log_likelihood", "nu_sweep", "tail_table",
-    "regularized_incomplete_beta",
     "MomentSummary", "NuInversionTable", "build_nu_table",
     "compute_moments", "estimate_nu_adjusted", "estimate_nu_raw",
     "estimate_sigma",

@@ -85,7 +85,13 @@ class ExactSum:
                 (self._parts, values[lo:lo + (1 << 20)])))
 
     def mean(self) -> float:
-        return math.fsum(self._parts.tolist()) / self.count
+        try:
+            total = math.fsum(self._parts.tolist())
+        except OverflowError:  # the mean may be finite, but not exactly known
+            raise FloatingPointError(
+                f"the exact sum of {self.count} log-densities leaves "
+                "float64's range, so their mean is not computed") from None
+        return total / self.count
 
 
 def _exact_parts(terms: np.ndarray) -> np.ndarray:
@@ -137,7 +143,9 @@ def mean_log_likelihood(subject: Union[ParamTrajectory, StudentTParams],
         raise DomainError(f"cannot score a {type(subject).__name__}")
     if scored.size == 0:
         raise SeriesTooShortError("no records at or beyond the warmup index")
-    return math.fsum(scored.tolist()) / scored.size
+    total = ExactSum()
+    total.add(scored)
+    return total.mean()
 
 
 @dataclass(frozen=True)
@@ -232,8 +240,9 @@ class TailTable:
 
 
 def expected_tail_fraction(nu: float, k: float) -> float:
-    """P(|X| > k) for the standardized distribution: 2*(1 - cdf(k))."""
-    return 2.0 * (1.0 - cdf(StudentTParams(0.0, 1.0, nu), float(k)))
+    """P(|X| > k) for the standardized distribution: twice the lower
+    tail cdf(-k), which keeps its relative precision far out."""
+    return 2.0 * cdf(StudentTParams(0.0, 1.0, nu), -float(k))
 
 
 def tail_table(xs, normalization, nu_labels: Sequence[float],
@@ -242,7 +251,7 @@ def tail_table(xs, normalization, nu_labels: Sequence[float],
 
     ``normalization`` is either a (mu, sigma) pair (static) or a
     ParamTrajectory (per-step mu_t, sigma_t).  Expected counts are
-    n_effective * 2*(1 - cdf(k)) for each requested nu.
+    n_effective * P(|X| > k) for each requested nu.
     """
     values = _values_of(xs)
     if values.size == 0:
@@ -264,9 +273,14 @@ def tail_table(xs, normalization, nu_labels: Sequence[float],
 
     n_eff = int(z.size)
     observed = tuple(int(np.count_nonzero(z > k)) for k in ks)
-    expected = {}
+    expected, named = {}, {}
     for nu in nu_labels:
         nu = float(nu)
+        label = format_nu_label(nu)
+        if label in named:
+            raise DomainError(f"nu labels {named[label]!r} and {nu!r} both "
+                              f"name the column expected_nu_{label}")
+        named[label] = nu
         fracs = [expected_tail_fraction(nu, k) for k in ks]
-        expected[format_nu_label(nu)] = tuple(n_eff * f for f in fracs)
+        expected[label] = tuple(n_eff * f for f in fracs)
     return TailTable(ks, observed, expected, n_eff, kind)

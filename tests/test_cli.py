@@ -309,6 +309,24 @@ class TestMomentOverflow:
         assert "power 500.0 overflows" in capsys.readouterr().err
 
 
+class TestScoreOverflow:
+    @pytest.mark.parametrize("argv", [
+        ["fit-adaptive", "--nu-fixed", "inf", "--eta1", "0"],
+        ["sweep"]])
+    def test_sum_beyond_float64_exits_4(self, tmp_path, capsys, argv):
+        # after each run of zeros sigma sits at the moment floor, so each
+        # spike scores about -3e307: the mean is finite, the sum is not
+        src = tmp_path / "spikes.csv"
+        src.write_text("x\n" + "0\n" * 300
+                       + ("1e134\n" + "0\n" * 7999) * 7)
+        out = tmp_path / "o.csv"
+        assert _run(*argv, "--returns", "--input", str(src),
+                    "--output", str(out)) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the exact sum")
+        assert not out.exists()
+
+
 class TestTailTable:
     def test_adaptive_counts_every_point(self, synth_file, tmp_path):
         out = tmp_path / "tail.csv"
@@ -349,6 +367,19 @@ class TestTailTable:
                     "--output", str(tmp_path / "o.csv"),
                     "--nu-labels", "3,abc") == 2
         assert "--nu-labels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("labels, named", [
+        ("2.5,2.500001,1e6,inf", "2.5 and 2.500001"),
+        ("3,1e6,inf", "1000000.0 and 1000000.0")])
+    def test_colliding_nu_labels_exit_2(self, synth_file, tmp_path, capsys,
+                                        labels, named):
+        # both would write one expected_nu_<label> column
+        out = tmp_path / "o.csv"
+        assert _run("tail-table", "--input", str(synth_file), "--returns",
+                    "--output", str(out), "--nu-labels", labels,
+                    "--k-max", "3") == 2
+        assert f"nu labels {named} both name" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("normalization", ["adaptive", "static"])
     @pytest.mark.parametrize("k_max", ["0", "-2"])

@@ -107,6 +107,30 @@ class TestCdf:
             num = (cdf(p, float(x + h)) - cdf(p, float(x - h))) / (2 * h)
             assert num == pytest.approx(pdf(p, float(x)), rel=1e-5)
 
+    @pytest.mark.parametrize("nus, rel", [
+        ((1.1, 2.5, 3.0, 5.0, 10.0, 30.0, 100.0, 1000.0), 1e-11),
+        ((1e4, 1e5, 999999.0), 1e-9)])
+    def test_matches_multiprecision_in_the_tail_and_near_the_center(
+            self, nus, rel):
+        # the lower tail keeps its relative precision out to z = -30
+        # (3.1e-24 at nu = 30), and 1 - x is not lost near z = 0
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for nu in nus:
+            for z in (-4.0, -8.0, -12.0, -30.0, -1e-9, 1e-6, -1e-3, 0.5):
+                m_nu, m_z = mpmath.mpf(nu), mpmath.mpf(z)
+                lower = mpmath.betainc(m_nu / 2, 0.5, 0,
+                                       m_nu / (m_nu + m_z ** 2),
+                                       regularized=True) / 2
+                ref = float(lower if z < 0 else 1 - lower)
+                got = cdf(StudentTParams(0.0, 1.0, nu), z)
+                assert got == pytest.approx(ref, rel=rel, abs=0.0), (nu, z)
+
+    def test_infinite_argument(self):
+        p = StudentTParams(0.0, 1.0, 3.0)
+        assert cdf(p, -math.inf) == 0.0
+        assert cdf(p, math.inf) == 1.0
+
     def test_matches_quadrature(self):
         p = StudentTParams(0.0, 1.0, 3.5)
         for x in (-2.0, 0.7, 4.0):

@@ -65,6 +65,13 @@ class TestExactSum:
             total.add(chunk)
         assert total.mean() == math.fsum(values) / len(values)
 
+    def test_sum_beyond_float64_is_a_floating_point_error(self):
+        # the mean, -1.7e308 * 3 / 4, is finite, but not the exact sum
+        total = ExactSum()
+        total.add([-1.7e308, -1.7e308, -1.7e308, 0.0])
+        with pytest.raises(FloatingPointError, match="leaves float64"):
+            total.mean()
+
 
 class TestMeanLogLikelihood:
     def test_single_point_cauchy(self):
@@ -118,6 +125,13 @@ class TestMeanLogLikelihood:
         traj = _flat_trajectory(5, 10)
         got = mean_log_likelihood(traj, np.zeros(15), warmup)
         assert got == float(np.mean(np.arange(max(warmup, 5), 15)))
+
+    def test_sum_beyond_float64_is_a_floating_point_error(self):
+        traj = ParamTrajectory(
+            start=0, mu=np.zeros(4), sigma=np.ones(4), nu=np.full(4, 5.0),
+            log_density=np.array([-1.7e308, -1.7e308, -1.7e308, 0.0]))
+        with pytest.raises(FloatingPointError, match="leaves float64"):
+            mean_log_likelihood(traj, np.zeros(4), 0)
 
     def test_nothing_to_score(self):
         params = StudentTParams(0.0, 1.0, 2.0)
@@ -246,6 +260,28 @@ class TestTailTable:
         res = integrate_adaptive(lambda x: pdf(p, x), 1.0, math.inf, 1e-10)
         assert res.converged
         assert frac == pytest.approx(2.0 * res.value, abs=1e-9)
+
+    @pytest.mark.parametrize("nus, rel", [
+        ((1.1, 2.5, 3.0, 5.0, 10.0, 30.0, 100.0, 1000.0), 1e-11),
+        ((1e4, 1e5, 999999.0), 1e-9)])
+    def test_expected_fraction_matches_multiprecision(self, nus, rel):
+        # P(|T| > k) = I_{nu/(nu+k^2)}(nu/2, 1/2), to relative precision
+        # even where 1 - cdf(k) would cancel
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for nu in nus:
+            for k in (*range(1, 11), 20):
+                m_nu = mpmath.mpf(nu)
+                ref = float(mpmath.betainc(m_nu / 2, 0.5, 0,
+                                           m_nu / (m_nu + k * k),
+                                           regularized=True))
+                assert expected_tail_fraction(nu, k) == pytest.approx(
+                    ref, rel=rel, abs=0.0), (nu, k)
+
+    @pytest.mark.parametrize("k", [*range(1, 11), 20])
+    def test_gaussian_expected_fraction_is_erfc(self, k):
+        assert expected_tail_fraction(NU_GAUSSIAN, k) == pytest.approx(
+            math.erfc(k / math.sqrt(2.0)), rel=1e-14, abs=0.0)
 
     def test_expected_monotone_in_k_and_nu(self):
         # strictly decreasing until the value underflows to the 0.0 floor

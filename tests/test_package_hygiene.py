@@ -7,17 +7,19 @@ behind when a formula moves between modules.  A third check keeps the
 moving estimator's config to the settings its step reads, a fourth
 keeps scipy out of the runtime, and a fifth asks every dataclass field
 to be read somewhere outside validation (`__post_init__`), so no stored
-value goes unread.  Last, the README's library example runs, so the API
-it documents cannot drift from the code.
+value goes unread.  Last, the README's library and CLI examples run, so
+the API and the commands they document cannot drift from the code.
 """
 
 import ast
 import pathlib
 import re
+import shlex
 
 import pytest
 
 import movingt
+from movingt.cli import main
 
 PACKAGE = pathlib.Path(movingt.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -149,9 +151,11 @@ def test_every_dataclass_field_is_read():
     assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
-    readme = (pathlib.Path(__file__).resolve().parents[1]
-              / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     section = readme.split("\n## Library\n", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     monkeypatch.chdir(tmp_path)  # the example writes a report here
@@ -160,3 +164,17 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "trajectory.csv").read_text().startswith(
         "# scenario = regime switch at t = 5000\nt,date,x,mu,sigma,nu,"
         "log_density\n300,,")
+
+
+def test_readme_cli_example_runs(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert [argv[:2] for argv in commands] == [
+        ["movingt", name] for name in
+        ("synth", "fit-adaptive", "sweep", "tail-table", "garch")]
+    monkeypatch.chdir(tmp_path)  # the example writes its files here
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv

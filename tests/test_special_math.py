@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from movingt.distribution import StudentTParams
 from movingt.errors import DomainError
-from movingt.special_math import regularized_incomplete_beta
+from movingt.distribution import _betainc as regularized_incomplete_beta
 
 from quadrature import integrate_adaptive
 
