@@ -19,10 +19,8 @@ from .errors import (DegenerateDataError, DivergentMomentError, DomainError,
                      ParseError, SeriesTooShortError)
 from .evaluation import (SweepReport, TailTable, expected_tail_fraction,
                          mean_log_likelihood, nu_sweep, tail_table)
-from .static_estimators import (MomentSummary, NuInversionTable,
-                                build_nu_table, compute_moments,
-                                estimate_nu_adjusted, estimate_nu_raw,
-                                estimate_sigma)
+from .static_estimators import (MomentSummary, build_nu_table,
+                                compute_moments, static_fit)
 
 __version__ = "0.1.0"
 
@@ -39,8 +37,6 @@ __all__ = [
     "ParseError", "SeriesTooShortError",
     "SweepReport", "TailTable", "expected_tail_fraction",
     "mean_log_likelihood", "nu_sweep", "tail_table",
-    "MomentSummary", "NuInversionTable", "build_nu_table",
-    "compute_moments", "estimate_nu_adjusted", "estimate_nu_raw",
-    "estimate_sigma",
+    "MomentSummary", "build_nu_table", "compute_moments", "static_fit",
     "__version__",
 ]

@@ -8,8 +8,10 @@ then ingests it:
     m_p     <- m_p + eta  * (|x - mu_t|^p - m_p)      (pre-update mu_t)
 
 sigma_t = max(m_sigma, floor)^{1/p_sigma} / M(nu_t, p_sigma); nu_t comes
-from the ratio of two moment EMAs inverted through a monotone table
-(plus the additive adjustment), or is held fixed.
+from the ratio of two moment EMAs inverted through a monotone table over
+[nu_min, nu_cap], plus the additive adjustment, or is held fixed.  These
+are the static method of moments' maps with EMA moments in place of
+sample means; `step` evaluates them in scalar form.
 
 `update` folds a series from an explicit state and returns the state
 after its last point, which is where a `step` loop over the same points
@@ -18,10 +20,11 @@ to the next, and writes each chunk into preallocated output arrays, so
 its memory beyond the output does not grow with the series.  Within a
 chunk the center and the three moment EMAs are first-order recursions,
 built with `itertools.accumulate` from the same update expression as
-`step`, and nu, sigma and the log-density are numpy maps of those state
-paths.  Every value depends only on the values before it, so the output
-does not depend on the chunk size.  `run` is `seed_state_from_prefix`
-plus `update`.
+`step`, and nu, sigma and the log-density are the vectorized maps of
+`static_estimators` applied to those state paths, the maps the static
+fit evaluates at the whole-sample moments.  Every value depends only on
+the values before it, so the output does not depend on the chunk size.
+`run` is `seed_state_from_prefix` plus `update`.
 """
 
 from __future__ import annotations
@@ -29,18 +32,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import accumulate
 from typing import Optional, Union
 
 import numpy as np
 
-from .distribution import (_HALF_LOG_2PI, _HALF_LOG_PI, NU_GAUSSIAN,
-                           StudentTParams, _log_abs_moment)
+from .distribution import StudentTParams, _log_abs_moment
 from .errors import DomainError, SeriesTooShortError
 from .static_estimators import (DEFAULT_NU_ADJUSTMENT, DEFAULT_NU_CAP,
-                                _power_overflow, build_nu_table,
-                                compute_moments)
+                                _inversion_table, _power_overflow,
+                                adjusted_nu, compute_moments, raw_nu,
+                                sigma_and_log_density)
 
 __all__ = [
     "AdaptiveConfig",
@@ -52,7 +54,6 @@ __all__ = [
     "run_pieces",
     "seed_state_from_prefix",
     "moment_paths",
-    "sigma_and_log_density",
 ]
 
 @dataclass(frozen=True)
@@ -161,29 +162,22 @@ class ParamTrajectory:
         return int(self.mu.size)
 
 
-@lru_cache(maxsize=32)
-def _inversion_table(p1: float, p2: float, nu_min: float, nu_cap: float):
-    """(ratio ascending, ln nu) of the nu inversion table, as lists."""
-    table = build_nu_table(p1, p2, nu_min=nu_min, nu_cap=nu_cap)
-    ratio_asc, ln_nu = table.inversion_arrays()
-    return ratio_asc.tolist(), ln_nu.tolist()
-
-
 # --------------------------------------------------------------------------
 # scalar step: the reference the vectorized fold is tested against
 
 
-def _interp_ln_nu(r, ratio_asc, ln_nu_asc):
-    # piecewise-linear inverse lookup, clamped at the table ends
+def _interp_nu(r, ratio_asc, ln_nu_asc, nu_ends):
+    # piecewise-linear inverse lookup in ln nu; the end values beyond
+    # the table, exactly
     if r <= ratio_asc[0]:
-        return ln_nu_asc[0]
+        return nu_ends[0]
     last = len(ratio_asc) - 1
     if r >= ratio_asc[last]:
-        return ln_nu_asc[last]
+        return nu_ends[1]
     i = bisect_right(ratio_asc, r)
     r0 = ratio_asc[i - 1]
     y0 = ln_nu_asc[i - 1]
-    return y0 + (ln_nu_asc[i] - y0) * (r - r0) / (ratio_asc[i] - r0)
+    return math.exp(y0 + (ln_nu_asc[i] - y0) * (r - r0) / (ratio_asc[i] - r0))
 
 
 def step(state: EmaState, x: float, config: AdaptiveConfig):
@@ -196,11 +190,11 @@ def step(state: EmaState, x: float, config: AdaptiveConfig):
     mu, m_sigma, m1, m2 = state.mu, state.m_sigma, state.m1, state.m2
     floor = config.moment_floor
     if config.nu_fixed is None:
-        ratio_asc, ln_nu = _inversion_table(config.p1, config.p2,
-                                            config.nu_min, config.nu_cap)
+        ratio_asc, ln_nu, nu_ends = _inversion_table(
+            config.p1, config.p2, config.nu_min, config.nu_cap)
         r = math.exp(math.log(m1 if m1 > floor else floor) / config.p1
                      - math.log(m2 if m2 > floor else floor) / config.p2)
-        nu_t = min(math.exp(_interp_ln_nu(r, ratio_asc, ln_nu))
+        nu_t = min(_interp_nu(r, ratio_asc, ln_nu, nu_ends)
                    + config.nu_adjustment, config.nu_cap)
     else:
         nu_t = config.nu_fixed
@@ -286,52 +280,6 @@ def moment_paths(xs, state: EmaState, config: AdaptiveConfig):
     return mu, m_sigma, m1, m2
 
 
-def _nu_path(m1, m2, config: AdaptiveConfig) -> np.ndarray:
-    floor = config.moment_floor
-    r = np.exp(np.log(np.maximum(m1, floor)) / config.p1
-               - np.log(np.maximum(m2, floor)) / config.p2)
-    ratio_asc, ln_nu = _inversion_table(config.p1, config.p2,
-                                        config.nu_min, config.nu_cap)
-    nu = np.exp(np.interp(r, ratio_asc, ln_nu)) + config.nu_adjustment
-    return np.minimum(nu, config.nu_cap)
-
-
-def _lgamma_of(a: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.lgamma, a.tolist()), np.float64, count=a.size)
-
-
-def sigma_and_log_density(xs, mu, m_sigma, nu, p_sigma: float, floor: float):
-    """(sigma_t, ln rho_t(x_t)) per step from the state paths and nu_t.
-
-    nu is one value or one per step; steps with nu >= NU_GAUSSIAN use
-    the Gaussian limit, as `step` does.
-    """
-    nu = np.atleast_1d(np.asarray(nu, dtype=np.float64))
-    gauss = nu >= NU_GAUSSIAN
-    # the Student-t terms are evaluated at a finite stand-in where the
-    # Gaussian branch is taken, so lgamma never sees a huge argument
-    nu_t = np.minimum(nu, NU_GAUSSIAN)
-    lg_half_nu = _lgamma_of(0.5 * nu_t)
-    lg_half_p1 = math.lgamma(0.5 * (p_sigma + 1.0))
-    log_m = np.where(
-        gauss,
-        (0.5 * p_sigma * math.log(2.0) + lg_half_p1 - _HALF_LOG_PI) / p_sigma,
-        (0.5 * p_sigma * np.log(nu_t) + lg_half_p1
-         + _lgamma_of(0.5 * (nu_t - p_sigma)) - _HALF_LOG_PI - lg_half_nu)
-        / p_sigma)
-    sigma = np.exp(np.log(np.maximum(m_sigma, floor)) / p_sigma - log_m)
-
-    log_norm = np.where(
-        gauss, -_HALF_LOG_2PI,
-        _lgamma_of(0.5 * (nu_t + 1.0)) - lg_half_nu
-        - 0.5 * np.log(nu_t * math.pi))
-    z = (xs - mu) / sigma
-    with np.errstate(over="ignore"):  # z*z may hit inf; -inf out is correct
-        tail = np.where(gauss, 0.5 * z * z,
-                        0.5 * (nu_t + 1.0) * np.log1p(z * z / nu_t))
-    return sigma, log_norm - np.log(sigma) - tail
-
-
 def update(state: EmaState, xs, config: AdaptiveConfig):
     """Fold xs from `state`: (state after the last point, trajectory).
 
@@ -351,7 +299,10 @@ def update(state: EmaState, xs, config: AdaptiveConfig):
         chunk = x[lo:hi]
         mu, m_sigma, m1, m2 = moment_paths(chunk, state, config)
         if config.nu_fixed is None:
-            nu = _nu_path(m1[:-1], m2[:-1], config)
+            nu = adjusted_nu(
+                raw_nu(m1[:-1], m2[:-1], config.p1, config.p2, config.nu_min,
+                       config.nu_cap, config.moment_floor),
+                config.nu_adjustment, config.nu_cap)
             state = EmaState(mu[-1].item(), m_sigma[-1].item(),
                              m1[-1].item(), m2[-1].item())
         else:

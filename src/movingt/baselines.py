@@ -200,15 +200,16 @@ def _garch_mean_loglik(xs, omega: float, alpha: float, beta: float,
                        initial_var: float):
     """Mean Gaussian log-likelihood of the filter, its gradient and Hessian.
 
-    Returns (value, gradient, Hessian) in (omega, alpha, beta).  No
-    parameter validation: the optimizer's trial points may sit on the
-    bounds.  The first derivatives D^p_t = d sigma2_t / dp follow the
-    variance recursion driven by 1, x2_{t-1} and sigma2_{t-1}.  The
-    second derivatives are nonzero only in the pairs with beta, and
-    follow it driven by D^omega_{t-1}, D^alpha_{t-1} and
-    2 D^beta_{t-1}.  Derivative paths summed against
-    w_t = d value / d sigma2_t equal the backward recursion over w
-    (lam_j = sum_{t>=j} beta^(t-j) w_t) summed against their drives, so
+    Returns (value, gradient, Hessian) in (omega, alpha, beta), or
+    (-inf, 0, 0) where any of them is not finite.  No parameter
+    validation: the optimizer's trial points may sit on the bounds.  The
+    first derivatives D^p_t = d sigma2_t / dp follow the variance
+    recursion driven by 1, x2_{t-1} and sigma2_{t-1}.  The second
+    derivatives are nonzero only in the pairs with beta, and follow it
+    driven by D^omega_{t-1}, D^alpha_{t-1} and 2 D^beta_{t-1}.
+    Derivative paths summed against w_t = d value / d sigma2_t equal the
+    backward recursion over w (lam_j = sum_{t>=j} beta^(t-j) w_t) summed
+    against their drives, so
     the gradient and the second-derivative terms take one backward scan
     between them; the curvature term sums d2 value / d sigma2_t^2 against
     the products of the forward D paths.  The sums are elementwise
@@ -248,7 +249,8 @@ def _garch_mean_loglik(xs, omega: float, alpha: float, beta: float,
         hess /= n
     if not (math.isfinite(value) and np.all(np.isfinite(grad))
             and np.all(np.isfinite(hess))):
-        return -1e12, np.zeros(3), np.zeros((3, 3))
+        # a failed evaluation: no line search accepts a point on it
+        return -math.inf, np.zeros(3), np.zeros((3, 3))
     return value, grad, hess
 
 
@@ -415,11 +417,17 @@ def _projected_newton(xs, var: float, u0, lower, upper) -> _Start:
     start converges once the full step predicts a decrease within 4 eps
     of the objective's magnitude (at least 1).  It fails when the arc
     shows no decrease above that floor or the iteration cap is reached.
-    Each iterate's derivatives come from the evaluation that accepted it.
+    It fails at once, with an infinite objective, at an iterate whose
+    value or derivatives (after the chain rule) are not finite.  Each
+    iterate's derivatives come from the evaluation that accepted it.
     """
     u = _project(u0, lower, upper)
     fun, grad, hess = _neg_loglik(xs, var, u)
     for _ in range(_NEWTON_MAX_ITER):
+        if not all(map(math.isfinite, [fun, *grad, *hess[0], *hess[1],
+                                       *hess[2]])):
+            return _Start(math.inf, tuple(u), False,
+                          "the likelihood or its derivatives are not finite")
         floor = _DECREASE_FLOOR * max(abs(fun), 1.0)
         step, active = _search_direction(u, grad, hess, lower, upper)
         free_decrease = -sum(g * d for g, d, a in zip(grad, step, active)
@@ -486,14 +494,16 @@ def fit_garch_mle(xs) -> GarchFit:
             xs, var, (math.log(var * (1.0 - s0)), s0, a0 / s0), lower, upper))
         best_fun = min(r.fun for r in runs)
         tol = _STARTS_AGREE_RTOL * abs(best_fun)
-        at_best = [r for r in runs if abs(r.fun - best_fun) <= tol]
+        # failed starts all end at inf, where only equality holds
+        at_best = [r for r in runs
+                   if r.fun == best_fun or abs(r.fun - best_fun) <= tol]
         if len(at_best) > 1 and any(r.success for r in at_best):
             break
     converged = [r for r in at_best if r.success]
     if not converged:
         raise NonConvergenceError(
             "GARCH fit did not converge: "
-            + "; ".join(r.message for r in at_best))
+            + "; ".join(dict.fromkeys(r.message for r in at_best)))
     best = min(converged, key=lambda r: r.fun)
     omega, alpha, beta = _unpack(best.x)
     stationary_beta = _stationary_beta(alpha, beta)

@@ -34,9 +34,7 @@ from .errors import (DegenerateDataError, DomainError, MonotonicityError,
                      SeriesTooShortError)
 from .evaluation import (ExactSum, mean_log_likelihood, nu_of_inv, nu_sweep,
                          tail_table)
-from .static_estimators import (build_nu_table, compute_moments,
-                                estimate_nu_adjusted, estimate_nu_raw,
-                                estimate_sigma)
+from .static_estimators import compute_moments, static_fit
 
 _USAGE_ERRORS = (DomainError, FileNotFoundError, IsADirectoryError,
                  PermissionError)
@@ -164,18 +162,14 @@ def _adaptive_config(args) -> AdaptiveConfig:
 
 
 def _static_fit(values, args, mu="mean"):
-    """Whole-sample moments -> nu -> sigma: mu_hat, sigma_hat, nu_raw, nu_adj."""
-    powers = list(dict.fromkeys((args.p_sigma, args.p1, args.p2)))
-    summary = compute_moments(values, powers, mu=mu)
-    if args.nu_fixed is not None:
-        nu_raw = nu_adj = args.nu_fixed
-    else:
-        table = build_nu_table(args.p1, args.p2, nu_min=args.nu_min,
-                               nu_cap=args.nu_cap)
-        nu_raw = estimate_nu_raw(summary, table)
-        nu_adj = estimate_nu_adjusted(nu_raw, args.nu_adjust, args.nu_cap)
-    sigma_hat = estimate_sigma(summary, nu_adj, args.p_sigma)
-    return summary.mu_hat, sigma_hat, nu_raw, nu_adj
+    """The maps at the whole-sample moments: mu_hat, sigma_hat, nu_raw,
+    nu_adjusted."""
+    summary = compute_moments(values, dict.fromkeys(
+        (args.p_sigma, args.p1, args.p2)), mu=mu)
+    return (summary.mu_hat,) + static_fit(
+        summary, p_sigma=args.p_sigma, p1=args.p1, p2=args.p2,
+        nu_fixed=args.nu_fixed, nu_adjustment=args.nu_adjust,
+        nu_min=args.nu_min, nu_cap=args.nu_cap)
 
 
 def _cmd_returns(args) -> int:

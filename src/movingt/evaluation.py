@@ -16,11 +16,12 @@ from typing import Dict, Sequence, Tuple, Union
 import numpy as np
 
 from .adaptive import (_CHUNK, AdaptiveConfig, ParamTrajectory, moment_paths,
-                       seed_state_from_prefix, sigma_and_log_density)
+                       seed_state_from_prefix)
 from .baselines import (GarchFit, check_warmup, fit_garch_mle, fit_sigma_mle,
                         garch_filter)
 from .distribution import NU_GAUSSIAN, StudentTParams, cdf, log_pdf
 from .errors import DomainError, SeriesTooShortError
+from .static_estimators import sigma_and_log_density
 
 __all__ = [
     "SweepRow",

@@ -1,19 +1,23 @@
-"""Whole-sample method-of-moments estimators for sigma and nu.
+"""Whole-sample moments and the one copy of the moments-to-parameters maps.
 
-sigma comes from a single absolute central moment; nu from the ratio of
-two moments for different powers, inverted through a precomputed
-monotone table.  The raw nu estimate takes a configurable additive
-adjustment (default 0.9) before being capped.
+sigma = m_p^{1/p} / M(nu, p); nu inverts m_{p1}^{1/p1} / m_{p2}^{1/p2}
+through a precomputed monotone table, plus an additive adjustment
+(default 0.9) before the cap.  The maps are vectorized: the moving
+estimator's fold applies them to its EMA moment paths, the static fit
+to the whole-sample moments.  `adaptive.step` holds their scalar form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
-from .distribution import NU_GAUSSIAN, abs_central_moment
+from .distribution import (_HALF_LOG_2PI, _HALF_LOG_PI, NU_GAUSSIAN,
+                           abs_central_moment)
 from .errors import (DegenerateDataError, DomainError, MonotonicityError,
                      SeriesTooShortError)
 
@@ -21,12 +25,12 @@ __all__ = [
     "DEFAULT_NU_CAP",
     "DEFAULT_NU_ADJUSTMENT",
     "MomentSummary",
-    "NuInversionTable",
     "compute_moments",
-    "estimate_sigma",
     "build_nu_table",
-    "estimate_nu_raw",
-    "estimate_nu_adjusted",
+    "raw_nu",
+    "adjusted_nu",
+    "sigma_and_log_density",
+    "static_fit",
 ]
 
 DEFAULT_NU_CAP = 1000.0
@@ -85,54 +89,10 @@ def _power_overflow(p: float) -> DomainError:
                        "float64 on this data; choose a smaller power")
 
 
-def estimate_sigma(summary: MomentSummary, nu: float, p: float) -> float:
-    """sigma_hat = m_p^{1/p} / M(nu, p); requires p < nu and m_p > 0."""
-    m_p = summary.moment_for(p)
-    scale_const = abs_central_moment(nu, p)  # raises for p >= nu
-    if m_p <= 0.0:
-        raise DegenerateDataError(
-            f"moment for p={p} is {m_p}; data has no spread around mu_hat")
-    return m_p ** (1.0 / p) / scale_const
-
-
-@dataclass(frozen=True)
-class NuInversionTable:
-    """Monotone table of R(nu) = M(nu, p1) / M(nu, p2) on a log nu grid."""
-
-    p1: float
-    p2: float
-    nu_grid: np.ndarray
-    ratio_grid: np.ndarray
-
-    @property
-    def nu_min(self) -> float:
-        return float(self.nu_grid[0])
-
-    @property
-    def nu_cap(self) -> float:
-        return float(self.nu_grid[-1])
-
-    def inversion_arrays(self):
-        """(ratio ascending, ln nu in matching order) for interpolation."""
-        ln_nu = np.log(self.nu_grid)
-        if self.ratio_grid[0] < self.ratio_grid[-1]:
-            return self.ratio_grid, ln_nu
-        return self.ratio_grid[::-1].copy(), ln_nu[::-1].copy()
-
-    def invert(self, r: float) -> float:
-        """nu with R(nu) = r, clamped to [nu_min, nu_cap] outside the table."""
-        ratio_asc, ln_nu = self.inversion_arrays()
-        descending = self.ratio_grid[0] > self.ratio_grid[-1]
-        if r <= ratio_asc[0]:
-            return self.nu_cap if descending else self.nu_min
-        if r >= ratio_asc[-1]:
-            return self.nu_min if descending else self.nu_cap
-        return float(math.exp(np.interp(r, ratio_asc, ln_nu)))
-
-
 def build_nu_table(p1: float, p2: float, nu_min: float = None,
-                   nu_cap: float = DEFAULT_NU_CAP) -> NuInversionTable:
-    """Tabulate R(nu) over a log-spaced grid and verify strict monotonicity."""
+                   nu_cap: float = DEFAULT_NU_CAP):
+    """(nu_grid, ratio_grid): R(nu) = M(nu, p1) / M(nu, p2) tabulated on a
+    log-spaced nu grid from nu_min to nu_cap, checked strictly monotone."""
     for name, p in (("p1", p1), ("p2", p2)):
         if not (math.isfinite(p) and p > 0.0):
             raise DomainError(f"{name} must be finite and > 0, got {p!r}")
@@ -161,23 +121,105 @@ def build_nu_table(p1: float, p2: float, nu_min: float = None,
         raise MonotonicityError(
             f"moment ratio is not strictly monotone for p1={p1}, p2={p2} "
             f"on nu in [{nu_min}, {nu_cap}]")
-    return NuInversionTable(p1, p2, nu_grid, ratio)
+    return nu_grid, ratio
 
 
-def estimate_nu_raw(summary: MomentSummary, table: NuInversionTable) -> float:
-    """Invert m_{p1}^{1/p1} / m_{p2}^{1/p2} through the table."""
-    m1 = summary.moment_for(table.p1)
-    m2 = summary.moment_for(table.p2)
-    if m1 <= 0.0 or m2 <= 0.0:
+@lru_cache(maxsize=32)
+def _inversion_table(p1: float, p2: float, nu_min: float, nu_cap: float):
+    """The nu inversion table for interpolation: ratio ascending and ln nu
+    in matching order, as lists, and the nu at its two ends."""
+    nu, ratio = build_nu_table(p1, p2, nu_min=nu_min, nu_cap=nu_cap)
+    ln_nu = np.log(nu)
+    if ratio[0] > ratio[-1]:
+        ratio, nu, ln_nu = ratio[::-1], nu[::-1], ln_nu[::-1]
+    return ratio.tolist(), ln_nu.tolist(), (nu[0].item(), nu[-1].item())
+
+
+# --------------------------------------------------------------------------
+# moments -> parameters, vectorized: the fold maps its moment paths
+# through these, and the static fit the whole-sample moments
+
+
+def raw_nu(m1, m2, p1: float, p2: float, nu_min: float, nu_cap: float,
+           floor: float):
+    """nu whose moment ratio is m1^{1/p1} / m2^{1/p2} (moments floored at
+    `floor`), by the inversion table; beyond its ends nu_min or nu_cap
+    exactly, as exp(ln 1000) is 999.9999999999998."""
+    r = np.exp(np.log(np.maximum(m1, floor)) / p1
+               - np.log(np.maximum(m2, floor)) / p2)
+    ratio_asc, ln_nu, (nu_first, nu_last) = _inversion_table(p1, p2, nu_min,
+                                                             nu_cap)
+    nu = np.exp(np.interp(r, ratio_asc, ln_nu))
+    return np.where(r <= ratio_asc[0], nu_first,
+                    np.where(r >= ratio_asc[-1], nu_last, nu))
+
+
+def adjusted_nu(nu_raw, adjustment: float, nu_cap: float):
+    """The raw nu plus the additive adjustment, capped at nu_cap."""
+    return np.minimum(nu_raw + adjustment, nu_cap)
+
+
+def _lgamma_of(a: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, a.tolist()), np.float64, count=a.size)
+
+
+def sigma_and_log_density(xs, mu, m_sigma, nu, p_sigma: float, floor: float):
+    """(sigma_t, ln rho_t(x_t)) per step from the state paths and nu_t.
+
+    sigma_t = max(m_sigma, floor)^{1/p_sigma} / M(nu_t, p_sigma), which
+    needs p_sigma < nu_t.  nu is one value or one per step; steps with
+    nu >= NU_GAUSSIAN use the Gaussian limit, as `adaptive.step` does.
+    """
+    nu = np.atleast_1d(np.asarray(nu, dtype=np.float64))
+    gauss = nu >= NU_GAUSSIAN
+    # the Student-t terms are evaluated at a finite stand-in where the
+    # Gaussian branch is taken, so lgamma never sees a huge argument
+    nu_t = np.minimum(nu, NU_GAUSSIAN)
+    lg_half_nu = _lgamma_of(0.5 * nu_t)
+    lg_half_p1 = math.lgamma(0.5 * (p_sigma + 1.0))
+    log_m = np.where(
+        gauss,
+        (0.5 * p_sigma * math.log(2.0) + lg_half_p1 - _HALF_LOG_PI) / p_sigma,
+        (0.5 * p_sigma * np.log(nu_t) + lg_half_p1
+         + _lgamma_of(0.5 * (nu_t - p_sigma)) - _HALF_LOG_PI - lg_half_nu)
+        / p_sigma)
+    sigma = np.exp(np.log(np.maximum(m_sigma, floor)) / p_sigma - log_m)
+
+    log_norm = np.where(
+        gauss, -_HALF_LOG_2PI,
+        _lgamma_of(0.5 * (nu_t + 1.0)) - lg_half_nu
+        - 0.5 * np.log(nu_t * math.pi))
+    z = (xs - mu) / sigma
+    with np.errstate(over="ignore"):  # z*z may hit inf; -inf out is correct
+        tail = np.where(gauss, 0.5 * z * z,
+                        0.5 * (nu_t + 1.0) * np.log1p(z * z / nu_t))
+    return sigma, log_norm - np.log(sigma) - tail
+
+
+def static_fit(summary: MomentSummary, p_sigma: float = 1.0, p1: float = 1.0,
+               p2: float = 0.5, nu_fixed: Optional[float] = None,
+               nu_adjustment: float = DEFAULT_NU_ADJUSTMENT,
+               nu_min: float = 1.1, nu_cap: float = DEFAULT_NU_CAP):
+    """(sigma_hat, nu_raw, nu_adjusted): the maps above at the unfloored
+    moments of `summary`; a given nu_fixed is both nu_raw and nu_adjusted.
+    Raises DegenerateDataError for a zero moment and DivergentMomentError
+    when p_sigma >= nu."""
+    m_sigma = summary.moment_for(p_sigma)
+    if nu_fixed is None:
+        _inversion_table(p1, p2, nu_min, nu_cap)  # the flags before the data
+        m1, m2 = summary.moment_for(p1), summary.moment_for(p2)
+        if m1 <= 0.0 or m2 <= 0.0:
+            raise DegenerateDataError(
+                f"zero moment (m_p1={m1}, m_p2={m2}); cannot estimate nu")
+        nu_raw = float(raw_nu(m1, m2, p1, p2, nu_min, nu_cap, 0.0))
+        nu = float(adjusted_nu(nu_raw, nu_adjustment, nu_cap))
+    else:
+        nu_raw = nu = nu_fixed
+    abs_central_moment(nu, p_sigma)  # refuses p_sigma >= nu: lgamma(0) below
+    if m_sigma <= 0.0:
         raise DegenerateDataError(
-            f"zero moment (m_p1={m1}, m_p2={m2}); cannot estimate nu")
-    r = m1 ** (1.0 / table.p1) / m2 ** (1.0 / table.p2)
-    return table.invert(r)
-
-
-def estimate_nu_adjusted(raw_nu: float, adjustment: float = DEFAULT_NU_ADJUSTMENT,
-                         nu_cap: float = DEFAULT_NU_CAP) -> float:
-    """Additive bias adjustment, capped from above."""
-    if not math.isfinite(raw_nu):
-        raise DomainError(f"raw_nu must be finite, got {raw_nu!r}")
-    return min(raw_nu + adjustment, nu_cap)
+            f"moment for p={p_sigma} is {m_sigma}; data has no spread "
+            "around mu_hat")
+    # scored at the center; only sigma is wanted
+    sigma, _ = sigma_and_log_density(0.0, 0.0, m_sigma, nu, p_sigma, 0.0)
+    return sigma.item(), nu_raw, nu

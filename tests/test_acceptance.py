@@ -23,8 +23,7 @@ from movingt.data_io import Segment, generate_synthetic
 from movingt.distribution import NU_GAUSSIAN, StudentTParams
 from movingt.errors import DivergentMomentError
 from movingt.evaluation import mean_log_likelihood, tail_table
-from movingt.static_estimators import (build_nu_table, compute_moments,
-                                       estimate_nu_raw, estimate_sigma)
+from movingt.static_estimators import compute_moments, static_fit
 
 from oracles import pdf, sample, sigma_power_error_sweep
 from quadrature import integrate_adaptive
@@ -75,8 +74,8 @@ def test_criterion_3_static_estimator_consistency():
     t0 = time.perf_counter()
     xs = sample(StudentTParams(0.0, 2.0, 5.0), 10 ** 6, seed=123)
     summary = compute_moments(xs, (1.0, 0.5), mu="mean")
-    sigma_hat = estimate_sigma(summary, 5.0, 1.0)
-    nu_raw = estimate_nu_raw(summary, build_nu_table(1.0, 0.5))
+    sigma_hat = static_fit(summary, nu_fixed=5.0)[0]
+    nu_raw = static_fit(summary)[1]
     elapsed = time.perf_counter() - t0
     sig_dev = abs(sigma_hat / 2.0 - 1.0)
     nu_dev = abs(nu_raw / 5.0 - 1.0)
@@ -94,10 +93,9 @@ def test_criterion_4_scale_invariance():
     # static path
     s1 = compute_moments(xs, (1.0, 0.5), mu="mean")
     s2 = compute_moments(lam * xs, (1.0, 0.5), mu="mean")
-    table = build_nu_table(1.0, 0.5)
-    sig_dev_static = abs(estimate_sigma(s2, 5.0, 1.0)
-                         / (lam * estimate_sigma(s1, 5.0, 1.0)) - 1.0)
-    nu_dev_static = abs(estimate_nu_raw(s2, table) - estimate_nu_raw(s1, table))
+    sig_dev_static = abs(static_fit(s2, nu_fixed=5.0)[0]
+                         / (lam * static_fit(s1, nu_fixed=5.0)[0]) - 1.0)
+    nu_dev_static = abs(static_fit(s2)[1] - static_fit(s1)[1])
 
     # adaptive path (floor scaled alongside the data); nu deviations are
     # relative, matching the sigma clause (the inversion slope amplifies
@@ -209,8 +207,8 @@ def test_criterion_9_tail_table_arithmetic():
 
     xs = sample(StudentTParams(0.0, 1.0, 5.0), 10 ** 6, seed=5)
     summary = compute_moments(xs, (1.0, 0.5), mu="mean")
-    nu_raw = estimate_nu_raw(summary, build_nu_table(1.0, 0.5))
-    sigma_hat = estimate_sigma(summary, nu_raw, 1.0)
+    nu_raw = static_fit(summary)[1]
+    sigma_hat = static_fit(summary, nu_fixed=nu_raw)[0]
     table = tail_table(xs, (summary.mu_hat, sigma_hat), [5.0],
                        k_values=[1, 2, 3, 4])
     ratios = [table.observed[i] / table.expected["5"][i] for i in range(4)]

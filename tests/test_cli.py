@@ -8,9 +8,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from movingt.adaptive import AdaptiveConfig, EmaState, update
 from movingt.baselines import GarchParams, simulate_garch
 from movingt.cli import build_parser, main
+from movingt.distribution import NU_GAUSSIAN
+from movingt.static_estimators import compute_moments
 
 
 def _run(*argv):
@@ -259,9 +264,12 @@ class TestWarmupExitCodes:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("command, expensive", [
-        ("garch", "fit_garch_mle"), ("fit-adaptive", "run")])
-    @pytest.mark.parametrize("warmup, code", [("-1", 2), ("5000", 3)])
+    # fit-adaptive learns n only at the end of its one pass, so it refuses
+    # an over-long warmup after the fold (test_exit_code covers that)
+    @pytest.mark.parametrize("warmup, code, command, expensive", [
+        ("-1", 2, "garch", "fit_garch_mle"),
+        ("5000", 3, "garch", "fit_garch_mle"),
+        ("-1", 2, "fit-adaptive", "run_pieces")])
     def test_refused_before_the_fit(self, synth_file, tmp_path, monkeypatch,
                                     command, expensive, warmup, code):
         import movingt.cli
@@ -309,6 +317,10 @@ class TestMomentOverflow:
         assert "power 500.0 overflows" in capsys.readouterr().err
 
 
+# 300 zeros, then 7 blocks of a 1e134 spike and 7999 zeros
+_SPIKES = "x\n" + "0\n" * 300 + ("1e134\n" + "0\n" * 7999) * 7
+
+
 class TestScoreOverflow:
     @pytest.mark.parametrize("argv", [
         ["fit-adaptive", "--nu-fixed", "inf", "--eta1", "0"],
@@ -317,8 +329,7 @@ class TestScoreOverflow:
         # after each run of zeros sigma sits at the moment floor, so each
         # spike scores about -3e307: the mean is finite, the sum is not
         src = tmp_path / "spikes.csv"
-        src.write_text("x\n" + "0\n" * 300
-                       + ("1e134\n" + "0\n" * 7999) * 7)
+        src.write_text(_SPIKES)
         out = tmp_path / "o.csv"
         assert _run(*argv, "--returns", "--input", str(src),
                     "--output", str(out)) == 4
@@ -430,6 +441,93 @@ class TestTailTable:
             assert manifest[tail_key] == rec[static_key]
 
 
+# flag values the moving estimator accepts as well: every power below
+# nu_min, nu_adjust >= 0, a fixed nu above p_sigma
+_VALID_STATIC_FLAGS = st.fixed_dictionaries({
+    "p_sigma": st.sampled_from([0.3, 0.5, 0.8, 1.0]),
+    "p1": st.sampled_from([0.5, 0.8, 1.0]),
+    "p2": st.sampled_from([0.3, 0.5, 1.0]),
+    "nu_min": st.sampled_from([1.1, 1.5, 3.0]),
+    "nu_cap": st.sampled_from([50.0, 1000.0, NU_GAUSSIAN]),
+    "nu_adjust": st.sampled_from([0.0, 0.5, 0.9]),
+    "nu_fixed": st.sampled_from([None, 4.0, NU_GAUSSIAN]),
+    "mu": st.sampled_from(["mean", "0.0"]),
+})
+
+
+class TestStaticFitIsTheFoldsMaps:
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 400),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           df=st.sampled_from([1.5, 3.0, 10.0]), flags=_VALID_STATIC_FLAGS)
+    @settings(max_examples=40, deadline=None)
+    def test_fit_static_is_the_first_estimate_of_the_fold(
+            self, tmp_path_factory, seed, n, scale, df, flags):
+        # the fold from the whole-sample moments estimates its first point
+        # with the static fit's nu and sigma, bit for bit
+        assume(flags["p1"] != flags["p2"])
+        xs = scale * np.random.default_rng(seed).standard_t(df, n)
+        src = tmp_path_factory.mktemp("static") / "x.csv"
+        src.write_text("x\n" + "".join(f"{v!r}\n" for v in xs.tolist()))
+        argv = ["fit-static", "--input", str(src), "--returns",
+                "--output", str(src.with_name("fit.csv")), "--mu", flags["mu"]]
+        for name in ("p_sigma", "p1", "p2", "nu_min", "nu_cap", "nu_adjust",
+                     "nu_fixed"):
+            if flags[name] is not None:
+                argv += ["--" + name.replace("_", "-"), repr(flags[name])]
+        assert main(argv) == 0
+        rec = dict(zip(*_data_rows(src.with_name("fit.csv"))))
+
+        cfg = AdaptiveConfig(
+            p_sigma=flags["p_sigma"], p1=flags["p1"], p2=flags["p2"],
+            nu_fixed=flags["nu_fixed"], nu_adjustment=flags["nu_adjust"],
+            nu_min=flags["nu_min"], nu_cap=flags["nu_cap"])
+        powers = (cfg.p_sigma, cfg.p1, cfg.p2)
+        summary = compute_moments(
+            xs, dict.fromkeys(powers),
+            "mean" if flags["mu"] == "mean" else float(flags["mu"]))
+        state = EmaState(summary.mu_hat, *map(summary.moment_for, powers))
+        traj = update(state, xs[:1], cfg)[1]
+        assert float(rec["nu_adjusted"]) == traj.nu[0]
+        assert float(rec["sigma_hat"]) == traj.sigma[0]
+
+
+_STATIC_COMMANDS = [["fit-static"],
+                    ["tail-table", "--normalization", "static"]]
+
+
+class TestStaticFitErrors:
+    """What the whole-sample fit cannot estimate, for both of its commands."""
+
+    @pytest.mark.parametrize("command", _STATIC_COMMANDS, ids=" ".join)
+    def test_constant_series_exits_3(self, tmp_path, capsys, command):
+        src = tmp_path / "flat.csv"
+        src.write_text("x\n" + "0.25\n" * 400)
+        assert _run(*command, "--input", str(src), "--returns",
+                    "--output", str(tmp_path / "o.csv")) == 3
+        err = capsys.readouterr().err
+        assert "zero moment" in err and "cannot estimate nu" in err
+
+    @pytest.mark.parametrize("command", _STATIC_COMMANDS, ids=" ".join)
+    def test_power_above_the_estimated_nu_exits_2(self, tmp_path, capsys,
+                                                  command):
+        # t1.5 data: nu_adjusted is about 2.43, below --p-sigma 2.5
+        src = tmp_path / "heavy.csv"
+        assert _run("synth", "--output", str(src),
+                    "--segment", "3000,0,1,1.5", "--seed", "1") == 0
+        assert _run(*command, "--input", str(src), "--returns",
+                    "--output", str(tmp_path / "o.csv"),
+                    "--p-sigma", "2.5") == 2
+        assert "diverges for p >= nu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", _STATIC_COMMANDS, ids=" ".join)
+    def test_fixed_nu_at_the_power_exits_2(self, synth_file, tmp_path, capsys,
+                                           command):
+        assert _run(*command, "--input", str(synth_file), "--returns",
+                    "--output", str(tmp_path / "o.csv"),
+                    "--nu-fixed", "1.0") == 2
+        assert "diverges for p >= nu" in capsys.readouterr().err
+
+
 class TestGarchCommand:
     def test_fit_recovers_params(self, tmp_path):
         src = tmp_path / "garch.csv"
@@ -458,6 +556,25 @@ class TestGarchCommand:
         assert float(rec["alpha"]) + float(rec["beta"]) < 1.0
         assert "# persistence_clamped = True" in out.read_text()
 
+
+    def test_non_finite_derivatives_fail_each_start(self, tmp_path):
+        # on the spike file omega^2 overflows in the chain rule at every
+        # start, whose Hessian no diagonal shift makes positive definite;
+        # the subprocess's timeout ends it should it search forever
+        import movingt
+        src = tmp_path / "spikes.csv"
+        src.write_text(_SPIKES)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(movingt.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "movingt.cli", "garch", "--returns",
+             "--input", str(src), "--output", str(tmp_path / "g.csv")],
+            env=dict(os.environ, PYTHONPATH=root), capture_output=True,
+            text=True, timeout=30)
+        assert proc.returncode == 4
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: GARCH fit did not converge")
+        assert not (tmp_path / "g.csv").exists()
 
     def test_unconverged_fit_exits_4(self, tmp_path, monkeypatch):
         from movingt import baselines

@@ -1,3 +1,7 @@
+"""Special functions the library relies on: math.lgamma, the regularized
+incomplete beta `distribution._betainc` behind `cdf`, and the test-only
+adaptive quadrature that cross-checks the closed forms."""
+
 import math
 
 import numpy as np
@@ -5,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movingt.distribution import StudentTParams
+from movingt.distribution import StudentTParams, _betainc
 from movingt.errors import DomainError
-from movingt.distribution import _betainc as regularized_incomplete_beta
 
 from quadrature import integrate_adaptive
 
@@ -58,18 +61,18 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             StudentTParams(0.0, 1.0, z)
         with pytest.raises(DomainError):
-            regularized_incomplete_beta(z, 1.0, 0.5)
+            _betainc(z, 1.0, 0.5)
         with pytest.raises(DomainError):
-            regularized_incomplete_beta(1.0, z, 0.5)
+            _betainc(1.0, z, 0.5)
 
 
 class TestIncompleteBeta:
     def test_endpoints(self):
-        assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
+        assert _betainc(2.0, 3.0, 0.0) == 0.0
+        assert _betainc(2.0, 3.0, 1.0) == 1.0
 
     def test_uniform_case(self):
-        assert regularized_incomplete_beta(1.0, 1.0, 0.3) == pytest.approx(
+        assert _betainc(1.0, 1.0, 0.3) == pytest.approx(
             0.3, abs=1e-14)
 
     @pytest.mark.parametrize("a, b, x, expected", [
@@ -79,7 +82,7 @@ class TestIncompleteBeta:
         (10.0, 0.25, 0.999, 0.6550198545877631505522),
     ])
     def test_reference_values(self, a, b, x, expected):
-        assert regularized_incomplete_beta(a, b, x) == pytest.approx(
+        assert _betainc(a, b, x) == pytest.approx(
             expected, abs=1e-12)
 
     @given(a=st.floats(0.1, 50.0), b=st.floats(0.1, 50.0),
@@ -90,13 +93,13 @@ class TestIncompleteBeta:
         # to full precision relative to the (unbounded for a < 1)
         # endpoint density; at the exact endpoints the identity is the
         # trivial 0/1 case tested above
-        lhs = regularized_incomplete_beta(a, b, x)
-        rhs = regularized_incomplete_beta(b, a, 1.0 - x)
+        lhs = _betainc(a, b, x)
+        rhs = _betainc(b, a, 1.0 - x)
         assert lhs + rhs == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_in_x(self):
         xs = np.linspace(0.0, 1.0, 101)
-        vals = [regularized_incomplete_beta(3.0, 0.7, x) for x in xs]
+        vals = [_betainc(3.0, 0.7, x) for x in xs]
         assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
 
@@ -106,8 +109,8 @@ class TestIncompleteBeta:
             ln_beta = (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
             for x in (0.2, 0.5, 0.8):
                 h = 1e-6
-                num = (regularized_incomplete_beta(a, b, x + h)
-                       - regularized_incomplete_beta(a, b, x - h)) / (2 * h)
+                num = (_betainc(a, b, x + h)
+                       - _betainc(a, b, x - h)) / (2 * h)
                 density = math.exp((a - 1) * math.log(x)
                                    + (b - 1) * math.log1p(-x) - ln_beta)
                 assert num == pytest.approx(density, rel=1e-6)
@@ -118,7 +121,7 @@ class TestIncompleteBeta:
     ])
     def test_domain(self, a, b, x):
         with pytest.raises(DomainError):
-            regularized_incomplete_beta(a, b, x)
+            _betainc(a, b, x)
 
 
 class TestQuadrature:
