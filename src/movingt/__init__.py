@@ -19,8 +19,7 @@ from .errors import (DegenerateDataError, DivergentMomentError, DomainError,
                      ParseError, SeriesTooShortError)
 from .evaluation import (SweepReport, TailTable, expected_tail_fraction,
                          mean_log_likelihood, nu_sweep, tail_table)
-from .static_estimators import (MomentSummary, build_nu_table,
-                                compute_moments, static_fit)
+from .static_estimators import build_nu_table, compute_moments, static_fit
 
 __version__ = "0.1.0"
 
@@ -37,6 +36,6 @@ __all__ = [
     "ParseError", "SeriesTooShortError",
     "SweepReport", "TailTable", "expected_tail_fraction",
     "mean_log_likelihood", "nu_sweep", "tail_table",
-    "MomentSummary", "build_nu_table", "compute_moments", "static_fit",
+    "build_nu_table", "compute_moments", "static_fit",
     "__version__",
 ]

@@ -228,10 +228,10 @@ def seed_state_from_prefix(xs, k: int, config: AdaptiveConfig,
     if k < 1 or k > xs.size:
         raise SeriesTooShortError(
             f"prefix length {k} not usable for a series of {xs.size} points")
-    powers = (config.p_sigma, config.p1, config.p2)
-    summary = compute_moments(xs[:k], dict.fromkeys(powers),
-                              "mean" if mu is None else mu)
-    return EmaState(summary.mu_hat, *map(summary.moment_for, powers))
+    mu_hat, moments = compute_moments(
+        xs[:k], (config.p_sigma, config.p1, config.p2),
+        "mean" if mu is None else mu)
+    return EmaState(mu_hat, *moments)
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Reference models: static sigma MLE at fixed (mu, nu), and GARCH(1,1).
 
-The GARCH comparison is Gaussian-scored.  The scale MLE solves the score
-equation in ln(sigma), which is well conditioned across the multi-decade
-sigma ranges nonstationary series produce.
+This module fits; `evaluation` scores.  The scale MLE returns sigma
+alone.  It solves the score equation in ln(sigma), which is well
+conditioned across the multi-decade sigma ranges nonstationary series
+produce.  The GARCH filter returns its model as a trajectory, as the
+fold does: center 0, sigma_t, nu at the Gaussian limit and each point's
+Gaussian log-density.
 
 The GARCH variance recursion is a numpy doubling scan.  The GARCH fit is
 a projected Newton search (Bertsekas 1982) with the exact Hessian of the
@@ -18,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import NU_GAUSSIAN, StudentTParams, log_pdf
+from .adaptive import ParamTrajectory
+from .distribution import NU_GAUSSIAN
 from .errors import DomainError, NonConvergenceError, SeriesTooShortError
 
 __all__ = [
     "GarchParams",
     "GarchFit",
-    "check_warmup",
     "fit_sigma_mle",
     "garch_filter",
     "fit_garch_mle",
@@ -81,8 +84,7 @@ def fit_sigma_mle(xs, mu: float, nu: float):
     """Maximize the mean log-likelihood over sigma at fixed (mu, nu).
 
     Solves the scale score equation in ln(sigma) on [ln 1e-8, ln 1e2],
-    clamped to that bracket; returns (sigma_hat, attained mean
-    log-likelihood).  For Student t the score
+    clamped to that bracket; returns sigma_hat.  For Student t the score
     (nu + 1) mean(z^2 / (nu + z^2)) - 1, z = (x - mu) / sigma, strictly
     decreases in ln(sigma), so its root is the unique maximizer; it is
     found by Newton's method, with a bisection step whenever Newton
@@ -102,8 +104,7 @@ def fit_sigma_mle(xs, mu: float, nu: float):
         ln_sigma = min(max(ln_sigma, _LOG_SIGMA_LO), _LOG_SIGMA_HI)
     else:
         ln_sigma = _t_scale_root(d2, nu)
-    sigma = math.exp(ln_sigma)
-    return sigma, float(np.mean(log_pdf(StudentTParams(mu, sigma, nu), xs)))
+    return math.exp(ln_sigma)
 
 
 def _t_scale_root(d2, nu: float) -> float:
@@ -165,35 +166,21 @@ def _garch_variance(x2, omega: float, alpha: float, beta: float,
     return _ar1_scan(u, beta)
 
 
-def check_warmup(warmup: int, n: int) -> None:
-    """Refuse a warmup below 0 or one that leaves none of n points to score.
-
-    Commands call it before their expensive work, so a bad --warmup
-    fails fast with the message the scorers would give.
-    """
-    if warmup < 0:
-        raise DomainError(f"warmup must be >= 0, got {warmup!r}")
-    if warmup >= n:
-        raise SeriesTooShortError(
-            f"warmup={warmup} leaves nothing to score in {n} points")
-
-
-def garch_filter(xs, params: GarchParams, warmup: int = 0):
-    """Causal variance recursion plus out-of-sample Gaussian scoring.
-
-    Returns (sigma_path, mean_gaussian_loglik); the mean skips the first
-    `warmup` points, matching the adaptive module's convention.
-    """
+def garch_filter(xs, params: GarchParams) -> ParamTrajectory:
+    """The causal variance recursion over xs as a trajectory from t = 0:
+    center 0, sigma_t, nu at the Gaussian limit, and the out-of-sample
+    Gaussian log-density of each point."""
     xs = np.asarray(xs, dtype=np.float64)
     n = xs.size
     if n == 0:
         raise SeriesTooShortError("cannot filter an empty series")
-    check_warmup(warmup, n)
     x2 = xs * xs
     sigma2 = _garch_variance(x2, params.omega, params.alpha, params.beta,
                              params.initial_var)
-    ll = -0.5 * (_LOG_2PI + np.log(sigma2) + x2 / sigma2)
-    return np.sqrt(sigma2), float(np.mean(ll[warmup:]))
+    return ParamTrajectory(
+        start=0, mu=np.broadcast_to(0.0, n), sigma=np.sqrt(sigma2),
+        nu=np.broadcast_to(NU_GAUSSIAN, n),
+        log_density=-0.5 * (_LOG_2PI + np.log(sigma2) + x2 / sigma2))
 
 
 def _garch_mean_loglik(xs, omega: float, alpha: float, beta: float,

@@ -20,21 +20,22 @@ from dataclasses import replace
 
 import numpy as np
 
-from .adaptive import (AdaptiveConfig, run, run_pieces,
+from .adaptive import (AdaptiveConfig, ParamTrajectory, run, run_pieces,
                        seed_state_from_prefix)
-from .baselines import (GarchParams, check_warmup, fit_garch_mle,
-                        garch_filter, simulate_garch)
+from .baselines import (GarchParams, fit_garch_mle, garch_filter,
+                        simulate_garch)
 from .data_io import (ReturnSeries, Segment, TrajectoryWriter, _fmt,
                       generate_synthetic, read_csv, read_returns,
                       write_row_csv, write_series_csv, write_sweep_csv,
                       write_tail_csv)
-from .distribution import NU_GAUSSIAN, StudentTParams
+from .distribution import NU_GAUSSIAN
 from .errors import (DegenerateDataError, DomainError, MonotonicityError,
                      MovingTError, NonConvergenceError, ParseError,
                      SeriesTooShortError)
-from .evaluation import (ExactSum, mean_log_likelihood, nu_of_inv, nu_sweep,
-                         tail_table)
-from .static_estimators import compute_moments, static_fit
+from .evaluation import (ExactSum, check_warmup, mean_log_likelihood,
+                         nu_of_inv, nu_sweep, tail_table)
+from .static_estimators import (compute_moments, sigma_and_log_density,
+                                static_fit)
 
 _USAGE_ERRORS = (DomainError, FileNotFoundError, IsADirectoryError,
                  PermissionError)
@@ -86,19 +87,21 @@ def _add_io_flags(p: argparse.ArgumentParser):
 
 
 def _add_estimator_flags(p):
-    p.add_argument("--p-sigma", type=float, default=1.0,
+    p.add_argument("--p-sigma", type=float, default=AdaptiveConfig.p_sigma,
                    help="power behind the sigma estimate")
-    p.add_argument("--p1", type=float, default=1.0,
+    p.add_argument("--p1", type=float, default=AdaptiveConfig.p1,
                    help="first power behind the nu estimate")
-    p.add_argument("--p2", type=float, default=0.5,
+    p.add_argument("--p2", type=float, default=AdaptiveConfig.p2,
                    help="second power behind the nu estimate")
-    p.add_argument("--nu-fixed", type=_nu_value, default=None,
+    p.add_argument("--nu-fixed", type=_nu_value,
+                   default=AdaptiveConfig.nu_fixed,
                    help="hold nu fixed at this value ('inf' for Gaussian)")
-    p.add_argument("--nu-adjust", type=float, default=0.9,
+    p.add_argument("--nu-adjust", type=float,
+                   default=AdaptiveConfig.nu_adjustment,
                    help="additive adjustment applied to the raw nu estimate")
-    p.add_argument("--nu-min", type=float, default=1.1,
+    p.add_argument("--nu-min", type=float, default=AdaptiveConfig.nu_min,
                    help="lower clamp of the nu inversion table")
-    p.add_argument("--nu-cap", type=float, default=1000.0,
+    p.add_argument("--nu-cap", type=float, default=AdaptiveConfig.nu_cap,
                    help="upper clamp of the nu estimate")
 
 
@@ -111,13 +114,14 @@ class _AdaptiveOnly(argparse.Action):
 
 
 def _add_adaptive_flags(p, init_help, action="store"):
-    p.add_argument("--eta1", type=float, default=0.003, action=action,
-                   help="EMA rate for the center mu")
-    p.add_argument("--eta2", type=float, default=0.05, action=action,
-                   help="EMA rate for the sigma moment")
-    p.add_argument("--eta3", type=float, default=0.005, action=action,
-                   help="EMA rate for the two nu moments")
-    p.add_argument("--moment-floor", type=float, default=1e-20, action=action,
+    p.add_argument("--eta1", type=float, default=AdaptiveConfig.eta1,
+                   action=action, help="EMA rate for the center mu")
+    p.add_argument("--eta2", type=float, default=AdaptiveConfig.eta2,
+                   action=action, help="EMA rate for the sigma moment")
+    p.add_argument("--eta3", type=float, default=AdaptiveConfig.eta3,
+                   action=action, help="EMA rate for the two nu moments")
+    p.add_argument("--moment-floor", type=float,
+                   default=AdaptiveConfig.moment_floor, action=action,
                    help="floor under the moment EMAs")
     p.add_argument("--init-prefix", type=int, default=300, action=action,
                    help=init_help)
@@ -162,14 +166,21 @@ def _adaptive_config(args) -> AdaptiveConfig:
 
 
 def _static_fit(values, args, mu="mean"):
-    """The maps at the whole-sample moments: mu_hat, sigma_hat, nu_raw,
-    nu_adjusted."""
-    summary = compute_moments(values, dict.fromkeys(
-        (args.p_sigma, args.p1, args.p2)), mu=mu)
-    return (summary.mu_hat,) + static_fit(
-        summary, p_sigma=args.p_sigma, p1=args.p1, p2=args.p2,
+    """The maps at the whole-sample moments, as the trajectory over
+    values that never moves, and nu_raw."""
+    mu_hat, (m_sigma, m1, m2) = compute_moments(
+        values, (args.p_sigma, args.p1, args.p2), mu=mu)
+    sigma_hat, nu_raw, nu = static_fit(
+        m_sigma, m1, m2, p_sigma=args.p_sigma, p1=args.p1, p2=args.p2,
         nu_fixed=args.nu_fixed, nu_adjustment=args.nu_adjust,
         nu_min=args.nu_min, nu_cap=args.nu_cap)
+    _, log_density = sigma_and_log_density(values, mu_hat, m_sigma, nu,
+                                           args.p_sigma, 0.0)
+    n = len(values)
+    traj = ParamTrajectory(0, np.broadcast_to(mu_hat, n),
+                           np.broadcast_to(sigma_hat, n),
+                           np.broadcast_to(nu, n), log_density)
+    return traj, nu_raw
 
 
 def _cmd_returns(args) -> int:
@@ -211,9 +222,10 @@ def _cmd_fit_static(args) -> int:
     except ValueError:
         raise DomainError(
             f"--mu wants 'mean' or a number, got {args.mu!r}") from None
-    mu_hat, sigma_hat, nu_raw, nu_adj = _static_fit(values, args, mu)
-    params = StudentTParams(mu_hat, sigma_hat, nu_adj)
-    score = mean_log_likelihood(params, values, args.warmup)
+    traj, nu_raw = _static_fit(values, args, mu)
+    mu_hat, sigma_hat, nu_adj = (v[0].item()
+                                 for v in (traj.mu, traj.sigma, traj.nu))
+    score = mean_log_likelihood(traj, values, args.warmup)
     manifest = _input_manifest(args, {**_flag_values(args, _ESTIMATOR_KEYS),
                                       "mu": args.mu, "warmup": args.warmup})
     write_row_csv(args.output,
@@ -290,14 +302,16 @@ def _cmd_tail_table(args) -> int:
         # explicit initial state: the fold starts at t=0 so every point
         # is normalized and counted
         traj = run(values, cfg, init=state0)
-        table = tail_table(values, traj, nu_labels, ks)
         config.update(_flag_values(args, _ADAPTIVE_KEYS), init_prefix=k)
     else:
-        mu_hat, sigma_hat, _, nu_hat = _static_fit(values, args)
-        table = tail_table(values, (mu_hat, sigma_hat), nu_labels, ks)
-        config.update(mu_hat=mu_hat, sigma_hat=sigma_hat, nu_hat=nu_hat)
+        traj, _ = _static_fit(values, args)
+        config.update(mu_hat=traj.mu[0], sigma_hat=traj.sigma[0],
+                      nu_hat=traj.nu[0])
+    table = tail_table(values, traj, nu_labels, ks)
 
-    write_tail_csv(args.output, table, _input_manifest(args, config))
+    write_tail_csv(args.output, table, _input_manifest(args, config) + [
+        f"n_effective = {table.n_effective}",
+        f"normalization = {args.normalization}"])
     return 0
 
 
@@ -305,7 +319,8 @@ def _cmd_garch(args) -> int:
     series = _read_series(args)
     check_warmup(args.warmup, len(series))
     params = fit_garch_mle(series.values)
-    _, score = garch_filter(series.values, params, warmup=args.warmup)
+    score = mean_log_likelihood(garch_filter(series.values, params),
+                                series.values, args.warmup)
     manifest = _input_manifest(args, {"warmup": args.warmup})
     manifest.append(f"persistence_clamped = {params.persistence_clamped}")
     write_row_csv(args.output,
@@ -415,12 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixed-nu likelihood sweep: static sigma-MLE vs "
                             "adaptive sigma, plus a GARCH(1,1) baseline")
     _add_io_flags(p)
-    p.add_argument("--eta2", type=float, default=0.05,
+    p.add_argument("--eta2", type=float, default=AdaptiveConfig.eta2,
                    help="EMA rate for the sigma moment")
-    p.add_argument("--p-sigma", type=float, default=1.0,
+    p.add_argument("--p-sigma", type=float, default=AdaptiveConfig.p_sigma,
                    help="power behind the sigma estimate; rows whose nu "
                         "has no finite moment of it use nu/2")
-    p.add_argument("--moment-floor", type=float, default=1e-20)
+    p.add_argument("--moment-floor", type=float,
+                   default=AdaptiveConfig.moment_floor)
     p.add_argument("--warmup", type=int, default=300,
                    help="seed the adaptive state from this many leading "
                         "points and score every model from this index on")

@@ -510,9 +510,6 @@ def write_sweep_csv(path, report, manifest_lines=()):
 
 def write_tail_csv(path, table, manifest_lines=()):
     """Columns: k, observed, expected_nu_<label>..."""
-    meta = list(manifest_lines)
-    meta.append(f"n_effective = {table.n_effective}")
-    meta.append(f"normalization = {table.normalization}")
     labels = list(table.expected.keys())
     header = ["k", "observed"] + [f"expected_nu_{lab}" for lab in labels]
 
@@ -521,7 +518,7 @@ def write_tail_csv(path, table, manifest_lines=()):
             yield [k, table.observed[i]] + [table.expected[lab][i]
                                             for lab in labels]
     with _open_out(path) as fh:
-        _emit(fh, meta, header, rows())
+        _emit(fh, manifest_lines, header, rows())
 
 
 def write_row_csv(path, header, row, manifest_lines=()):

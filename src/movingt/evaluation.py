@@ -1,24 +1,27 @@
 """Scoring and report generation.
 
-Mean log-likelihood with a shared warmup convention, the fixed-nu
-likelihood sweep (static sigma-MLE vs adaptive sigma vs GARCH) and the
-tail-event table.  Means of log-densities are exact sums (`math.fsum`)
-divided by the count, so they do not depend on how the terms were
-chunked.
+Every model is scored as a trajectory of per-step predictive densities:
+the moving estimate, the static fit (a trajectory that never moves) and
+the GARCH filter alike.  `mean_log_likelihood` averages a trajectory's
+out-of-sample log-densities under the one warmup convention
+(`check_warmup`), and `tail_table` counts the points beyond k sigma_t
+of mu_t.  The fixed-nu likelihood sweep compares the static sigma-MLE,
+the adaptive sigma and GARCH.  Every reported mean is an exact sum
+(`math.fsum`) divided by the count, so it does not depend on how the
+terms were chunked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .adaptive import (_CHUNK, AdaptiveConfig, ParamTrajectory, moment_paths,
                        seed_state_from_prefix)
-from .baselines import (GarchFit, check_warmup, fit_garch_mle, fit_sigma_mle,
-                        garch_filter)
+from .baselines import GarchFit, fit_garch_mle, fit_sigma_mle, garch_filter
 from .distribution import NU_GAUSSIAN, StudentTParams, cdf, log_pdf
 from .errors import DomainError, SeriesTooShortError
 from .static_estimators import sigma_and_log_density
@@ -32,6 +35,7 @@ __all__ = [
     "tail_table",
     "expected_tail_fraction",
     "ExactSum",
+    "check_warmup",
     "format_nu_label",
     "inv_nu_of",
     "nu_of_inv",
@@ -125,28 +129,35 @@ def _exact_parts(terms: np.ndarray) -> np.ndarray:
         terms = terms - heads
 
 
-def mean_log_likelihood(subject: Union[ParamTrajectory, StudentTParams],
-                        xs, warmup: int) -> float:
-    """Mean of ln rho_{theta_t}(x_t) over t >= warmup.
+def check_warmup(warmup: int, n: int) -> None:
+    """Refuse a warmup below 0 or one that leaves none of n points to score.
 
-    `subject` is either a trajectory (theta varies per step) or a single
-    StudentTParams (theta constant); both go through the same averaging
-    so static and adaptive scores are directly comparable.
+    Commands call it before their expensive work, so a bad --warmup
+    fails fast with the message the scorers would give.
     """
+    if warmup < 0:
+        raise DomainError(f"warmup must be >= 0, got {warmup!r}")
+    if warmup >= n:
+        raise SeriesTooShortError(
+            f"warmup={warmup} leaves nothing to score in {n} points")
+
+
+def _exact_mean(terms) -> float:
+    total = ExactSum()
+    total.add(terms)
+    return total.mean()
+
+
+def mean_log_likelihood(traj: ParamTrajectory, xs, warmup: int) -> float:
+    """Mean of ln rho_{theta_t}(x_t) over the points t >= warmup that
+    `traj` estimates, as an exact sum over the count."""
     values = _values_of(xs)
     check_warmup(warmup, values.size)
-    if isinstance(subject, ParamTrajectory):
-        _aligned_values(subject, values)
-        scored = subject.log_density[max(warmup - subject.start, 0):]
-    elif isinstance(subject, StudentTParams):
-        scored = log_pdf(subject, values[warmup:])
-    else:
-        raise DomainError(f"cannot score a {type(subject).__name__}")
+    _aligned_values(traj, values)
+    scored = traj.log_density[max(warmup - traj.start, 0):]
     if scored.size == 0:
         raise SeriesTooShortError("no records at or beyond the warmup index")
-    total = ExactSum()
-    total.add(scored)
-    return total.mean()
+    return _exact_mean(scored)
 
 
 @dataclass(frozen=True)
@@ -181,7 +192,7 @@ def nu_sweep(xs, nu_grid: Sequence[float], warmup: int, *,
     not depend on nu, so there is one fold per distinct power, carried
     through fixed-size chunks, and every nu is scored from it.  One
     GARCH(1,1) baseline (in-sample MLE on the full series, scored on
-    xs[warmup:]) accompanies the grid.
+    xs[warmup:]) accompanies the grid.  Two nu of one row are refused.
     """
     values = _values_of(xs)
     nu_list = [float(nu) for nu in nu_grid]
@@ -189,6 +200,13 @@ def nu_sweep(xs, nu_grid: Sequence[float], warmup: int, *,
         raise DomainError("nu grid must not be empty")
     if any(not nu > 0.0 for nu in nu_list):
         raise DomainError(f"every nu must be > 0, got {nu_list}")
+    named = {}
+    for nu in nu_list:
+        inv_nu = inv_nu_of(nu)
+        if inv_nu in named:
+            raise DomainError(f"nu values {named[inv_nu]!r} and {nu!r} both "
+                              f"give the row inv_nu = {inv_nu!r}")
+        named[inv_nu] = nu
     if not (math.isfinite(p_sigma) and p_sigma > 0.0):
         raise DomainError(f"p_sigma must be finite and > 0, got {p_sigma!r}")
     # built, and so checked, before any fit runs
@@ -206,7 +224,9 @@ def nu_sweep(xs, nu_grid: Sequence[float], warmup: int, *,
     for cfg in configs:
         if cfg.p_sigma != p_sigma:
             p_eff_overrides[inv_nu_of(cfg.nu_fixed)] = cfg.p_sigma
-        static.append(fit_sigma_mle(scored, 0.0, cfg.nu_fixed)[1])
+        sigma = fit_sigma_mle(scored, 0.0, cfg.nu_fixed)
+        static.append(_exact_mean(log_pdf(
+            StudentTParams(0.0, sigma, cfg.nu_fixed), scored)))
     # one fold per distinct power, in chunks that carry its state; every
     # nu of that power is scored from each chunk's moment path
     adaptive = [ExactSum() for _ in configs]
@@ -227,7 +247,8 @@ def nu_sweep(xs, nu_grid: Sequence[float], warmup: int, *,
                   key=lambda r: r.inv_nu)
 
     garch = fit_garch_mle(values)
-    _, garch_score = garch_filter(values, garch, warmup=warmup)
+    garch_score = mean_log_likelihood(garch_filter(values, garch), values,
+                                      warmup)
     return SweepReport(tuple(rows), garch_score, garch, p_eff_overrides)
 
 
@@ -237,7 +258,6 @@ class TailTable:
     observed: Tuple[int, ...]
     expected: Dict[str, Tuple[float, ...]]
     n_effective: int
-    normalization: str
 
 
 def expected_tail_fraction(nu: float, k: float) -> float:
@@ -246,13 +266,12 @@ def expected_tail_fraction(nu: float, k: float) -> float:
     return 2.0 * cdf(StudentTParams(0.0, 1.0, nu), -float(k))
 
 
-def tail_table(xs, normalization, nu_labels: Sequence[float],
+def tail_table(xs, traj: ParamTrajectory, nu_labels: Sequence[float],
                k_values: Sequence[int] = tuple(range(1, 11))) -> TailTable:
-    """Observed vs expected counts of |x - mu| > k*sigma.
+    """Observed vs expected counts of |x_t - mu_t| > k*sigma_t over the
+    points `traj` estimates, n_effective of them.
 
-    ``normalization`` is either a (mu, sigma) pair (static) or a
-    ParamTrajectory (per-step mu_t, sigma_t).  Expected counts are
-    n_effective * P(|X| > k) for each requested nu.
+    Expected counts are n_effective * P(|X| > k) for each requested nu.
     """
     values = _values_of(xs)
     if values.size == 0:
@@ -261,17 +280,7 @@ def tail_table(xs, normalization, nu_labels: Sequence[float],
     if not ks or min(ks) < 1:
         raise DomainError(f"k values must be nonempty and >= 1, got {ks}")
 
-    if isinstance(normalization, ParamTrajectory):
-        traj = normalization
-        z = np.abs(_aligned_values(traj, values) - traj.mu) / traj.sigma
-        kind = "adaptive"
-    else:
-        mu_hat, sigma_hat = (float(v) for v in normalization)
-        if sigma_hat <= 0.0:
-            raise DomainError(f"sigma must be > 0, got {sigma_hat!r}")
-        z = np.abs(values - mu_hat) / sigma_hat
-        kind = "static"
-
+    z = np.abs(_aligned_values(traj, values) - traj.mu) / traj.sigma
     n_eff = int(z.size)
     observed = tuple(int(np.count_nonzero(z > k)) for k in ks)
     expected, named = {}, {}
@@ -284,4 +293,4 @@ def tail_table(xs, normalization, nu_labels: Sequence[float],
         named[label] = nu
         fracs = [expected_tail_fraction(nu, k) for k in ks]
         expected[label] = tuple(n_eff * f for f in fracs)
-    return TailTable(ks, observed, expected, n_eff, kind)
+    return TailTable(ks, observed, expected, n_eff)

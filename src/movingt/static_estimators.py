@@ -10,7 +10,6 @@ to the whole-sample moments.  `adaptive.step` holds their scalar form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -24,7 +23,6 @@ from .errors import (DegenerateDataError, DomainError, MonotonicityError,
 __all__ = [
     "DEFAULT_NU_CAP",
     "DEFAULT_NU_ADJUSTMENT",
-    "MomentSummary",
     "compute_moments",
     "build_nu_table",
     "raw_nu",
@@ -38,24 +36,9 @@ DEFAULT_NU_ADJUSTMENT = 0.9
 _GRID_SIZE = 256  # points of the log nu grid behind the inversion table
 
 
-@dataclass(frozen=True)
-class MomentSummary:
-    """Empirical absolute central moments m_p = mean(|x - mu_hat|^p)."""
-
-    mu_hat: float
-    powers: tuple
-    moments: tuple
-
-    def moment_for(self, p: float) -> float:
-        try:
-            return self.moments[self.powers.index(p)]
-        except ValueError:
-            raise DomainError(f"power {p} not present in summary "
-                              f"(has {self.powers})") from None
-
-
-def compute_moments(xs, powers, mu="mean") -> MomentSummary:
-    """Absolute central moments of xs for each power.
+def compute_moments(xs, powers, mu="mean"):
+    """(mu_hat, moments): the center and the absolute central moments
+    m_p = mean(|x - mu_hat|^p) of xs, one for each power in order.
 
     ``mu`` is either the literal string "mean" (use the sample mean) or a
     fixed numeric center.
@@ -66,8 +49,6 @@ def compute_moments(xs, powers, mu="mean") -> MomentSummary:
     powers = tuple(float(p) for p in powers)
     if any(p <= 0.0 or not math.isfinite(p) for p in powers):
         raise DomainError(f"powers must be finite and > 0, got {powers}")
-    if len(set(powers)) != len(powers):
-        raise DomainError(f"powers must be distinct, got {powers}")
     if mu == "mean":
         mu_hat = float(xs.mean())
     else:
@@ -75,12 +56,14 @@ def compute_moments(xs, powers, mu="mean") -> MomentSummary:
         if not math.isfinite(mu_hat):
             raise DomainError(f"fixed mu must be finite, got {mu!r}")
     d = np.abs(xs - mu_hat)
-    with np.errstate(over="ignore"):
-        moments = tuple(float(np.mean(d ** p)) for p in powers)
-    for p, m in zip(powers, moments):
-        if not math.isfinite(m):
-            raise _power_overflow(p)
-    return MomentSummary(mu_hat, powers, moments)
+    by_power = {}
+    for p in powers:
+        if p not in by_power:
+            with np.errstate(over="ignore"):
+                by_power[p] = float(np.mean(d ** p))
+            if not math.isfinite(by_power[p]):
+                raise _power_overflow(p)
+    return mu_hat, tuple(by_power[p] for p in powers)
 
 
 def _power_overflow(p: float) -> DomainError:
@@ -196,18 +179,18 @@ def sigma_and_log_density(xs, mu, m_sigma, nu, p_sigma: float, floor: float):
     return sigma, log_norm - np.log(sigma) - tail
 
 
-def static_fit(summary: MomentSummary, p_sigma: float = 1.0, p1: float = 1.0,
-               p2: float = 0.5, nu_fixed: Optional[float] = None,
+def static_fit(m_sigma: float, m1: Optional[float], m2: Optional[float],
+               p_sigma: float = 1.0, p1: float = 1.0, p2: float = 0.5,
+               nu_fixed: Optional[float] = None,
                nu_adjustment: float = DEFAULT_NU_ADJUSTMENT,
                nu_min: float = 1.1, nu_cap: float = DEFAULT_NU_CAP):
     """(sigma_hat, nu_raw, nu_adjusted): the maps above at the unfloored
-    moments of `summary`; a given nu_fixed is both nu_raw and nu_adjusted.
-    Raises DegenerateDataError for a zero moment and DivergentMomentError
-    when p_sigma >= nu."""
-    m_sigma = summary.moment_for(p_sigma)
+    moments of powers p_sigma, p1 and p2, the state the fold would start
+    from; a given nu_fixed is both nu_raw and nu_adjusted, and m1, m2 go
+    unread.  Raises DegenerateDataError for a zero moment and
+    DivergentMomentError when p_sigma >= nu."""
     if nu_fixed is None:
         _inversion_table(p1, p2, nu_min, nu_cap)  # the flags before the data
-        m1, m2 = summary.moment_for(p1), summary.moment_for(p2)
         if m1 <= 0.0 or m2 <= 0.0:
             raise DegenerateDataError(
                 f"zero moment (m_p1={m1}, m_p2={m2}); cannot estimate nu")

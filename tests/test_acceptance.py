@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import movingt as mt
-from movingt.adaptive import AdaptiveConfig, run
+from movingt.adaptive import AdaptiveConfig, ParamTrajectory, run
 from movingt.baselines import GarchParams, fit_garch_mle, fit_sigma_mle, simulate_garch
 from movingt.cli import main as cli_main
 from movingt.data_io import Segment, generate_synthetic
@@ -73,9 +73,9 @@ def test_criterion_2_closed_form_spot_values():
 def test_criterion_3_static_estimator_consistency():
     t0 = time.perf_counter()
     xs = sample(StudentTParams(0.0, 2.0, 5.0), 10 ** 6, seed=123)
-    summary = compute_moments(xs, (1.0, 0.5), mu="mean")
-    sigma_hat = static_fit(summary, nu_fixed=5.0)[0]
-    nu_raw = static_fit(summary)[1]
+    _, moments = compute_moments(xs, (1.0, 1.0, 0.5), mu="mean")
+    sigma_hat = static_fit(*moments, nu_fixed=5.0)[0]
+    nu_raw = static_fit(*moments)[1]
     elapsed = time.perf_counter() - t0
     sig_dev = abs(sigma_hat / 2.0 - 1.0)
     nu_dev = abs(nu_raw / 5.0 - 1.0)
@@ -91,11 +91,11 @@ def test_criterion_4_scale_invariance():
                              Segment(4000, 0.0, 2.0, 8.0)], seed=44).values
 
     # static path
-    s1 = compute_moments(xs, (1.0, 0.5), mu="mean")
-    s2 = compute_moments(lam * xs, (1.0, 0.5), mu="mean")
-    sig_dev_static = abs(static_fit(s2, nu_fixed=5.0)[0]
-                         / (lam * static_fit(s1, nu_fixed=5.0)[0]) - 1.0)
-    nu_dev_static = abs(static_fit(s2)[1] - static_fit(s1)[1])
+    _, s1 = compute_moments(xs, (1.0, 1.0, 0.5), mu="mean")
+    _, s2 = compute_moments(lam * xs, (1.0, 1.0, 0.5), mu="mean")
+    sig_dev_static = abs(static_fit(*s2, nu_fixed=5.0)[0]
+                         / (lam * static_fit(*s1, nu_fixed=5.0)[0]) - 1.0)
+    nu_dev_static = abs(static_fit(*s2)[1] - static_fit(*s1)[1])
 
     # adaptive path (floor scaled alongside the data); nu deviations are
     # relative, matching the sigma clause (the inversion slope amplifies
@@ -137,7 +137,9 @@ def test_criterion_6_adaptive_beats_static():
     cfg = AdaptiveConfig(nu_fixed=5.0)
     traj = run(xs, cfg, init=300)
     adaptive = mean_log_likelihood(traj, xs, 300)
-    _, static = fit_sigma_mle(xs[300:], 0.0, 5.0)
+    sigma = fit_sigma_mle(xs[300:], 0.0, 5.0)
+    static = float(np.mean(mt.log_pdf(StudentTParams(0.0, sigma, 5.0),
+                                      xs[300:])))
     ok = adaptive > static
     _report(6, ok, f"adaptive={adaptive:.4f} > static={static:.4f} "
                    f"(margin {adaptive - static:+.4f})")
@@ -206,11 +208,13 @@ def test_criterion_9_tail_table_arithmetic():
     ok_exact = abs(cauchy_frac - 0.5) <= 1e-12
 
     xs = sample(StudentTParams(0.0, 1.0, 5.0), 10 ** 6, seed=5)
-    summary = compute_moments(xs, (1.0, 0.5), mu="mean")
-    nu_raw = static_fit(summary)[1]
-    sigma_hat = static_fit(summary, nu_fixed=nu_raw)[0]
-    table = tail_table(xs, (summary.mu_hat, sigma_hat), [5.0],
-                       k_values=[1, 2, 3, 4])
+    mu_hat, moments = compute_moments(xs, (1.0, 1.0, 0.5), mu="mean")
+    nu_raw = static_fit(*moments)[1]
+    sigma_hat = static_fit(*moments, nu_fixed=nu_raw)[0]
+    n = xs.size
+    static = ParamTrajectory(0, np.full(n, mu_hat), np.full(n, sigma_hat),
+                             np.full(n, nu_raw), np.zeros(n))
+    table = tail_table(xs, static, [5.0], k_values=[1, 2, 3, 4])
     ratios = [table.observed[i] / table.expected["5"][i] for i in range(4)]
     ok_band = all(0.9 <= r <= 1.1 for r in ratios)
     ok = ok_exact and ok_band

@@ -9,6 +9,7 @@ from movingt.baselines import (GarchParams, _ar1_scan, _garch_mean_loglik,
                                garch_filter, simulate_garch)
 from movingt.distribution import NU_GAUSSIAN, StudentTParams, log_pdf
 from movingt.errors import DomainError, NonConvergenceError, SeriesTooShortError
+from movingt.evaluation import mean_log_likelihood
 
 from oracles import sample
 
@@ -35,17 +36,18 @@ class TestFitSigmaMle:
     def test_gaussian_constant_magnitude(self):
         # with |x - mu| = c everywhere, the Gaussian MLE of scale is c
         xs = np.array([1.0, -1.0, 1.0, -1.0]) * 0.37
-        sigma, _ = fit_sigma_mle(xs, 0.0, NU_GAUSSIAN)
+        sigma = fit_sigma_mle(xs, 0.0, NU_GAUSSIAN)
         assert sigma == pytest.approx(0.37, rel=1e-8)
 
     def test_monte_carlo(self):
         xs = sample(StudentTParams(0.0, 2.0, 5.0), 10 ** 5, seed=9)
-        sigma, _ = fit_sigma_mle(xs, 0.0, 5.0)
+        sigma = fit_sigma_mle(xs, 0.0, 5.0)
         assert 1.97 <= sigma <= 2.03
 
     def test_local_optimality(self):
         xs = sample(StudentTParams(0.0, 1.0, 3.0), 2000, seed=14)
-        sigma, attained = fit_sigma_mle(xs, 0.0, 3.0)
+        sigma = fit_sigma_mle(xs, 0.0, 3.0)
+        attained = float(np.mean(log_pdf(StudentTParams(0.0, sigma, 3.0), xs)))
         for factor in (1.1, 1.0 / 1.1):
             other = StudentTParams(0.0, sigma * factor, 3.0)
             assert attained >= float(np.mean(log_pdf(other, xs)))
@@ -53,7 +55,8 @@ class TestFitSigmaMle:
     def test_global_on_interval_dense_grid(self):
         # cross-check the golden section against a brute-force scan
         xs = sample(StudentTParams(0.0, 0.03, 4.0), 3000, seed=15)
-        sigma, attained = fit_sigma_mle(xs, 0.0, 4.0)
+        sigma = fit_sigma_mle(xs, 0.0, 4.0)
+        attained = float(np.mean(log_pdf(StudentTParams(0.0, sigma, 4.0), xs)))
         grid = np.exp(np.linspace(math.log(1e-8), math.log(1e2), 1000))
         scores = [float(np.mean(log_pdf(StudentTParams(0.0, s, 4.0), xs)))
                   for s in grid]
@@ -72,8 +75,10 @@ class TestGarchFilter:
     def test_constant_variance_case(self):
         params = GarchParams(2.5, 0.0, 0.0, 2.5)
         xs = np.array([0.1, -0.2, 0.3, 0.0])
-        sigma_path, score = garch_filter(xs, params)
-        assert np.allclose(sigma_path, math.sqrt(2.5))
+        traj = garch_filter(xs, params)
+        assert np.allclose(traj.sigma, math.sqrt(2.5))
+        assert np.all(traj.mu == 0.0) and np.all(traj.nu == NU_GAUSSIAN)
+        score = mean_log_likelihood(traj, xs, 0)
         expected = float(np.mean(-0.5 * (math.log(2 * math.pi)
                                          + math.log(2.5) + xs ** 2 / 2.5)))
         assert score == pytest.approx(expected, rel=1e-12)
@@ -82,7 +87,7 @@ class TestGarchFilter:
         params = GarchParams(1e-5, 0.1, 0.85, 3e-4)
         rng = np.random.default_rng(5)
         xs = rng.standard_normal(500) * 0.01
-        sigma_path, _ = garch_filter(xs, params)
+        sigma_path = garch_filter(xs, params).sigma
         sigma2 = params.initial_var
         for t in range(xs.size):
             assert sigma_path[t] ** 2 == pytest.approx(sigma2, rel=1e-12)
@@ -94,25 +99,26 @@ class TestGarchFilter:
         params = GarchParams(omega, alpha, beta, target)
         rng = np.random.default_rng(77)
         xs = rng.standard_normal(10 ** 6) * math.sqrt(target)
-        sigma_path, _ = garch_filter(xs, params)
+        sigma_path = garch_filter(xs, params).sigma
         assert float(np.mean(sigma_path ** 2)) == pytest.approx(target, rel=0.02)
 
     def test_causality(self):
         params = GarchParams(1e-5, 0.1, 0.85, 3e-4)
         rng = np.random.default_rng(6)
         xs = rng.standard_normal(400) * 0.01
-        base, _ = garch_filter(xs, params)
+        base = garch_filter(xs, params).sigma
         mutated = xs.copy()
         mutated[200] += 1.0
-        other, _ = garch_filter(mutated, params)
+        other = garch_filter(mutated, params).sigma
         assert np.array_equal(other[:201], base[:201])
         assert other[201] != base[201]
 
     def test_warmup_skips_scoring(self):
         params = GarchParams(1.0, 0.0, 0.0, 1.0)
         xs = np.array([100.0, 0.0, 0.0])
-        _, full = garch_filter(xs, params, warmup=0)
-        _, skipped = garch_filter(xs, params, warmup=1)
+        traj = garch_filter(xs, params)
+        full = mean_log_likelihood(traj, xs, 0)
+        skipped = mean_log_likelihood(traj, xs, 1)
         assert skipped > full
 
 
@@ -154,7 +160,8 @@ class TestGarchMeanLoglik:
     def test_gradient_matches_central_differences(self, theta):
         xs, var = self._series()
         value, grad, _ = _garch_mean_loglik(xs, *theta, var)
-        _, score = garch_filter(xs, GarchParams(*theta, var))
+        score = mean_log_likelihood(garch_filter(xs, GarchParams(*theta, var)),
+                                    xs, 0)
         assert value == pytest.approx(score, rel=1e-14)
         for i in range(3):
             fd = self._central_difference(xs, theta, var, i, 0)

@@ -12,9 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from movingt.adaptive import AdaptiveConfig, EmaState, update
-from movingt.baselines import GarchParams, simulate_garch
+from movingt.baselines import (GarchParams, fit_sigma_mle, garch_filter,
+                               simulate_garch)
 from movingt.cli import build_parser, main
-from movingt.distribution import NU_GAUSSIAN
+from movingt.data_io import read_csv
+from movingt.distribution import NU_GAUSSIAN, StudentTParams, log_pdf
+from movingt.evaluation import nu_of_inv
 from movingt.static_estimators import compute_moments
 
 
@@ -222,6 +225,17 @@ class TestSweep:
         assert {"eta2", "p_sigma", "moment_floor", "warmup"} <= set(keys)
         assert not [k for k in keys
                     if k in ("eta1", "eta3", "p1", "p2") or k.startswith("nu_")]
+
+    @pytest.mark.parametrize("grid, named", [
+        ("0,1e-7,0.5,0.5", "1000000.0 and 10000000.0"),
+        ("0.5,0.2,0.5", "2.0 and 2.0")])
+    def test_grid_entries_that_share_a_row_exit_2(self, synth_file, tmp_path,
+                                                  capsys, grid, named):
+        out = tmp_path / "sweep.csv"
+        assert _run("sweep", "--input", str(synth_file), "--returns",
+                    "--output", str(out), "--inv-nu-grid", grid) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_power_above_nu_min(self, synth_file, tmp_path):
         # rows whose nu has no finite moment of this power use nu/2
@@ -481,11 +495,10 @@ class TestStaticFitIsTheFoldsMaps:
             p_sigma=flags["p_sigma"], p1=flags["p1"], p2=flags["p2"],
             nu_fixed=flags["nu_fixed"], nu_adjustment=flags["nu_adjust"],
             nu_min=flags["nu_min"], nu_cap=flags["nu_cap"])
-        powers = (cfg.p_sigma, cfg.p1, cfg.p2)
-        summary = compute_moments(
-            xs, dict.fromkeys(powers),
+        mu_hat, moments = compute_moments(
+            xs, (cfg.p_sigma, cfg.p1, cfg.p2),
             "mean" if flags["mu"] == "mean" else float(flags["mu"]))
-        state = EmaState(summary.mu_hat, *map(summary.moment_for, powers))
+        state = EmaState(mu_hat, *moments)
         traj = update(state, xs[:1], cfg)[1]
         assert float(rec["nu_adjusted"]) == traj.nu[0]
         assert float(rec["sigma_hat"]) == traj.sigma[0]
@@ -586,6 +599,57 @@ class TestGarchCommand:
         monkeypatch.setattr(baselines, "_NEWTON_MAX_ITER", 1)
         assert _run("garch", "--input", str(src), "--returns",
                     "--output", str(tmp_path / "fit.csv")) == 4
+
+
+class TestOneAveraging:
+    """Every reported score is the exact mean of its model's log-densities:
+    math.fsum over the scored points, divided by their count."""
+
+    @pytest.fixture(scope="class")
+    def series(self, tmp_path_factory):
+        src = tmp_path_factory.mktemp("averaging") / "regimes.csv"
+        assert _run("synth", "--output", str(src),
+                    "--segment", "9000,0,0.01,4", "--segment", "9000,0,0.03,3",
+                    "--segment", "9000,0,0.006,6", "--seed", "2") == 0
+        return src, read_csv(str(src)).values
+
+    @staticmethod
+    def _exact_mean(log_density):
+        return math.fsum(log_density.tolist()) / log_density.size
+
+    @staticmethod
+    def _manifest(path):
+        return dict(line[2:].split(" = ", 1) for line in open(path)
+                    if line.startswith("# "))
+
+    def test_sweep(self, series, tmp_path):
+        src, xs = series
+        out = tmp_path / "sweep.csv"
+        assert _run("sweep", "--input", str(src), "--returns",
+                    "--output", str(out)) == 0
+        scored = xs[300:]
+        for inv_nu, static, _ in _data_rows(out)[1:]:
+            nu = nu_of_inv(float(inv_nu))
+            sigma = fit_sigma_mle(scored, 0.0, nu)
+            assert float(static) == self._exact_mean(
+                log_pdf(StudentTParams(0.0, sigma, nu), scored)), inv_nu
+        meta = self._manifest(out)
+        params = GarchParams(*(float(meta[f"garch_{k}"])
+                               for k in ("omega", "alpha", "beta")),
+                             float(np.var(xs)))
+        assert float(meta["garch_loglik"]) == self._exact_mean(
+            garch_filter(xs, params).log_density[300:])
+
+    def test_garch(self, series, tmp_path):
+        src, xs = series
+        out = tmp_path / "garch.csv"
+        assert _run("garch", "--input", str(src), "--returns",
+                    "--output", str(out)) == 0
+        rec = dict(zip(*_data_rows(out)))
+        params = GarchParams(*(float(rec[k]) for k in
+                               ("omega", "alpha", "beta", "initial_var")))
+        assert float(rec["mean_loglik"]) == self._exact_mean(
+            garch_filter(xs, params).log_density[300:])
 
 
 class TestInitPrefix:

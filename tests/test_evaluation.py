@@ -10,7 +10,7 @@ from dataclasses import replace
 from movingt.adaptive import (AdaptiveConfig, ParamTrajectory, run,
                               seed_state_from_prefix)
 from movingt.data_io import Segment, generate_synthetic
-from movingt.distribution import NU_GAUSSIAN, StudentTParams
+from movingt.distribution import NU_GAUSSIAN, StudentTParams, log_pdf
 from movingt.errors import DivergentMomentError, DomainError, SeriesTooShortError
 from movingt.evaluation import (ExactSum, expected_tail_fraction,
                                 format_nu_label, inv_nu_of,
@@ -26,6 +26,14 @@ def _flat_trajectory(start, n):
     return ParamTrajectory(
         start=start, mu=np.zeros(n), sigma=np.ones(n), nu=np.full(n, 5.0),
         log_density=np.arange(start, start + n, dtype=np.float64))
+
+
+def _static_trajectory(params, xs):
+    """The trajectory of a fixed StudentTParams over xs, from t = 0."""
+    n = len(xs)
+    return ParamTrajectory(
+        start=0, mu=np.full(n, params.mu), sigma=np.full(n, params.sigma),
+        nu=np.full(n, params.nu), log_density=log_pdf(params, xs))
 
 
 class TestExactSum:
@@ -76,34 +84,32 @@ class TestExactSum:
 class TestMeanLogLikelihood:
     def test_single_point_cauchy(self):
         params = StudentTParams(0.5, 1.0, 1.0)
-        assert mean_log_likelihood(params, [0.5], 0) == pytest.approx(
+        traj = _static_trajectory(params, [0.5])
+        assert mean_log_likelihood(traj, [0.5], 0) == pytest.approx(
             -math.log(math.pi), abs=1e-13)
 
     def test_duplication_invariance(self):
         params = StudentTParams(0.0, 1.0, 3.0)
         xs = [0.1, -0.4, 2.0]
-        once = mean_log_likelihood(params, xs, 0)
-        twice = mean_log_likelihood(params, xs + xs, 0)
+        once = mean_log_likelihood(_static_trajectory(params, xs), xs, 0)
+        twice = mean_log_likelihood(_static_trajectory(params, xs + xs),
+                                    xs + xs, 0)
         assert twice == pytest.approx(once, rel=1e-14)
 
     def test_constant_trajectory_matches_fixed_params(self):
+        # a fixed model's score is the exact mean of its log-densities
         xs = generate_synthetic([Segment(500, 0, 1, 5)], seed=30).values
         params = StudentTParams(0.1, 0.9, 4.0)
-        from movingt.distribution import log_pdf
-        traj = ParamTrajectory(
-            start=0,
-            mu=np.full(500, params.mu), sigma=np.full(500, params.sigma),
-            nu=np.full(500, params.nu),
-            log_density=np.asarray(log_pdf(params, xs)))
+        traj = _static_trajectory(params, xs)
         for warmup in (0, 100):
-            a = mean_log_likelihood(traj, xs, warmup)
-            b = mean_log_likelihood(params, xs, warmup)
-            assert a == pytest.approx(b, abs=1e-12)
+            want = math.fsum(log_pdf(params, xs[warmup:]).tolist())
+            assert mean_log_likelihood(traj, xs, warmup) == want / (500 - warmup)
 
     def test_warmup_mask(self):
         params = StudentTParams(0.0, 1.0, 1.0)
         xs = [100.0, 0.0]
-        with_warmup = mean_log_likelihood(params, xs, 1)
+        with_warmup = mean_log_likelihood(_static_trajectory(params, xs),
+                                          xs, 1)
         assert with_warmup == pytest.approx(-math.log(math.pi), abs=1e-13)
 
     def test_length_mismatch(self):
@@ -136,7 +142,8 @@ class TestMeanLogLikelihood:
     def test_nothing_to_score(self):
         params = StudentTParams(0.0, 1.0, 2.0)
         with pytest.raises(SeriesTooShortError):
-            mean_log_likelihood(params, [1.0, 2.0], 5)
+            mean_log_likelihood(_static_trajectory(params, [1.0, 2.0]),
+                                [1.0, 2.0], 5)
 
 
 class TestInvNuHelpers:
@@ -177,6 +184,20 @@ class TestNuSweep:
         rep = nu_sweep(xs, grid, 300)
         best = max(rep.rows, key=lambda r: r.static_loglik)
         assert best.inv_nu == 0.0
+
+    @pytest.mark.parametrize("grid, named", [
+        ([NU_GAUSSIAN, 1e7], "1000000.0 and 10000000.0"),
+        ([2.0, 5.0, 2.0], "2.0 and 2.0")])
+    def test_grid_entries_that_share_a_row(self, monkeypatch, grid, named):
+        # refused before any fit, naming both nu values
+        import movingt.evaluation as evaluation
+
+        def no_fit(*args, **kw):
+            raise AssertionError("a fit ran before the grid was checked")
+        monkeypatch.setattr(evaluation, "fit_sigma_mle", no_fit)
+        xs = generate_synthetic([Segment(500, 0, 1, 5)], seed=33)
+        with pytest.raises(DomainError, match=named):
+            nu_sweep(xs, grid, 300)
 
     def test_empty_grid(self):
         xs = generate_synthetic([Segment(1000, 0, 1, 5)], seed=33)
@@ -299,15 +320,16 @@ class TestTailTable:
 
     def test_static_counts(self):
         xs = np.array([0.0, 1.5, -2.5, 3.5, -0.5])
-        table = tail_table(xs, (0.0, 1.0), [1.0], k_values=[1, 2, 3])
-        assert table.normalization == "static"
+        traj = _static_trajectory(StudentTParams(0.0, 1.0, 5.0), xs)
+        table = tail_table(xs, traj, [1.0], k_values=[1, 2, 3])
         assert table.n_effective == 5
         assert table.observed == (3, 2, 1)
         assert table.expected["1"][0] == pytest.approx(5 * 0.5, abs=1e-10)
 
     def test_observed_nonincreasing(self):
         xs = sample(StudentTParams(0, 1, 3), 20_000, seed=40)
-        table = tail_table(xs, (0.0, 1.0), [3.0])
+        table = tail_table(
+            xs, _static_trajectory(StudentTParams(0.0, 1.0, 3.0), xs), [3.0])
         assert all(b <= a for a, b in zip(table.observed, table.observed[1:]))
 
     def test_adaptive_normalization(self):
@@ -317,7 +339,6 @@ class TestTailTable:
         state = seed_state_from_prefix(xs.values, 300, cfg)
         traj = run(xs, cfg, init=state)
         table = tail_table(xs, traj, [5.0])
-        assert table.normalization == "adaptive"
         assert table.n_effective == 2000
 
     def test_offset_trajectory_normalizes_its_own_points(self):
@@ -346,7 +367,7 @@ class TestTailTable:
 
     def test_empty_series(self):
         with pytest.raises(SeriesTooShortError):
-            tail_table([], (0.0, 1.0), [5.0])
+            tail_table([], _flat_trajectory(0, 1), [5.0])
 
 
 class TestSigmaPowerErrorSweep:

@@ -7,10 +7,12 @@ behind when a formula moves between modules.  A third check keeps the
 moving estimator's config to the settings its step reads, a fourth
 keeps scipy out of the runtime, and a fifth asks every dataclass field
 to be read somewhere outside validation (`__post_init__`), so no stored
-value goes unread.  Last, the README's library and CLI examples run, so
-the API and the commands they document cannot drift from the code.
+value goes unread.  Last, the README's library and CLI examples run, and
+its Defaults table matches the parser's defaults, so the API, the
+commands and the defaults it documents cannot drift from the code.
 """
 
+import argparse
 import ast
 import pathlib
 import re
@@ -19,7 +21,7 @@ import shlex
 import pytest
 
 import movingt
-from movingt.cli import main
+from movingt.cli import build_parser, main
 
 PACKAGE = pathlib.Path(movingt.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -178,3 +180,38 @@ def test_readme_cli_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the example writes its files here
     for argv in commands:
         assert main(argv[1:]) == 0, argv
+
+
+def _subparsers():
+    """{command: its subparser} of the CLI's parser."""
+    action, = (a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_readme_defaults_table_matches_the_parser():
+    # each row's flags against every command that takes them; a command
+    # named in the row as "`cmd` defaults to V" is held to V instead
+    table = README.read_text(encoding="utf-8").split(
+        "\n### Defaults\n", 1)[1].strip().split("\n\n", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.splitlines()[2:]]
+    assert rows, "the Defaults table has no rows"
+    commands = _subparsers()
+    checked = set()
+    for flag_cell, default_cell, meaning in rows:
+        flags = re.findall(r"`(--[\w-]+)`", flag_cell)
+        defaults = [float(v) for v in default_cell.split(",")]
+        assert len(flags) == len(defaults), flag_cell
+        exceptions = {cmd: float(v) for cmd, v in
+                      re.findall(r"`([\w-]+)` defaults to ([\d.e+-]+)", meaning)}
+        for flag, default in zip(flags, defaults):
+            takers = {cmd: sub for cmd, sub in commands.items()
+                      if flag in sub._option_string_actions}
+            assert takers, f"no command takes {flag}"
+            for cmd, sub in takers.items():
+                want = exceptions.get(cmd, default)
+                assert sub._option_string_actions[flag].default == want, (
+                    cmd, flag)
+            checked.add(flag)
+    assert {"--eta1", "--p-sigma", "--nu-cap", "--warmup"} <= checked

@@ -6,26 +6,25 @@ import pytest
 from movingt.distribution import NU_GAUSSIAN, StudentTParams, abs_central_moment
 from movingt.errors import (DegenerateDataError, DivergentMomentError,
                             DomainError, SeriesTooShortError)
-from movingt.static_estimators import (DEFAULT_NU_CAP, MomentSummary,
-                                       adjusted_nu, build_nu_table,
-                                       compute_moments, static_fit)
+from movingt.static_estimators import (DEFAULT_NU_CAP, adjusted_nu,
+                                       build_nu_table, compute_moments,
+                                       static_fit)
 
 from oracles import sample
 
 
 class TestComputeMoments:
     def test_constant_series(self):
-        s = compute_moments([1.0, 1.0, 1.0], [1.0], mu="mean")
-        assert s.mu_hat == 1.0
-        assert s.moments == (0.0,)
+        assert compute_moments([1.0, 1.0, 1.0], [1.0], mu="mean") == (1.0,
+                                                                      (0.0,))
 
     def test_fixed_center_p2(self):
-        s = compute_moments([-1.0, 1.0], [2.0], mu=0.0)
-        assert s.moments[0] == pytest.approx(1.0, abs=1e-15)
+        _, moments = compute_moments([-1.0, 1.0], [2.0], mu=0.0)
+        assert moments[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_fixed_center_half_power(self):
-        s = compute_moments([-1.0, 1.0], [0.5], mu=0.0)
-        assert s.moments[0] == pytest.approx(1.0, abs=1e-15)
+        _, moments = compute_moments([-1.0, 1.0], [0.5], mu=0.0)
+        assert moments[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_empty(self):
         with pytest.raises(SeriesTooShortError):
@@ -34,49 +33,50 @@ class TestComputeMoments:
     def test_bad_powers(self):
         with pytest.raises(DomainError):
             compute_moments([1.0, 2.0], [0.0])
-        with pytest.raises(DomainError):
-            compute_moments([1.0, 2.0], [1.0, 1.0])
+
+    def test_one_moment_per_power_in_order(self):
+        # a repeated power gives its moment again, as the fold's state
+        # (m_sigma, m1, m2) wants when p_sigma equals p1
+        _, moments = compute_moments([-1.0, 3.0], [1.0, 2.0, 1.0], mu=0.0)
+        assert moments == (2.0, 5.0, 2.0)
 
 
-def _sigma(summary, nu, p):
+def _sigma(m_sigma, nu, p):
     """sigma_hat of the static fit at a fixed nu."""
-    return static_fit(summary, p_sigma=p, nu_fixed=nu)[0]
+    return static_fit(m_sigma, None, None, p_sigma=p, nu_fixed=nu)[0]
 
 
-def _nu_raw(summary, p1=1.0, p2=0.5):
-    """nu_raw of the static fit, with the default table."""
-    return static_fit(summary, p1=p1, p2=p2)[1]
+def _nu_raw(m1, m2):
+    """nu_raw of the static fit, with the default powers and table, at
+    moments (m_sigma, m1, m2) = (m1, m1, m2), since p_sigma = p1."""
+    return static_fit(m1, m1, m2)[1]
+
+
+def _moments(xs):
+    """The whole-sample moments of the default powers (p_sigma, p1, p2)."""
+    return compute_moments(xs, (1.0, 1.0, 0.5), mu="mean")[1]
 
 
 class TestEstimateSigma:
     def test_identity_case(self):
         m = abs_central_moment(5.0, 1.0)
-        s = MomentSummary(0.0, (1.0,), (m,))
-        assert _sigma(s, 5.0, 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert _sigma(m, 5.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_nu_two(self):
-        s = MomentSummary(0.0, (1.0,), (2.0 * math.sqrt(2.0),))
-        assert _sigma(s, 2.0, 1.0) == pytest.approx(2.0, rel=1e-12)
+        assert _sigma(2.0 * math.sqrt(2.0), 2.0, 1.0) == pytest.approx(
+            2.0, rel=1e-12)
 
     def test_monte_carlo(self):
         xs = sample(StudentTParams(0.0, 2.0, 5.0), 10 ** 5, seed=9)
-        s = compute_moments(xs, [1.0], mu="mean")
-        assert 1.96 <= _sigma(s, 5.0, 1.0) <= 2.04
+        assert 1.96 <= _sigma(_moments(xs)[0], 5.0, 1.0) <= 2.04
 
     def test_divergent_power(self):
-        s = MomentSummary(0.0, (1.0,), (1.0,))
         with pytest.raises(DivergentMomentError):
-            _sigma(s, 1.0, 1.0)
+            _sigma(1.0, 1.0, 1.0)
 
     def test_degenerate(self):
-        s = MomentSummary(0.0, (1.0,), (0.0,))
         with pytest.raises(DegenerateDataError):
-            _sigma(s, 5.0, 1.0)
-
-    def test_missing_power(self):
-        s = MomentSummary(0.0, (1.0,), (1.0,))
-        with pytest.raises(DomainError):
-            _sigma(s, 5.0, 2.0)
+            _sigma(0.0, 5.0, 1.0)
 
 
 class TestNuTable:
@@ -119,28 +119,24 @@ class TestNuTable:
 
 class TestEstimateNuRaw:
     def test_round_trip_at_five(self):
-        s = MomentSummary(0.0, (1.0, 0.5),
-                          (abs_central_moment(5.0, 1.0) ** 1.0,
-                           abs_central_moment(5.0, 0.5) ** 0.5))
-        assert _nu_raw(s) == pytest.approx(5.0, abs=1e-3)
+        m1 = abs_central_moment(5.0, 1.0) ** 1.0
+        m2 = abs_central_moment(5.0, 0.5) ** 0.5
+        assert _nu_raw(m1, m2) == pytest.approx(5.0, abs=1e-3)
 
     def test_clamp_to_cap(self):
         nu_grid, ratio_grid = build_nu_table(1.0, 0.5)
         # ratio below the Gaussian end of a decreasing table
         r_past_gauss = float(ratio_grid[-1]) * 0.99
-        s = MomentSummary(0.0, (1.0, 0.5), (r_past_gauss, 1.0))
-        assert _nu_raw(s) == nu_grid[-1]
+        assert _nu_raw(r_past_gauss, 1.0) == nu_grid[-1]
 
     def test_clamp_to_min(self):
         nu_grid, ratio_grid = build_nu_table(1.0, 0.5)
         r_past_heavy = float(ratio_grid[0]) * 1.01
-        s = MomentSummary(0.0, (1.0, 0.5), (r_past_heavy, 1.0))
-        assert _nu_raw(s) == nu_grid[0]
+        assert _nu_raw(r_past_heavy, 1.0) == nu_grid[0]
 
     def test_degenerate_moment(self):
-        s = MomentSummary(0.0, (1.0, 0.5), (0.0, 1.0))
         with pytest.raises(DegenerateDataError):
-            _nu_raw(s)
+            _nu_raw(0.0, 1.0)
 
     def test_bisection_oracle_round_trip(self):
         # independent inversion: bisect the closed-form ratio directly
@@ -157,10 +153,8 @@ class TestEstimateNuRaw:
                 else:
                     hi = mid
             by_bisection = math.sqrt(lo * hi)
-            s = MomentSummary(0.0, (1.0, 0.5),
-                              (abs_central_moment(nu_true, 1.0),
-                               abs_central_moment(nu_true, 0.5) ** 0.5))
-            by_table = _nu_raw(s)
+            by_table = _nu_raw(abs_central_moment(nu_true, 1.0),
+                               abs_central_moment(nu_true, 0.5) ** 0.5)
             assert by_table == pytest.approx(by_bisection, rel=5e-3)
 
 
@@ -176,35 +170,30 @@ class TestEstimateNuAdjusted:
 
     def test_nonfinite(self):
         # a non-finite nu never reaches the sigma map
-        s = MomentSummary(0.0, (1.0, 0.5), (1.0, 1.0))
         with pytest.raises(DomainError):
-            static_fit(s, nu_adjustment=math.nan)
+            static_fit(1.0, 1.0, 1.0, nu_adjustment=math.nan)
         with pytest.raises(DomainError):
-            static_fit(s, nu_fixed=math.inf)
+            static_fit(1.0, 1.0, 1.0, nu_fixed=math.inf)
 
 
 class TestInvariances:
     def test_nu_scale_invariance(self):
         xs = sample(StudentTParams(0.0, 1.0, 4.0), 5000, seed=3)
         lam = 7.3
-        s1 = compute_moments(xs, (1.0, 0.5), mu="mean")
-        s2 = compute_moments(lam * xs, (1.0, 0.5), mu="mean")
-        n1 = _nu_raw(s1)
-        n2 = _nu_raw(s2)
+        n1 = static_fit(*_moments(xs))[1]
+        n2 = static_fit(*_moments(lam * xs))[1]
         assert n2 == pytest.approx(n1, rel=1e-12)
 
     def test_sigma_equivariance(self):
         xs = sample(StudentTParams(0.0, 1.0, 4.0), 5000, seed=4)
         lam = 7.3
-        s1 = compute_moments(xs, (1.0,), mu="mean")
-        s2 = compute_moments(lam * xs, (1.0,), mu="mean")
-        sig1 = _sigma(s1, 4.0, 1.0)
-        sig2 = _sigma(s2, 4.0, 1.0)
+        sig1 = _sigma(_moments(xs)[0], 4.0, 1.0)
+        sig2 = _sigma(_moments(lam * xs)[0], 4.0, 1.0)
         assert sig2 == pytest.approx(lam * sig1, rel=1e-12)
 
     @pytest.mark.parametrize("nu_true", [3.0, 5.0, 10.0])
     def test_consistency_large_sample(self, nu_true):
         xs = sample(StudentTParams(0.0, 1.0, nu_true), 10 ** 6, seed=77)
-        s = compute_moments(xs, (1.0, 0.5), mu="mean")
-        assert _sigma(s, nu_true, 1.0) == pytest.approx(1.0, rel=0.01)
-        assert _nu_raw(s) == pytest.approx(nu_true, rel=0.10)
+        moments = _moments(xs)
+        assert _sigma(moments[0], nu_true, 1.0) == pytest.approx(1.0, rel=0.01)
+        assert static_fit(*moments)[1] == pytest.approx(nu_true, rel=0.10)
