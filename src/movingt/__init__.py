@@ -13,7 +13,7 @@ from .baselines import (GarchFit, GarchParams, fit_garch_mle, fit_sigma_mle,
 from .data_io import (ReturnSeries, Segment, generate_synthetic, read_csv,
                       to_log_returns)
 from .distribution import (NU_GAUSSIAN, StudentTParams, abs_central_moment,
-                           cdf, log_pdf)
+                           cdf, log_density)
 from .errors import (DegenerateDataError, DivergentMomentError, DomainError,
                      MonotonicityError, MovingTError, NonConvergenceError,
                      ParseError, SeriesTooShortError)
@@ -30,7 +30,7 @@ __all__ = [
     "ReturnSeries", "Segment",
     "generate_synthetic", "read_csv", "to_log_returns",
     "NU_GAUSSIAN", "StudentTParams", "abs_central_moment", "cdf",
-    "log_pdf",
+    "log_density",
     "DegenerateDataError", "DivergentMomentError", "DomainError",
     "MonotonicityError", "MovingTError", "NonConvergenceError",
     "ParseError", "SeriesTooShortError",

@@ -20,9 +20,10 @@ to the next, and writes each chunk into preallocated output arrays, so
 its memory beyond the output does not grow with the series.  Within a
 chunk the center and the three moment EMAs are first-order recursions,
 built with `itertools.accumulate` from the same update expression as
-`step`, and nu, sigma and the log-density are the vectorized maps of
-`static_estimators` applied to those state paths, the maps the static
-fit evaluates at the whole-sample moments.  Every value depends only on
+`step`; nu and sigma are the vectorized maps of `static_estimators`
+applied to those state paths, the maps the static fit evaluates at the
+whole-sample moments, and each point is scored by the package's one
+density, `distribution.log_density`.  Every value depends only on
 the values before it, so the output does not depend on the chunk size.
 `run` is `seed_state_from_prefix` plus `update`.
 """
@@ -37,12 +38,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .distribution import StudentTParams, _log_abs_moment
+from .distribution import StudentTParams, _log_abs_moment, log_density
 from .errors import DomainError, SeriesTooShortError
 from .static_estimators import (DEFAULT_NU_ADJUSTMENT, DEFAULT_NU_CAP,
                                 _inversion_table, _power_overflow,
                                 adjusted_nu, compute_moments, raw_nu,
-                                sigma_and_log_density)
+                                sigma_of)
 
 __all__ = [
     "AdaptiveConfig",
@@ -309,11 +310,12 @@ def update(state: EmaState, xs, config: AdaptiveConfig):
             nu = config.nu_fixed
             state = EmaState(mu[-1].item(), m_sigma[-1].item(),
                              state.m1, state.m2)
+        sigma = sigma_of(m_sigma[:-1], nu, config.p_sigma,
+                         config.moment_floor)
         traj.mu[lo:hi] = mu[:-1]
         traj.nu[lo:hi] = nu
-        traj.sigma[lo:hi], traj.log_density[lo:hi] = sigma_and_log_density(
-            chunk, mu[:-1], m_sigma[:-1], nu, config.p_sigma,
-            config.moment_floor)
+        traj.sigma[lo:hi] = sigma
+        traj.log_density[lo:hi] = log_density(chunk, mu[:-1], sigma, nu)
     return state, traj
 
 

@@ -5,7 +5,8 @@ alone.  It solves the score equation in ln(sigma), which is well
 conditioned across the multi-decade sigma ranges nonstationary series
 produce.  The GARCH filter returns its model as a trajectory, as the
 fold does: center 0, sigma_t, nu at the Gaussian limit and each point's
-Gaussian log-density.
+log-density from `distribution.log_density` at that limit.  Only the
+fit's objective keeps its own Gaussian formula, with its derivatives.
 
 The GARCH variance recursion is a numpy doubling scan.  The GARCH fit is
 a projected Newton search (Bertsekas 1982) with the exact Hessian of the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptive import ParamTrajectory
-from .distribution import NU_GAUSSIAN
+from .distribution import NU_GAUSSIAN, log_density
 from .errors import DomainError, NonConvergenceError, SeriesTooShortError
 
 __all__ = [
@@ -174,13 +175,12 @@ def garch_filter(xs, params: GarchParams) -> ParamTrajectory:
     n = xs.size
     if n == 0:
         raise SeriesTooShortError("cannot filter an empty series")
-    x2 = xs * xs
-    sigma2 = _garch_variance(x2, params.omega, params.alpha, params.beta,
-                             params.initial_var)
+    sigma = np.sqrt(_garch_variance(xs * xs, params.omega, params.alpha,
+                                    params.beta, params.initial_var))
     return ParamTrajectory(
-        start=0, mu=np.broadcast_to(0.0, n), sigma=np.sqrt(sigma2),
+        start=0, mu=np.broadcast_to(0.0, n), sigma=sigma,
         nu=np.broadcast_to(NU_GAUSSIAN, n),
-        log_density=-0.5 * (_LOG_2PI + np.log(sigma2) + x2 / sigma2))
+        log_density=log_density(xs, 0.0, sigma, NU_GAUSSIAN))
 
 
 def _garch_mean_loglik(xs, omega: float, alpha: float, beta: float,

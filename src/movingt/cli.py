@@ -28,14 +28,13 @@ from .data_io import (ReturnSeries, Segment, TrajectoryWriter, _fmt,
                       generate_synthetic, read_csv, read_returns,
                       write_row_csv, write_series_csv, write_sweep_csv,
                       write_tail_csv)
-from .distribution import NU_GAUSSIAN
+from .distribution import NU_GAUSSIAN, log_density
 from .errors import (DegenerateDataError, DomainError, MonotonicityError,
                      MovingTError, NonConvergenceError, ParseError,
                      SeriesTooShortError)
 from .evaluation import (ExactSum, check_warmup, mean_log_likelihood,
                          nu_of_inv, nu_sweep, tail_table)
-from .static_estimators import (compute_moments, sigma_and_log_density,
-                                static_fit)
+from .static_estimators import compute_moments, static_fit
 
 _USAGE_ERRORS = (DomainError, FileNotFoundError, IsADirectoryError,
                  PermissionError)
@@ -167,19 +166,17 @@ def _adaptive_config(args) -> AdaptiveConfig:
 
 def _static_fit(values, args, mu="mean"):
     """The maps at the whole-sample moments, as the trajectory over
-    values that never moves, and nu_raw."""
+    values that never moves, and nu_raw.  Its log-density column is a
+    NaN placeholder: `fit-static`, which scores, fills it in."""
     mu_hat, (m_sigma, m1, m2) = compute_moments(
         values, (args.p_sigma, args.p1, args.p2), mu=mu)
     sigma_hat, nu_raw, nu = static_fit(
         m_sigma, m1, m2, p_sigma=args.p_sigma, p1=args.p1, p2=args.p2,
         nu_fixed=args.nu_fixed, nu_adjustment=args.nu_adjust,
         nu_min=args.nu_min, nu_cap=args.nu_cap)
-    _, log_density = sigma_and_log_density(values, mu_hat, m_sigma, nu,
-                                           args.p_sigma, 0.0)
     n = len(values)
-    traj = ParamTrajectory(0, np.broadcast_to(mu_hat, n),
-                           np.broadcast_to(sigma_hat, n),
-                           np.broadcast_to(nu, n), log_density)
+    traj = ParamTrajectory(0, *(np.broadcast_to(v, n) for v in
+                                (mu_hat, sigma_hat, nu, math.nan)))
     return traj, nu_raw
 
 
@@ -225,6 +222,8 @@ def _cmd_fit_static(args) -> int:
     traj, nu_raw = _static_fit(values, args, mu)
     mu_hat, sigma_hat, nu_adj = (v[0].item()
                                  for v in (traj.mu, traj.sigma, traj.nu))
+    traj = replace(traj, log_density=log_density(values, mu_hat, sigma_hat,
+                                                 nu_adj))
     score = mean_log_likelihood(traj, values, args.warmup)
     manifest = _input_manifest(args, {**_flag_values(args, _ESTIMATOR_KEYS),
                                       "mu": args.mu, "warmup": args.warmup})

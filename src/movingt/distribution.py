@@ -1,4 +1,4 @@
-"""Student's t-distribution: density, CDF, sampling, absolute moments.
+"""Student's t-distribution: log-density, CDF, sampling, absolute moments.
 
 All gamma-function arithmetic happens in the log domain so that large
 degrees of freedom never overflow.  Beyond ``NU_GAUSSIAN`` (1e6) the
@@ -20,7 +20,7 @@ from .errors import DivergentMomentError, DomainError, NonConvergenceError
 __all__ = [
     "NU_GAUSSIAN",
     "StudentTParams",
-    "log_pdf",
+    "log_density",
     "cdf",
     "abs_central_moment",
 ]
@@ -55,18 +55,31 @@ class StudentTParams:
             raise DomainError(f"nu must be > 0, got {self.nu!r}")
 
 
-def log_pdf(params: StudentTParams, x):
-    """Log-density, stable in the log domain; accepts scalars or arrays."""
-    z = (np.asarray(x, dtype=np.float64) - params.mu) / params.sigma
+def _lgamma_of(a) -> np.ndarray:
+    """math.lgamma elementwise."""
+    a = np.asarray(a)
+    return np.fromiter(map(math.lgamma, a.ravel().tolist()), np.float64,
+                       count=a.size).reshape(a.shape)
+
+
+def log_density(x, mu, sigma, nu):
+    """ln rho(x) for location mu, scale sigma and nu degrees of freedom,
+    elementwise over arguments that broadcast together; nu is one value
+    or one per point, and nu >= NU_GAUSSIAN is the Gaussian limit."""
+    nu = np.asarray(nu, dtype=np.float64)
+    gauss = nu >= NU_GAUSSIAN
+    # the Student-t terms are evaluated at a finite stand-in where the
+    # Gaussian branch is taken, so lgamma never sees a huge argument
+    nu_t = np.minimum(nu, NU_GAUSSIAN)
+    log_norm = np.where(
+        gauss, -_HALF_LOG_2PI,
+        _lgamma_of(0.5 * (nu_t + 1.0)) - _lgamma_of(0.5 * nu_t)
+        - 0.5 * np.log(nu_t * math.pi))
+    z = (x - mu) / sigma
     with np.errstate(over="ignore"):  # z*z may hit inf; -inf out is correct
-        if params.nu >= NU_GAUSSIAN:
-            out = -_HALF_LOG_2PI - math.log(params.sigma) - 0.5 * z * z
-        else:
-            nu = params.nu
-            const = (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
-                     - 0.5 * math.log(nu * math.pi) - math.log(params.sigma))
-            out = const - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
-    return out if out.ndim else float(out)
+        tail = np.where(gauss, 0.5 * z * z,
+                        0.5 * (nu_t + 1.0) * np.log1p(z * z / nu_t))
+    return log_norm - np.log(sigma) - tail
 
 
 def cdf(params: StudentTParams, x: float) -> float:

@@ -22,9 +22,9 @@ import numpy as np
 from .adaptive import (_CHUNK, AdaptiveConfig, ParamTrajectory, moment_paths,
                        seed_state_from_prefix)
 from .baselines import GarchFit, fit_garch_mle, fit_sigma_mle, garch_filter
-from .distribution import NU_GAUSSIAN, StudentTParams, cdf, log_pdf
+from .distribution import NU_GAUSSIAN, StudentTParams, cdf, log_density
 from .errors import DomainError, SeriesTooShortError
-from .static_estimators import sigma_and_log_density
+from .static_estimators import sigma_of
 
 __all__ = [
     "SweepRow",
@@ -225,8 +225,8 @@ def nu_sweep(xs, nu_grid: Sequence[float], warmup: int, *,
         if cfg.p_sigma != p_sigma:
             p_eff_overrides[inv_nu_of(cfg.nu_fixed)] = cfg.p_sigma
         sigma = fit_sigma_mle(scored, 0.0, cfg.nu_fixed)
-        static.append(_exact_mean(log_pdf(
-            StudentTParams(0.0, sigma, cfg.nu_fixed), scored)))
+        static.append(_exact_mean(log_density(scored, 0.0, sigma,
+                                              cfg.nu_fixed)))
     # one fold per distinct power, in chunks that carry its state; every
     # nu of that power is scored from each chunk's moment path
     adaptive = [ExactSum() for _ in configs]
@@ -239,9 +239,9 @@ def nu_sweep(xs, nu_grid: Sequence[float], warmup: int, *,
             m_sigma = moment_paths(chunk, state, group[0][0])[1]
             state = replace(state, m_sigma=m_sigma[-1].item())
             for cfg, total in group:
-                total.add(sigma_and_log_density(
-                    chunk, 0.0, m_sigma[:-1], cfg.nu_fixed, p_eff,
-                    moment_floor)[1])
+                sigma = sigma_of(m_sigma[:-1], cfg.nu_fixed, p_eff,
+                                 moment_floor)
+                total.add(log_density(chunk, 0.0, sigma, cfg.nu_fixed))
     rows = sorted((SweepRow(inv_nu_of(cfg.nu_fixed), score, total.mean())
                    for cfg, score, total in zip(configs, static, adaptive)),
                   key=lambda r: r.inv_nu)

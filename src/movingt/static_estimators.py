@@ -5,6 +5,8 @@ through a precomputed monotone table, plus an additive adjustment
 (default 0.9) before the cap.  The maps are vectorized: the moving
 estimator's fold applies them to its EMA moment paths, the static fit
 to the whole-sample moments.  `adaptive.step` holds their scalar form.
+The scale map `sigma_of` gives sigma alone; a caller that scores takes
+the log-density from `distribution.log_density`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distribution import (_HALF_LOG_2PI, _HALF_LOG_PI, NU_GAUSSIAN,
+from .distribution import (_HALF_LOG_PI, NU_GAUSSIAN, _lgamma_of,
                            abs_central_moment)
 from .errors import (DegenerateDataError, DomainError, MonotonicityError,
                      SeriesTooShortError)
@@ -27,7 +29,7 @@ __all__ = [
     "build_nu_table",
     "raw_nu",
     "adjusted_nu",
-    "sigma_and_log_density",
+    "sigma_of",
     "static_fit",
 ]
 
@@ -142,41 +144,24 @@ def adjusted_nu(nu_raw, adjustment: float, nu_cap: float):
     return np.minimum(nu_raw + adjustment, nu_cap)
 
 
-def _lgamma_of(a: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.lgamma, a.tolist()), np.float64, count=a.size)
-
-
-def sigma_and_log_density(xs, mu, m_sigma, nu, p_sigma: float, floor: float):
-    """(sigma_t, ln rho_t(x_t)) per step from the state paths and nu_t.
-
-    sigma_t = max(m_sigma, floor)^{1/p_sigma} / M(nu_t, p_sigma), which
-    needs p_sigma < nu_t.  nu is one value or one per step; steps with
-    nu >= NU_GAUSSIAN use the Gaussian limit, as `adaptive.step` does.
-    """
-    nu = np.atleast_1d(np.asarray(nu, dtype=np.float64))
+def sigma_of(m_sigma, nu, p_sigma: float, floor: float):
+    """sigma = max(m_sigma, floor)^{1/p_sigma} / M(nu, p_sigma), which
+    needs p_sigma < nu, elementwise.  nu is one value or one per step;
+    steps with nu >= NU_GAUSSIAN use the Gaussian limit, as
+    `adaptive.step` does."""
+    nu = np.asarray(nu, dtype=np.float64)
     gauss = nu >= NU_GAUSSIAN
     # the Student-t terms are evaluated at a finite stand-in where the
     # Gaussian branch is taken, so lgamma never sees a huge argument
     nu_t = np.minimum(nu, NU_GAUSSIAN)
-    lg_half_nu = _lgamma_of(0.5 * nu_t)
     lg_half_p1 = math.lgamma(0.5 * (p_sigma + 1.0))
     log_m = np.where(
         gauss,
         (0.5 * p_sigma * math.log(2.0) + lg_half_p1 - _HALF_LOG_PI) / p_sigma,
         (0.5 * p_sigma * np.log(nu_t) + lg_half_p1
-         + _lgamma_of(0.5 * (nu_t - p_sigma)) - _HALF_LOG_PI - lg_half_nu)
-        / p_sigma)
-    sigma = np.exp(np.log(np.maximum(m_sigma, floor)) / p_sigma - log_m)
-
-    log_norm = np.where(
-        gauss, -_HALF_LOG_2PI,
-        _lgamma_of(0.5 * (nu_t + 1.0)) - lg_half_nu
-        - 0.5 * np.log(nu_t * math.pi))
-    z = (xs - mu) / sigma
-    with np.errstate(over="ignore"):  # z*z may hit inf; -inf out is correct
-        tail = np.where(gauss, 0.5 * z * z,
-                        0.5 * (nu_t + 1.0) * np.log1p(z * z / nu_t))
-    return sigma, log_norm - np.log(sigma) - tail
+         + _lgamma_of(0.5 * (nu_t - p_sigma)) - _HALF_LOG_PI
+         - _lgamma_of(0.5 * nu_t)) / p_sigma)
+    return np.exp(np.log(np.maximum(m_sigma, floor)) / p_sigma - log_m)
 
 
 def static_fit(m_sigma: float, m1: Optional[float], m2: Optional[float],
@@ -203,6 +188,4 @@ def static_fit(m_sigma: float, m1: Optional[float], m2: Optional[float],
         raise DegenerateDataError(
             f"moment for p={p_sigma} is {m_sigma}; data has no spread "
             "around mu_hat")
-    # scored at the center; only sigma is wanted
-    sigma, _ = sigma_and_log_density(0.0, 0.0, m_sigma, nu, p_sigma, 0.0)
-    return sigma.item(), nu_raw, nu
+    return sigma_of(m_sigma, nu, p_sigma, 0.0).item(), nu_raw, nu

@@ -1,8 +1,11 @@
-"""Test-time helpers built on the package's public functions.
+"""Test-time helpers, next to the quadrature oracle.
 
-The density, seeded draws and the Monte Carlo power-choice experiment
-(acceptance criterion 7) are called by tests only, so they live here,
-next to the quadrature oracle, and not in the package's API.
+`log_pdf` is a Student-t log-density written apart from the package's
+`distribution.log_density`, in Python floats per parameter set, so the
+tests compare the package against code it does not share.  The density,
+seeded draws and the Monte Carlo power-choice experiment (acceptance
+criterion 7) are called by tests only, so they live here and not in the
+package's API.
 """
 
 from __future__ import annotations
@@ -12,9 +15,25 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from movingt.distribution import (StudentTParams, abs_central_moment, draw,
-                                  log_pdf)
+from movingt.distribution import (NU_GAUSSIAN, StudentTParams,
+                                  abs_central_moment, draw)
 from movingt.errors import DomainError
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def log_pdf(params: StudentTParams, x):
+    """Log-density, stable in the log domain; accepts scalars or arrays."""
+    z = (np.asarray(x, dtype=np.float64) - params.mu) / params.sigma
+    with np.errstate(over="ignore"):  # z*z may hit inf; -inf out is correct
+        if params.nu >= NU_GAUSSIAN:
+            out = -_HALF_LOG_2PI - math.log(params.sigma) - 0.5 * z * z
+        else:
+            nu = params.nu
+            const = (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
+                     - 0.5 * math.log(nu * math.pi) - math.log(params.sigma))
+            out = const - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
+    return out if out.ndim else float(out)
 
 
 def pdf(params: StudentTParams, x):

@@ -48,7 +48,8 @@ def test_criterion_1_moment_formula_vs_quadrature():
                 if x == 0.0:
                     return 0.0
                 return math.exp(_p * math.log(abs(x))
-                                + mt.log_pdf(_params, x))
+                                + mt.log_density(x, _params.mu,
+                                                 _params.sigma, _params.nu))
 
             res = integrate_adaptive(integrand, -math.inf, math.inf, 1e-9)
             assert res.converged, (nu, p)
@@ -138,8 +139,7 @@ def test_criterion_6_adaptive_beats_static():
     traj = run(xs, cfg, init=300)
     adaptive = mean_log_likelihood(traj, xs, 300)
     sigma = fit_sigma_mle(xs[300:], 0.0, 5.0)
-    static = float(np.mean(mt.log_pdf(StudentTParams(0.0, sigma, 5.0),
-                                      xs[300:])))
+    static = float(np.mean(mt.log_density(xs[300:], 0.0, sigma, 5.0)))
     ok = adaptive > static
     _report(6, ok, f"adaptive={adaptive:.4f} > static={static:.4f} "
                    f"(margin {adaptive - static:+.4f})")

@@ -13,10 +13,12 @@ from movingt.adaptive import (AdaptiveConfig, EmaState, moment_paths, run,
                               run_pieces, seed_state_from_prefix, step,
                               update)
 from movingt.data_io import ReturnSeries, Segment, generate_synthetic
-from movingt.distribution import (NU_GAUSSIAN, abs_central_moment, log_pdf,
-                                  StudentTParams)
+from movingt.distribution import (NU_GAUSSIAN, StudentTParams,
+                                  abs_central_moment)
 from movingt.errors import DomainError, MovingTError, SeriesTooShortError
 from movingt.static_estimators import _power_overflow
+
+from oracles import log_pdf
 
 
 class TestConfigValidation:
@@ -357,6 +359,16 @@ class TestFoldMatchesStepOnHostileSeries:
         # the CLI's --nu-fixed inf is NU_GAUSSIAN
         xs = generate_synthetic([Segment(2000, 0, 1, 5)], seed=35).values
         self._check(xs, AdaptiveConfig(nu_fixed=nu_fixed), 300)
+
+    def test_nu_at_the_gaussian_cap(self):
+        # nu_t reaches the cap, NU_GAUSSIAN, on some steps and not on
+        # others, so one density call takes both branches
+        xs = np.random.default_rng(3).standard_normal(20000)
+        traj = self._check(xs, AdaptiveConfig(nu_cap=NU_GAUSSIAN), 300)
+        at_cap = traj.nu >= NU_GAUSSIAN
+        assert any(0 < np.count_nonzero(at_cap[lo:lo + adaptive._CHUNK])
+                   < at_cap[lo:lo + adaptive._CHUNK].size
+                   for lo in range(0, len(traj), adaptive._CHUNK))
 
     def test_length_init_plus_one(self):
         xs = generate_synthetic([Segment(301, 0, 1, 5)], seed=36).values

@@ -7,11 +7,11 @@ from movingt import baselines
 from movingt.baselines import (GarchParams, _ar1_scan, _garch_mean_loglik,
                                _stationary_beta, fit_garch_mle, fit_sigma_mle,
                                garch_filter, simulate_garch)
-from movingt.distribution import NU_GAUSSIAN, StudentTParams, log_pdf
+from movingt.distribution import NU_GAUSSIAN, StudentTParams
 from movingt.errors import DomainError, NonConvergenceError, SeriesTooShortError
 from movingt.evaluation import mean_log_likelihood
 
-from oracles import sample
+from oracles import log_pdf, sample
 
 
 class TestGarchParams:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from movingt.baselines import GarchParams, garch_filter
 from movingt.distribution import (NU_GAUSSIAN, StudentTParams,
-                                  abs_central_moment, cdf, log_pdf)
+                                  abs_central_moment, cdf, log_density)
 from movingt.errors import DivergentMomentError, DomainError
 
-from oracles import pdf, sample
+from oracles import log_pdf, pdf, sample
 from quadrature import integrate_adaptive
 
 CAUCHY = StudentTParams(0.0, 1.0, 1.0)
@@ -47,33 +48,52 @@ class TestPdf:
 
 
 class TestLogPdf:
+    """The package's one log-density, `log_density`."""
+
     def test_cauchy_center(self):
-        assert log_pdf(CAUCHY, 0.0) == pytest.approx(-math.log(math.pi),
-                                                     abs=1e-13)
+        assert log_density(0.0, 0.0, 1.0, 1.0) == pytest.approx(
+            -math.log(math.pi), abs=1e-13)
 
     def test_center_is_prefactor(self):
-        p = StudentTParams(2.0, 3.0, 7.0)
         expected = (math.lgamma(4.0) - math.lgamma(3.5)
                     - 0.5 * math.log(7.0 * math.pi) - math.log(3.0))
-        assert log_pdf(p, 2.0) == pytest.approx(expected, rel=1e-14)
+        assert log_density(2.0, 2.0, 3.0, 7.0) == pytest.approx(expected,
+                                                                rel=1e-14)
 
     def test_reference_far_tail(self):
         # 50-digit evaluation of the closed form at mu=0, sigma=1, nu=3, x=10
-        p = StudentTParams(0.0, 1.0, 3.0)
-        assert log_pdf(p, 10.0) == pytest.approx(-8.073122248746561869171,
-                                                 abs=1e-10)
+        assert log_density(10.0, 0.0, 1.0, 3.0) == pytest.approx(
+            -8.073122248746561869171, abs=1e-10)
 
     def test_matches_pdf(self):
         p = StudentTParams(0.5, 2.0, 6.0)
         xs = np.array([-3.0, 0.0, 0.5, 4.0])
-        assert np.allclose(np.exp(log_pdf(p, xs)), pdf(p, xs), rtol=1e-13)
+        assert np.allclose(np.exp(log_density(xs, p.mu, p.sigma, p.nu)),
+                           pdf(p, xs), rtol=1e-13)
 
     def test_no_overflow_far_out(self):
         # polynomial tail: roughly -(nu+1) * ln x, finite at |z| = 1e8
-        p = StudentTParams(0.0, 1.0, 100.0)
-        v = log_pdf(p, 1e8)
+        v = log_density(1e8, 0.0, 1.0, 100.0)
         assert math.isfinite(v)
         assert v == pytest.approx(-(101.0) * math.log(1e8), rel=0.15)
+
+    def test_per_point_nu_across_the_gaussian_limit(self):
+        # one call mixes the Student-t and the Gaussian branch
+        nu = np.array([1.1, 3.0, 999999.9, NU_GAUSSIAN, 1e7])
+        xs = np.array([-2.5, 0.3, 4.0, -1.0, 7.0])
+        sigma = np.array([0.5, 1.0, 2.0, 1.5, 3.0])
+        got = log_density(xs, 0.25, sigma, nu)
+        for i in range(nu.size):
+            want = log_pdf(StudentTParams(0.25, sigma[i], nu[i]), xs[i])
+            assert got[i] == pytest.approx(want, rel=1e-12), nu[i]
+
+    def test_garch_filter_scores_the_gaussian_limit(self):
+        xs = 0.01 * np.random.default_rng(7).standard_t(4.0, 2000)
+        params = GarchParams(2e-6, 0.08, 0.9, float(np.var(xs)))
+        traj = garch_filter(xs, params)
+        want = [log_pdf(StudentTParams(0.0, s, NU_GAUSSIAN), x)
+                for s, x in zip(traj.sigma.tolist(), xs.tolist())]
+        assert np.allclose(traj.log_density, want, rtol=1e-12, atol=0.0)
 
 
 class TestCdf:

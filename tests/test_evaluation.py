@@ -10,14 +10,14 @@ from dataclasses import replace
 from movingt.adaptive import (AdaptiveConfig, ParamTrajectory, run,
                               seed_state_from_prefix)
 from movingt.data_io import Segment, generate_synthetic
-from movingt.distribution import NU_GAUSSIAN, StudentTParams, log_pdf
+from movingt.distribution import NU_GAUSSIAN, StudentTParams
 from movingt.errors import DivergentMomentError, DomainError, SeriesTooShortError
 from movingt.evaluation import (ExactSum, expected_tail_fraction,
                                 format_nu_label, inv_nu_of,
                                 mean_log_likelihood, nu_of_inv, nu_sweep,
                                 tail_table)
 
-from oracles import sample, sigma_power_error_sweep
+from oracles import log_pdf, sample, sigma_power_error_sweep
 from quadrature import integrate_adaptive
 
 
