@@ -7,19 +7,25 @@ re-ingested).  The writers emit LF, format floats with repr, which
 round-trips bit-exactly through float(), and quote a text cell that
 holds a comma, a quote, CR or LF.
 
-Everything moves in chunks of `_CHUNK` (8192) rows.  One row parser
-yields the value column in float64 chunks (with the date cells when
-asked); `read_returns` hands them on as return pieces (log-returns,
-for a price column), so a caller can fold and write a series without
-holding it, and `read_csv` joins those pieces into one series.  The
-series and trajectory writers format chunks with one function.
-Shortest round-trip repr is most of a large write, so once
-`_PARALLEL_MIN_ROWS` rows are written, when the process may run on two
-or more CPUs and can fork, a `TrajectoryWriter` sends each later
-chunk's arrays to a pool of worker processes and writes their strings
-in order.  A chunk's string depends only on its rows, so
-the bytes do not depend on which path ran, on how many workers there
-were, or on the chunk size.
+Everything moves in chunks of `_CHUNK` (8192) rows.  One row parser,
+the csv module's reader plus the dialect's checks, defines what a file
+holds; `_read_chunks` yields the value column in float64 chunks (with
+the date cells when asked).  After the header it takes the lines in
+blocks, and converts a block that holds no quote and no '#' with one
+float() per cell, the row parser's own conversion, without the csv
+module; any block that this does not read cleanly (a blank or short
+line, a cell that is not a finite float, a very long line) goes through
+the row parser, which raises its error at its line.  `read_returns`
+hands the chunks on as return pieces (log-returns, for a price column),
+so a caller can fold and write a series without holding it, and
+`read_csv` joins those pieces into one series.  The series and
+trajectory writers format chunks with one function.  Shortest
+round-trip repr is most of a large write, so once `_PARALLEL_MIN_ROWS`
+rows are written, when the process may run on two or more CPUs and can
+fork, a `TrajectoryWriter` sends each later chunk's arrays to a pool of
+worker processes and writes the encoded text they return in order.  A
+chunk's text depends only on its rows, so the bytes do not depend on
+which path ran, on how many workers there were, or on the chunk size.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import tempfile
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -174,9 +181,22 @@ def _check_kind(kind):
 
 
 def _read_chunks(path, column, date_column):
-    """(values, labels) of consecutive runs of at most `_CHUNK` data rows:
-    a float64 array and, with a date column, the date cells as a list
-    (else None).  The one row parser of the CSV dialect."""
+    """(values, labels) of consecutive runs of `_CHUNK` data rows (the
+    last may be shorter): a float64 array and, with a date column, the
+    date cells as a list (else None).
+
+    The row parser of the CSV dialect is the csv module's reader plus
+    `_append_row`; it reads the rows up to the header.  After that, the
+    lines come in blocks of at most `_BLOCK`.  A block with no quote and
+    no '#' is split at its commas, and each value cell goes through one
+    float(), which is what the row parser does with such a line; then
+    the block's values get one finiteness check.  A block that fails
+    any of this (a blank or short line, a cell float() refuses or reads
+    as NaN or infinite, a line longer than the csv module's field limit)
+    goes through the row parser instead, which raises its ParseError at
+    its line.  From the first block with a quote on, the row parser reads
+    the rest of the file, since a quoted cell may span lines and blocks.
+    """
     col_idx, col_name = _resolve_column(column)
     date_idx, date_name = (None, None)
     if date_column is not None:
@@ -189,54 +209,120 @@ def _read_chunks(path, column, date_column):
 
     # utf-8-sig skips a byte-order mark instead of reading it as text
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header_done = False
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
+        line_no = 0
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            if not _is_content(row):
                 continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            if not header_done:
-                header_done = True
-                names = [cell.strip() for cell in row]
-                looks_numeric = _cell_is_number(
-                    row[col_idx] if col_idx is not None and col_idx < len(row)
-                    else "")
-                if col_name is not None or date_name is not None or not looks_numeric:
-                    # treat the first content row as a header
-                    if col_name is not None:
-                        if col_name not in names:
-                            raise ParseError(
-                                f"{path}: no column named {col_name!r} in "
-                                f"header {names} (line {line_no})")
-                        col_idx = names.index(col_name)
-                    if date_name is not None:
-                        if date_name not in names:
-                            raise ParseError(
-                                f"{path}: no column named {date_name!r} in "
-                                f"header {names} (line {line_no})")
-                        date_idx = names.index(date_name)
-                    if col_idx is None:
+            names = [cell.strip() for cell in row]
+            looks_numeric = _cell_is_number(
+                row[col_idx] if col_idx is not None and col_idx < len(row)
+                else "")
+            if col_name is not None or date_name is not None or not looks_numeric:
+                # treat the first content row as a header
+                if col_name is not None:
+                    if col_name not in names:
                         raise ParseError(
-                            f"{path}: cannot locate the value column "
-                            f"(line {line_no})")
-                    continue
-                # headerless numeric file: fall through and parse this row
-            values.append(_parse_cell(path, row, col_idx, line_no))
-            if want_dates:
-                if date_idx is None or date_idx >= len(row):
+                            f"{path}: no column named {col_name!r} in "
+                            f"header {names} (line {line_no})")
+                    col_idx = names.index(col_name)
+                if date_name is not None:
+                    if date_name not in names:
+                        raise ParseError(
+                            f"{path}: no column named {date_name!r} in "
+                            f"header {names} (line {line_no})")
+                    date_idx = names.index(date_name)
+                if col_idx is None:
                     raise ParseError(
-                        f"{path}: missing date cell at line {line_no}")
-                labels.append(row[date_idx].strip())
+                        f"{path}: cannot locate the value column "
+                        f"(line {line_no})")
+            else:
+                # headerless numeric file: this row is data
+                _append_row(path, row, line_no, col_idx, date_idx, values,
+                            labels)
+            break
+
+        rows = None  # numbered rows left for the row parser
+        while True:
             if len(values) == _CHUNK:
                 yield np.frombuffer(values, dtype=np.float64), labels
                 found = True
                 values, labels = array("d"), [] if want_dates else None
+            if rows is not None:
+                for line_no, row in rows:
+                    if _is_content(row):
+                        _append_row(path, row, line_no, col_idx, date_idx,
+                                    values, labels)
+                        if len(values) == _CHUNK:
+                            break  # yield, then read on from this row
+                else:
+                    rows = None
+                continue
+            lines = list(itertools.islice(fh, min(_BLOCK,
+                                                  _CHUNK - len(values))))
+            if not lines:
+                break
+            text = "".join(lines)
+            if '"' in text:
+                rows = enumerate(csv.reader(itertools.chain(lines, fh)),
+                                 start=line_no + 1)
+            elif "#" in text or not _append_block(lines, text, col_idx,
+                                                  date_idx, values, labels):
+                rows = enumerate(csv.reader(lines), start=line_no + 1)
+            else:
+                line_no += len(lines)
 
     if values:
         yield np.frombuffer(values, dtype=np.float64), labels
     elif not found:
         raise ParseError(f"{path}: no data rows found")
+
+
+def _is_content(row) -> bool:
+    """False for the rows the dialect skips: blank, whitespace-only and
+    comment rows."""
+    return (bool(row) and not (len(row) == 1 and not row[0].strip())
+            and not row[0].lstrip().startswith("#"))
+
+
+def _append_row(path, row, line_no, col_idx, date_idx, values, labels):
+    """Append a data row's value, and its date when labels is a list."""
+    values.append(_parse_cell(path, row, col_idx, line_no))
+    if labels is not None:
+        if date_idx is None or date_idx >= len(row):
+            raise ParseError(f"{path}: missing date cell at line {line_no}")
+        labels.append(row[date_idx].strip())
+
+
+def _append_block(lines, text, col_idx, date_idx, values, labels) -> bool:
+    """Append the rows of ``lines`` (joined: ``text``), which hold no
+    quote and no '#', as the row parser would, and return True; or append
+    nothing and return False when the row parser must read them.
+
+    Without a quote each line is one row, and its cells are the line's
+    pieces between commas, the last one with the line end, which the
+    strip() and float() of the row parser remove.
+    """
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return False  # the csv module may refuse a cell
+    n = len(values)
+    try:
+        if col_idx == 0 and labels is None and "," not in text:
+            values.extend(map(float, lines))
+        else:
+            rows = [line.split(",") for line in lines]
+            values.extend(map(float, map(itemgetter(col_idx), rows)))
+            dates = (None if labels is None
+                     else [row[date_idx].strip() for row in rows])
+    except (ValueError, IndexError):
+        del values[n:]
+        return False
+    if not np.isfinite(np.frombuffer(values, dtype=np.float64)[n:]).all():
+        del values[n:]
+        return False
+    if labels is not None:
+        labels += dates
+    return True
 
 
 def _cell_is_number(cell: str) -> bool:
@@ -322,12 +408,18 @@ def _csv_cell(text: str) -> str:
 
 
 _CHUNK = 8192
+# Lines the reader takes at a time after the header (`_read_chunks`); a
+# block is held as lines and as one string, so it is kept small.
+_BLOCK = 256
 # Rows written in this process before a trajectory writer may start
-# workers.  Whole fit-adaptive runs on a 2-CPU host, serial against a
-# 2-worker pool (medians): 27k rows 0.365 s vs 0.415 s, 40k 0.412 vs
-# 0.418, 65536 0.649 vs 0.550.  Below the break-even the pool only adds
-# its workers' memory (about 1 MB of peak RSS).
-_PARALLEL_MIN_ROWS = 65536
+# workers; a century-sized run (26,700 rows) stays below it.  Whole
+# fit-adaptive runs on a 2-CPU host, medians of 12 interleaved: a pool
+# from row 16084 against none added 24 ms at 27k rows and saved 9, 26
+# and 39 ms at 41k, 50k and 66k, about 13 ms a chunk it formats.  This
+# threshold (the pool starts at row 40660 after the default prefix)
+# against 65536: +17 ms at 41k rows, +22 ms at 50k, -43 ms at 1e5 and
+# -30 ms at 3e5.  The pool adds up to about 3 MB of peak RSS.
+_PARALLEL_MIN_ROWS = 32768
 
 
 def _format_rows(text_columns, float_columns):
@@ -353,8 +445,8 @@ def _trajectory_rows(start, labels, *float_columns):
 
 
 def _trajectory_text(*chunk):
-    # what a worker process returns for one chunk
-    return "".join(_trajectory_rows(*chunk))
+    """The rows of one chunk, encoded: what a worker process returns."""
+    return "".join(_trajectory_rows(*chunk)).encode()
 
 
 def _writer_processes(rows: int) -> int:
@@ -364,7 +456,7 @@ def _writer_processes(rows: int) -> int:
     Parallel needs two or more usable CPUs and the fork start method,
     which starts a worker without importing the package again.  The
     output does not depend on the choice: both paths write the same
-    chunk strings in the same order.
+    bytes in the same order.
     """
     if not hasattr(os, "sched_getaffinity"):
         return 0
@@ -390,18 +482,16 @@ class TrajectoryWriter:
 
     From `_PARALLEL_MIN_ROWS` rows written, when `_writer_processes`
     allows, each later chunk's arrays go to a pool of worker processes,
-    started then, and their strings are written in order.  At most one
-    chunk per worker is in flight: this process folds the next chunk
-    while the workers format, so a deeper queue would only hold more
-    strings.  A chunk's string depends only on its rows, so the bytes do
-    not depend on which path ran.
+    started with the first of them, and the encoded text they return is
+    written in order.  At most one chunk per worker is in flight: this
+    process folds the next chunk while the workers format, so a deeper
+    queue would only hold more text.  A chunk's text depends only on its
+    rows, so the bytes do not depend on which path ran.
     """
 
     def __init__(self, path):
         self._path = path
-        # write-only text: a readable one resets its decoder on every write
         self._tmp = tempfile.TemporaryFile(
-            "w", encoding="utf-8", newline="",
             dir=os.path.dirname(os.path.abspath(path)))
         self._rows = 0
         self._workers = None  # decided at the row threshold
@@ -416,6 +506,13 @@ class TrajectoryWriter:
 
     def close(self):
         if self._pool is not None:
+            # terminate() kills the workers, and one killed while it sends
+            # a chunk's text can leave the pool's result queue locked for
+            # good, so that terminate() never returns: let the chunks in
+            # flight arrive first (the workers ignore SIGINT, so an
+            # interrupt does not lose one)
+            for result in self._pending:
+                result.wait()
             self._pool.terminate()
             self._pool.join()
             self._pool = None
@@ -438,35 +535,37 @@ class TrajectoryWriter:
                      None if labels is None else labels[lo:hi],
                      *(c[lo:hi] for c in (values, traj.mu, traj.sigma,
                                           traj.nu, traj.log_density)))
-            if self._pool is not None:
+            if self._workers:
+                if self._pool is None:  # started for the chunk in hand
+                    import multiprocessing
+                    import signal
+                    # a forked child must not inherit bytes still buffered
+                    self._tmp.flush()
+                    self._pool = multiprocessing.get_context("fork").Pool(
+                        self._workers, signal.signal,
+                        (signal.SIGINT, signal.SIG_IGN))
                 self._pending.append(
                     self._pool.apply_async(_trajectory_text, chunk))
                 if len(self._pending) > self._workers:
                     self._tmp.write(self._pending.popleft().get())
                 continue
-            self._tmp.writelines(_trajectory_rows(*chunk))
+            # line by line: the chunk's text at once would add about
+            # 2 MB to this process's peak
+            self._tmp.writelines(map(str.encode, _trajectory_rows(*chunk)))
             self._rows += hi - lo
             if self._workers is None and self._rows >= _PARALLEL_MIN_ROWS:
                 self._workers = _writer_processes(self._rows)
-                if self._workers:
-                    import multiprocessing
-                    # a forked child must not inherit bytes still buffered
-                    self._tmp.flush()
-                    self._pool = multiprocessing.get_context("fork").Pool(
-                        self._workers)
 
     def commit(self, manifest_lines=()):
         """Write ``path``: the manifest, the header, then every row."""
         while self._pending:
             self._tmp.write(self._pending.popleft().get())
-        self._tmp.flush()
-        with _open_out(self._path) as out, \
-                open(self._tmp.fileno(), "rb", closefd=False) as rows:
+        self._tmp.seek(0)
+        with _open_out(self._path) as out:
             _emit(out, manifest_lines,
                   ["t", "date", "x", "mu", "sigma", "nu", "log_density"], ())
             out.flush()
-            rows.seek(0)
-            shutil.copyfileobj(rows, out.buffer, 1 << 20)
+            shutil.copyfileobj(self._tmp, out.buffer, 1 << 20)
 
 
 def write_series_csv(path, values, labels=None, manifest_lines=()):

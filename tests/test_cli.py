@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from movingt import data_io
 from movingt.adaptive import AdaptiveConfig, EmaState, update
 from movingt.baselines import (GarchParams, fit_sigma_mle, garch_filter,
                                simulate_garch)
@@ -947,11 +948,13 @@ class TestOnePassFitAdaptive:
 
     # (id, points in the file, prices, dated, flags); the fold starts at
     # --init-prefix (300 by default), and the writer may start workers
-    # once 65536 rows are written, so only the last three cases can
-    # take the parallel path
+    # once T = _PARALLEL_MIN_ROWS rows are written, so the cases with
+    # more rows than that can take the parallel path
     _CASES = [
         ("k+8192-1", 300 + 8192 - 1, False, False, []),
         ("k+8192+1", 300 + 8192 + 1, False, False, []),
+        ("k+T-1", 300 + data_io._PARALLEL_MIN_ROWS - 1, False, False, []),
+        ("k+T+1", 300 + data_io._PARALLEL_MIN_ROWS + 1, False, False, []),
         ("65536-1", 65536 - 1, False, False, []),
         ("65536+1", 65536 + 1, False, False, []),
         ("k+65536+1", 300 + 65536 + 1, False, False, []),
@@ -962,7 +965,8 @@ class TestOnePassFitAdaptive:
           "--warmup", "12000"]),
     ]
     _PATHS = [(case, path) for case in _CASES
-              for path in (("serial", "parallel") if case[1] > 65836
+              for path in (("serial", "parallel")
+                           if case[1] > 300 + data_io._PARALLEL_MIN_ROWS
                            else ("serial",))]
 
     @pytest.fixture(scope="class")
@@ -999,7 +1003,7 @@ class TestOnePassFitAdaptive:
         # a price column gives one return fewer; the prefix is not written
         rows = n - prices - (9000 if "--init-prefix" in argv else 300)
         # the CLI's choice of writer path
-        assert taken == ([] if rows < 65536 else
+        assert taken == ([] if rows < data_io._PARALLEL_MIN_ROWS else
                          [2 if path == "parallel" else 0])
         assert capsys.readouterr().out == self._manifest(out)[-1] + "\n"
 

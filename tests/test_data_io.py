@@ -1,5 +1,6 @@
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -212,6 +213,135 @@ class TestReaderCases:
             values = read_csv(f, column=column).values
             assert values.dtype == np.float64 and values.flags.writeable
             assert values.tobytes() == np.array(want).tobytes()
+
+
+def _read_outcome(path, column, date_column):
+    """What `read_returns` makes of a file: its pieces' values and labels,
+    or the type and message of the error it raises."""
+    try:
+        pieces = list(read_returns(path, column, date_column))
+    except Exception as exc:  # the row parser's errors, whatever their type
+        return type(exc), str(exc)
+    return [p.values.tobytes() for p in pieces], [p.labels for p in pieces]
+
+
+def _assert_fast_path_reads_as_row_parser(path, column, date_column=None):
+    """The same pieces, or the same error, with the reader's fast path and
+    with the row parser alone (every block refused), at chunk sizes that
+    put block edges on every line."""
+    from movingt import data_io
+    for chunk in (1, 2, 7, 8192):
+        with mock.patch.object(data_io, "_CHUNK", chunk):
+            fast = _read_outcome(path, column, date_column)
+            with mock.patch.object(data_io, "_append_block",
+                                   lambda *block: False):
+                rows = _read_outcome(path, column, date_column)
+        assert fast == rows, chunk
+
+
+# (case, file bytes, column, date column)
+_DIALECT_TEXTS = [
+    ("comments and blank lines",
+     b"# m\nx\n0.5\n# c\n\n   \n1.5\n  # d\n2.5\n\t\n", "x", None),
+    ("BOM, CRLF and a bare CR", b"\xef\xbb\xbfx\r\n0.5\r1.5\n2.5\r\n3.5",
+     "x", None),
+    ("quoted cells across block edges",
+     b'date,x\nd1,1.0\nd2,2.0\n"a,b",3.0\n"cr\rhere",4.0\n"two\nlines",'
+     b'5.0\nd6,6.0\n"say ""x""",7.0\nd8,8.0\n', "x", "date"),
+    ("quoted value cell", b'x\n1.0\n2.0\n"3.0"\n4.0\n', "x", None),
+    ("underscores", b"x\n1_000\n2.0\n1_0.5\n", "x", None),
+    ("padded nan", b"x\n1.0\n2.0\n nan\n3.0\n", "x", None),
+    ("inf", b"x\n1.0\n2.0\ninf\n", "x", None),
+    ("overflow", b"x\n1.0\n-1e999\n", "x", None),
+    ("Unicode whitespace", "x\n\u20031.5\u2003\n\u00a02.5\n3.5\x1c\n"
+     "\x0c4.5\n".encode(), "x", None),
+    ("line separator in a cell", "date,x\nd\u2028e,1.0\nf,2.0\n".encode(),
+     "x", "date"),
+    ("NUL in a value", b"x\n1.0\n2\x00\n", "x", None),
+    ("NUL in a date", b"date,x\nd\x00,1.0\ne,2.0\n", "x", "date"),
+    ("missing value cell", b"a,x\n1,0.5\n2,0.75\n3\n", "x", None),
+    ("empty value cell", b"a,x\n1,0.5\n2,\n", "x", None),
+    ("missing date cell", b"x,date\n0.5,d1\n0.75\n", "x", "date"),
+    ("extra columns", b"a,x\n1,0.5,9\n2,0.75,#\n3,1.0,,\n", "x", None),
+    ("date column by index", b"d1,1.0\nd2,2.0\n d3 ,3.0\n", 1, 0),
+    ("headerless", b"0.5\n-0.25\n1e-3\n", 0, None),
+    ("comma-only line", b"x\n1.0\n,\n", "x", None),
+    ("cell at the csv field limit", b"x\n1.0\n" + b"0" * 131071 + b"1\n",
+     "x", None),
+    ("cell over the csv field limit", b"x\n1.0\n" + b"0" * 131072 + b"1\n",
+     "x", None),
+]
+
+
+class TestReaderFastPath:
+    """The reader's fast path accepts only what the row parser accepts."""
+
+    @pytest.mark.parametrize("data, column",
+                             [c[1:3] for c in _READER_CASES],
+                             ids=[c[0] for c in _READER_CASES])
+    def test_reader_cases(self, tmp_path, data, column):
+        f = tmp_path / "in.csv"
+        f.write_bytes(data)
+        _assert_fast_path_reads_as_row_parser(f, column)
+
+    @pytest.mark.parametrize("data, column, date_column",
+                             [c[1:] for c in _DIALECT_TEXTS],
+                             ids=[c[0] for c in _DIALECT_TEXTS])
+    def test_dialect_texts(self, tmp_path, data, column, date_column):
+        f = tmp_path / "in.csv"
+        f.write_bytes(data)
+        _assert_fast_path_reads_as_row_parser(f, column, date_column)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_texts(self, tmp_path_factory, data):
+        header = data.draw(st.booleans())
+        row = st.tuples(st.sampled_from(_DATE_CELLS),
+                        st.sampled_from(_VALUE_CELLS),
+                        st.sampled_from(["", ",9", ",#", ',"q"'])).map("".join)
+        lines = (["# manifest"] if data.draw(st.booleans()) else []) \
+            + (["date,x"] if header else []) \
+            + data.draw(st.lists(st.one_of(row, row, row, st.sampled_from(
+                ["", "   ", "# c", "  #c", ",", "\u00a0"])), max_size=25))
+        ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                                  min_size=len(lines), max_size=len(lines)))
+        if ends and data.draw(st.booleans()):
+            ends[-1] = ""  # no line end after the last line
+        bom = "\ufeff" if data.draw(st.booleans()) else ""
+        f = tmp_path_factory.mktemp("generated") / "in.csv"
+        f.write_bytes((bom + "".join(map("".join, zip(lines, ends)))).encode())
+        date_column = data.draw(st.sampled_from([None, "date" if header
+                                                 else 0]))
+        _assert_fast_path_reads_as_row_parser(f, "x" if header else 1,
+                                              date_column)
+
+    def test_plain_blocks_skip_the_csv_module(self, tmp_path, monkeypatch):
+        # the header is the only row the csv module reads
+        from movingt import data_io
+        f = tmp_path / "in.csv"
+        values = np.random.default_rng(64).standard_normal(3000)
+        dates = [f"2001-01-{i % 28 + 1:02d}" for i in range(values.size)]
+        f.write_text("date,x\n" + "".join(
+            f"{d},{v!r}\n" for d, v in zip(dates, values.tolist())))
+        readers = []
+        reader = data_io.csv.reader
+        monkeypatch.setattr(data_io.csv, "reader",
+                            lambda *a: readers.append(a) or reader(*a))
+        series = read_csv(f, date_column="date")
+        assert series.values.tobytes() == values.tobytes()
+        assert series.labels == dates
+        assert len(readers) == 1
+
+
+# cells of the generated rows: mostly plain, some the row parser refuses
+# or reads its own way
+_VALUE_CELLS = 4 * [",0.5", ",-0.25", ",1e-3", ", 2.5 ", ",1e-320"] + [
+    ",1_000", ",\u20031.5\u2003", ",", ",   ", ", nan", ",inf", ",-inf",
+    ",1e999", ",abc", ",1\x00", ",#c", ",1.5 # n", ',"1.5"', ',"a,b"',
+    ',"two\nlines"', ',"cr\rhere"', ',"say ""x"""', ',x"y', ",\u2028",
+    ",\x0c", ""]
+_DATE_CELLS = 4 * ["2001-01-02"] + [" padded ", "", "d\x00", "\u2028",
+                                    '"q,1"', "#d"]
 
 
 class TestReadReturns:
@@ -472,6 +602,26 @@ class TestTrajectoryWriterBytes:
         _per_row_trajectory_csv(old, traj, series, ["k = v"])
         assert new.read_bytes() == old.read_bytes()
         assert (taken[0] > 1) == (path == "parallel")
+
+    def test_no_worker_starts_without_a_chunk_for_it(self, tmp_path,
+                                                     writer_path,
+                                                     monkeypatch):
+        # the last chunk brings the rows to the threshold: the writer
+        # chooses its path then, and has no chunk left to send
+        import multiprocessing
+        from movingt import data_io
+        path, taken = writer_path
+        contexts = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda *a: contexts.append(a) or get_context(*a))
+        traj, series = self._trajectory(data_io._PARALLEL_MIN_ROWS, 7)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        _write_trajectory(new, traj, series)
+        _per_row_trajectory_csv(old, traj, series, ())
+        assert new.read_bytes() == old.read_bytes()
+        assert taken == [2 if path == "parallel" else 0]
+        assert contexts == []
 
     def test_short_labels_raise_on_either_path(self, tmp_path, writer_path):
         # fewer values or labels than rows: the writer refuses before it

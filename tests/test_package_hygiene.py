@@ -7,9 +7,10 @@ behind when a formula moves between modules.  A third check keeps the
 moving estimator's config to the settings its step reads, a fourth
 keeps scipy out of the runtime, and a fifth asks every dataclass field
 to be read somewhere outside validation (`__post_init__`), so no stored
-value goes unread.  Last, the README's library and CLI examples run, and
-its Defaults table matches the parser's defaults, so the API, the
-commands and the defaults it documents cannot drift from the code.
+value goes unread.  Last, the README's library and CLI examples run, its
+Defaults table matches the parser's defaults, and the row count it gives
+for the trajectory writer's workers is the writer's, so the API, the
+commands and the figures it documents cannot drift from the code.
 """
 
 import argparse
@@ -215,3 +216,11 @@ def test_readme_defaults_table_matches_the_parser():
                     cmd, flag)
             checked.add(flag)
     assert {"--eta1", "--p-sigma", "--nu-cap", "--warmup"} <= checked
+
+
+def test_readme_worker_threshold_matches_the_writer():
+    from movingt import data_io
+    section = README.read_text(encoding="utf-8").split(
+        "\n### `fit-adaptive`'s time and memory\n", 1)[1].split("\n## ", 1)[0]
+    stated = re.findall(r"once (\d+) rows are written", section)
+    assert stated == [str(data_io._PARALLEL_MIN_ROWS)]
