@@ -623,6 +623,29 @@ class TestTrajectoryWriterBytes:
         assert taken == [2 if path == "parallel" else 0]
         assert contexts == []
 
+    @pytest.mark.parametrize("writer_path", ["parallel"], indirect=True)
+    def test_failure_stops_the_pool_with_no_chunk_in_flight(
+            self, tmp_path, writer_path, monkeypatch):
+        # a worker killed while it sends a chunk's text can leave the
+        # pool's result queue locked, and terminate() then never returns
+        import multiprocessing.pool
+        _, taken = writer_path
+        traj, series = self._trajectory(self._long_enough(), 7)
+        ready = []
+        terminate = multiprocessing.pool.Pool.terminate
+
+        def spy(pool):
+            ready.append([result.ready() for result in out._pending])
+            terminate(pool)
+        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", spy)
+        with pytest.raises(RuntimeError, match="in flight"):
+            with TrajectoryWriter(tmp_path / "t.csv") as out:
+                out.write(traj, series.values[7:])
+                raise RuntimeError("a failure with a chunk in flight")
+        assert taken == [2]
+        assert ready == [[True]]
+        assert os.listdir(tmp_path) == []
+
     def test_short_labels_raise_on_either_path(self, tmp_path, writer_path):
         # fewer values or labels than rows: the writer refuses before it
         # formats a row or chooses a path, so nothing is written and no
