@@ -253,7 +253,7 @@ def _read_chunks(path, column, date_column):
                         _append_row(path, row, line_no, col_idx, date_idx,
                                     values, labels)
                         if len(values) == _CHUNK:
-                            break  # yield, then read on from this row
+                            break  # yield the chunk, then read on
                 else:
                     rows = None
                 continue
