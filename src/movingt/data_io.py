@@ -210,7 +210,7 @@ def _read_chunks(path, column, date_column):
     # utf-8-sig skips a byte-order mark instead of reading it as text
     with open(path, newline="", encoding="utf-8-sig") as fh:
         line_no = 0
-        for line_no, row in enumerate(csv.reader(fh), start=1):
+        for line_no, row in _rows(path, fh, 1):
             if not _is_content(row):
                 continue
             names = [cell.strip() for cell in row]
@@ -263,11 +263,10 @@ def _read_chunks(path, column, date_column):
                 break
             text = "".join(lines)
             if '"' in text:
-                rows = enumerate(csv.reader(itertools.chain(lines, fh)),
-                                 start=line_no + 1)
+                rows = _rows(path, itertools.chain(lines, fh), line_no + 1)
             elif "#" in text or not _append_block(lines, text, col_idx,
                                                   date_idx, values, labels):
-                rows = enumerate(csv.reader(lines), start=line_no + 1)
+                rows = _rows(path, lines, line_no + 1)
             else:
                 line_no += len(lines)
 
@@ -275,6 +274,20 @@ def _read_chunks(path, column, date_column):
         yield np.frombuffer(values, dtype=np.float64), labels
     elif not found:
         raise ParseError(f"{path}: no data rows found")
+
+
+def _rows(path, lines, first):
+    """(line number, row) of the csv module's reader over ``lines``, whose
+    first line is line ``first`` of the file.  A row is numbered by its
+    last line, since a quoted cell may span lines; the reader's own error
+    (a cell longer than its field limit) is a ParseError at its line."""
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            yield first - 1 + reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc} at line "
+                         f"{first - 1 + reader.line_num}") from None
 
 
 def _is_content(row) -> bool:
@@ -407,6 +420,16 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+def _csv_cells(texts):
+    """`_csv_cell` of each text cell of a chunk: the chunk's joined text is
+    searched once for the characters that need quoting, and only a chunk
+    that holds one is quoted cell by cell."""
+    joined = "".join(texts)
+    if any(c in joined for c in ',"\r\n'):
+        return [_csv_cell(text) for text in texts]
+    return texts
+
+
 _CHUNK = 8192
 # Lines the reader takes at a time after the header (`_read_chunks`); a
 # block is held as lines and as one string, so it is kept small.
@@ -438,8 +461,7 @@ def _trajectory_rows(start, labels, *float_columns):
     """Lines of trajectory rows t = start, start + 1, ...: the date from
     ``labels`` (empty without them), then x, mu, sigma, nu, log_density."""
     n = float_columns[0].size
-    dates = ([_csv_cell(label) for label in labels] if labels is not None
-             else [""] * n)
+    dates = _csv_cells(labels) if labels is not None else [""] * n
     return _format_rows([map(str, range(start, start + n)), dates],
                         float_columns)
 
@@ -575,8 +597,7 @@ def write_series_csv(path, values, labels=None, manifest_lines=()):
     """
     def chunk(lo):
         hi = lo + _CHUNK
-        text = ([] if labels is None
-                else [[_csv_cell(label) for label in labels[lo:hi]]])
+        text = [] if labels is None else [_csv_cells(labels[lo:hi])]
         return _format_rows(text, [values[lo:hi]])
 
     values = np.asarray(values)

@@ -5,7 +5,10 @@ degrees of freedom never overflow.  Beyond ``NU_GAUSSIAN`` (1e6) the
 distribution is numerically indistinguishable from a Gaussian at double
 precision, and the Gaussian limit is substituted outright.  The tails
 come from one formula, the regularized incomplete beta in ``cdf``;
-log-gamma is ``math.lgamma``.
+log-gamma is ``math.lgamma``.  ``StudentTParams`` is a frozen
+dataclass whose ``__init__``, written by hand because ``adaptive.step``
+builds one per call, checks the fields and stores them in the instance
+dict without the generated init's ``object.__setattr__`` per field.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ _HALF_LOG_PI = 0.5 * math.log(math.pi)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StudentTParams:
     """Location mu, scale sigma > 0 and degrees of freedom nu > 0."""
 
@@ -40,19 +43,26 @@ class StudentTParams:
     sigma: float
     nu: float
 
-    def __post_init__(self):
+    def __init__(self, mu, sigma, nu):
         # one chained comparison for the common valid case (NaN fails it);
         # the checks below name the first bad field
-        if (-math.inf < self.mu < math.inf and 0.0 < self.sigma < math.inf
-                and 0.0 < self.nu < math.inf):
-            return
-        for name, v in (("mu", self.mu), ("sigma", self.sigma), ("nu", self.nu)):
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v!r}")
-        if self.sigma <= 0.0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma!r}")
-        if self.nu <= 0.0:
-            raise DomainError(f"nu must be > 0, got {self.nu!r}")
+        if not (-math.inf < mu < math.inf and 0.0 < sigma < math.inf
+                and 0.0 < nu < math.inf):
+            for name, v in (("mu", mu), ("sigma", sigma), ("nu", nu)):
+                if not math.isfinite(v):
+                    raise DomainError(f"{name} must be finite, got {v!r}")
+            if sigma <= 0.0:
+                raise DomainError(f"sigma must be > 0, got {sigma!r}")
+            if nu <= 0.0:
+                raise DomainError(f"nu must be > 0, got {nu!r}")
+        # stored straight into the instance dict, as `adaptive.EmaState`
+        # is: the generated init of a frozen dataclass sets each field
+        # through object.__setattr__, and `adaptive.step` builds one of
+        # these on every call
+        d = self.__dict__
+        d["mu"] = mu
+        d["sigma"] = sigma
+        d["nu"] = nu
 
 
 def _lgamma_of(a) -> np.ndarray:

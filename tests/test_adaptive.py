@@ -1,6 +1,8 @@
 import math
+import pickle
+import re
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -44,6 +46,63 @@ class TestConfigValidation:
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
             AdaptiveConfig(**kwargs)
+
+
+class TestEmaState:
+    # the record `step` builds on every call: checked when it is built,
+    # frozen after, and otherwise a plain dataclass
+    GOOD = dict(mu=-0.5, m_sigma=1.0, m1=2.0, m2=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["mu", "m_sigma", "m1", "m2"])
+    def test_non_finite_field_is_named(self, name, bad):
+        with pytest.raises(DomainError, match=re.escape(
+                f"{name} must be finite, got {bad!r}")):
+            EmaState(**{**self.GOOD, name: bad})
+
+    @pytest.mark.parametrize("name", ["m_sigma", "m1", "m2"])
+    def test_negative_moment_is_named(self, name):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"{name} must be >= 0, got -1e-300")):
+            EmaState(**{**self.GOOD, name: -1e-300})
+
+    def test_first_bad_field_is_named(self):
+        # non-finite values are looked for before negative ones
+        with pytest.raises(DomainError, match="^m2 must be finite"):
+            EmaState(0.0, -1.0, 1.0, math.nan)
+        with pytest.raises(DomainError, match="^m_sigma must be >= 0"):
+            EmaState(0.0, -1.0, -2.0, 1.0)
+
+    def test_replace_validates(self):
+        state = EmaState(**self.GOOD)
+        assert replace(state, m1=3.0) == EmaState(-0.5, 1.0, 3.0, 0.0)
+        with pytest.raises(DomainError, match="^m1 must be >= 0"):
+            replace(state, m1=-3.0)
+
+    def test_frozen(self):
+        state = EmaState(**self.GOOD)
+        with pytest.raises(FrozenInstanceError):
+            state.mu = 1.0
+        with pytest.raises(FrozenInstanceError):
+            del state.m1
+        assert state == EmaState(**self.GOOD)
+
+    def test_value_semantics(self):
+        state = EmaState(**self.GOOD)
+        assert [f.name for f in fields(EmaState)] == list(self.GOOD)
+        assert state == EmaState(-0.5, 1.0, 2.0, 0.0)
+        assert state == EmaState(-0.5, m_sigma=1.0, m2=0.0, m1=2.0)
+        assert state != EmaState(-0.5, 1.0, 2.0, 1.0)
+        assert hash(state) == hash(EmaState(-0.5, 1.0, 2.0, 0.0))
+        assert repr(state) == "EmaState(mu=-0.5, m_sigma=1.0, m1=2.0, m2=0.0)"
+        back = pickle.loads(pickle.dumps(state))
+        assert type(back) is EmaState and back == state
+        with pytest.raises(TypeError):
+            EmaState(0.0, 1.0, 1.0)
+
+    def test_step_on_nan_names_mu(self):
+        with pytest.raises(DomainError, match="^mu must be finite, got nan"):
+            step(EmaState(**self.GOOD), math.nan, AdaptiveConfig())
 
 
 class TestStep:

@@ -170,6 +170,28 @@ class TestPriceErrors:
         assert not out.exists()
 
 
+class TestOverlongCell:
+    """A cell longer than the csv module's field limit is a data error at
+    its line, in the header, in a plain data line and in a quoted one."""
+
+    @pytest.mark.parametrize("command", ["returns", "fit-adaptive"])
+    @pytest.mark.parametrize("text, line", [
+        ("{long},x\n1.0\n", 1),
+        ("x\n1.0\n{long}\n", 3),
+        ('x\n"1.0"\n2.0\n"{long}"\n', 4)],
+        ids=["header", "plain", "quoted"])
+    def test_exits_3_naming_the_line(self, tmp_path, capsys, command, text,
+                                     line):
+        src, out = tmp_path / "r.csv", tmp_path / "out.csv"
+        src.write_text(text.format(long="1" * (csv.field_size_limit() + 1)))
+        assert _run(command, "--returns", "--input", str(src),
+                    "--output", str(out)) == 3
+        assert capsys.readouterr().err == (
+            f"error: {src}: field larger than field limit "
+            f"({csv.field_size_limit()}) at line {line}\n")
+        assert not out.exists()
+
+
 class TestFitAdaptive:
     def test_trajectory_written(self, synth_file, tmp_path, capsys):
         out = tmp_path / "traj.csv"

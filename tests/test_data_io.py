@@ -181,6 +181,8 @@ _READER_CASES = [
     ("quoted cell", b'x\n"1.5"\n2.0\n', "x", [1.5, 2.0]),
     ("quoted commas", b'a,b\n1.0,2.0\n"3.0,4.0,5.0"\n', "b",
      "{f}: missing value cell at line 3"),
+    ("quoted cell over two lines", b'a,x\n"two\nlines",1.0\nd,abc\n', "x",
+     "{f}: cannot parse 'abc' at line 4, column 1"),
     ("padded cells", b"x\n  0.5 \n\t+1e-3\n", "x", [0.5, 1e-3]),
     ("underscore", b"x\n1_0\n2.0\n", "x", [10.0, 2.0]),
     ("CRLF and a BOM", b"\xef\xbb\xbfx\r\n0.5\r\n1.5\r\n", "x", [0.5, 1.5]),
@@ -195,6 +197,13 @@ _READER_CASES = [
     ("blank lines", b"x\n0.5\n\n1.5\n\n", "x", [0.5, 1.5]),
     ("whitespace-only line", b"x\n0.5\n   \n1.5\n", "x", [0.5, 1.5]),
     ("no data row", b"# m\nx\n# n\n", "x", "{f}: no data rows found"),
+    ("header cell over the csv field limit", b"0" * 131072 + b"1,x\n1.0\n",
+     "x", "{f}: field larger than field limit (131072) at line 1"),
+    ("cell over the csv field limit", b"x\n1.0\n" + b"0" * 131072 + b"1\n",
+     "x", "{f}: field larger than field limit (131072) at line 3"),
+    ("quoted cell over the csv field limit",
+     b'x\n"1.0"\n"' + b"0" * 131072 + b'1"\n', "x",
+     "{f}: field larger than field limit (131072) at line 3"),
 ]
 
 
@@ -556,10 +565,33 @@ _AWKWARD_LABELS = ["a,b", 'say "x"', "two\nlines", "cr\rhere", " padded ",
                    "'q'", ""]
 
 
+def _plain_labels(n):
+    return [f"2001-01-{i % 28 + 1:02d}" for i in range(n)]
+
+
 def _with_awkward_labels(n, first):
-    labels = [f"2001-01-{i % 28 + 1:02d}" for i in range(n)]
+    labels = _plain_labels(n)
     for i, awkward in enumerate(_AWKWARD_LABELS):
         labels[first + 3 * i] = awkward
+    return labels
+
+
+# the writers' `labelled` cases: no labels, every awkward label in a row,
+# or one awkward label among plain ones (`_labels`)
+_LABELLED = [False, True, *_AWKWARD_LABELS[:4]]
+
+
+def _labels(n, first, labelled):
+    """Labels of n rows: none (False), every awkward label from row
+    ``first`` on (True), or else plain labels but the one ``labelled``,
+    100 rows before the end, so that its chunk holds no other label to
+    quote."""
+    if labelled is False:
+        return None
+    if labelled is True:
+        return _with_awkward_labels(n, first)
+    labels = _plain_labels(n)
+    labels[-100] = labelled
     return labels
 
 
@@ -582,7 +614,7 @@ class TestTrajectoryWriterBytes:
         x, *estimates = _awkward_floats(n)
         x[3] = 1.0  # a series holds finite points only
         values = np.concatenate([np.ones(t0), x])
-        labels = _with_awkward_labels(t0 + n, t0) if labelled else None
+        labels = _labels(t0 + n, t0, labelled)
         return (ParamTrajectory(t0, *estimates),
                 ReturnSeries(values, labels))
 
@@ -592,7 +624,7 @@ class TestTrajectoryWriterBytes:
         from movingt import data_io
         return data_io._PARALLEL_MIN_ROWS + 1234
 
-    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize("labelled", _LABELLED)
     def test_same_bytes_as_per_row_writer(self, tmp_path, writer_path,
                                           labelled):
         path, taken = writer_path
@@ -666,11 +698,11 @@ class TestTrajectoryWriterBytes:
 
 
 class TestSeriesWriterBytes:
-    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize("labelled", _LABELLED)
     def test_same_bytes_as_per_row_writer(self, tmp_path, labelled):
         # crosses a chunk boundary of the writer
         values = _awkward_floats(20_000)[0]
-        labels = _with_awkward_labels(values.size, 8190) if labelled else None
+        labels = _labels(values.size, 8190, labelled)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         write_series_csv(new, values, labels, ["k = v"])
         _per_row_series_csv(old, values, labels, ["k = v"])

@@ -1,4 +1,7 @@
 import math
+import pickle
+import re
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -22,6 +25,45 @@ class TestParams:
     def test_invalid(self, mu, sigma, nu):
         with pytest.raises(DomainError):
             StudentTParams(mu, sigma, nu)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(mu=math.nan), "mu must be finite, got nan"),
+        (dict(mu=-math.inf), "mu must be finite, got -inf"),
+        (dict(sigma=math.inf), "sigma must be finite, got inf"),
+        (dict(nu=math.nan), "nu must be finite, got nan"),
+        (dict(sigma=0.0), "sigma must be > 0, got 0.0"),
+        (dict(sigma=-1.0, nu=-1.0), "sigma must be > 0, got -1.0"),
+        (dict(nu=-2.0), "nu must be > 0, got -2.0"),
+        (dict(sigma=-1.0, nu=math.inf), "nu must be finite, got inf"),
+    ])
+    def test_first_bad_field_is_named(self, kwargs, message):
+        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+            StudentTParams(**{"mu": 0.0, "sigma": 1.0, "nu": 3.0, **kwargs})
+
+    def test_replace_validates(self):
+        assert replace(CAUCHY, nu=2.0) == StudentTParams(0.0, 1.0, 2.0)
+        with pytest.raises(DomainError, match="^sigma must be > 0"):
+            replace(CAUCHY, sigma=0.0)
+
+    def test_frozen(self):
+        params = StudentTParams(0.0, 1.0, 1.0)
+        with pytest.raises(FrozenInstanceError):
+            params.sigma = 2.0
+        with pytest.raises(FrozenInstanceError):
+            del params.nu
+        assert params == CAUCHY
+
+    def test_value_semantics(self):
+        params = StudentTParams(mu=0.25, sigma=2.0, nu=4.0)
+        assert [f.name for f in fields(StudentTParams)] == ["mu", "sigma", "nu"]
+        assert params == StudentTParams(0.25, nu=4.0, sigma=2.0)
+        assert params != StudentTParams(0.25, 2.0, 5.0)
+        assert hash(params) == hash(StudentTParams(0.25, 2.0, 4.0))
+        assert repr(params) == "StudentTParams(mu=0.25, sigma=2.0, nu=4.0)"
+        back = pickle.loads(pickle.dumps(params))
+        assert type(back) is StudentTParams and back == params
+        with pytest.raises(TypeError):
+            StudentTParams(0.0, 1.0)
 
 
 class TestPdf:

@@ -6,8 +6,8 @@ name is referenced somewhere in the package.  Both catch copies left
 behind when a formula moves between modules.  A third check keeps the
 moving estimator's config to the settings its step reads, a fourth
 keeps scipy out of the runtime, and a fifth asks every dataclass field
-to be read somewhere outside validation (`__post_init__`), so no stored
-value goes unread.  Last, the README's library and CLI examples run, its
+to be read somewhere outside validation (`__post_init__`, or a
+hand-written `__init__`), so no stored value goes unread.  Last, the README's library and CLI examples run, its
 Defaults table matches the parser's defaults, and the row count it gives
 for the trajectory writer's workers is the writer's, so the API, the
 commands and the figures it documents cannot drift from the code.
@@ -136,13 +136,15 @@ def _is_dataclass(node):
 
 
 def test_every_dataclass_field_is_read():
-    # a field read only in a __post_init__ is checked and then dropped
+    # a field read only where a dataclass is built (its __post_init__,
+    # or an __init__ written in place of the generated one) is checked
+    # and then dropped
     trees = [_tree(path) for path in MODULES]
     classes = [node for tree in trees for node in tree.body
                if isinstance(node, ast.ClassDef) and _is_dataclass(node)]
     validation = {id(node) for cls in classes for method in cls.body
                   if isinstance(method, ast.FunctionDef)
-                  and method.name == "__post_init__"
+                  and method.name in ("__post_init__", "__init__")
                   for node in ast.walk(method)}
     read = {node.attr for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
