@@ -89,8 +89,10 @@ def fit_sigma_mle(xs, mu: float, nu: float):
     (nu + 1) mean(z^2 / (nu + z^2)) - 1, z = (x - mu) / sigma, strictly
     decreases in ln(sigma), so its root is the unique maximizer; it is
     found by Newton's method, with a bisection step whenever Newton
-    leaves the bracket that the signs seen so far allow.  At
-    nu >= NU_GAUSSIAN the maximizer is sigma^2 = mean((x - mu)^2).
+    leaves the bracket that the signs seen so far allow.  It stops once
+    a Newton step, a bisection step or the bracket is within 1e-14 in
+    ln(sigma).  At nu >= NU_GAUSSIAN the maximizer is
+    sigma^2 = mean((x - mu)^2).
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
@@ -108,31 +110,39 @@ def fit_sigma_mle(xs, mu: float, nu: float):
     return math.exp(ln_sigma)
 
 
+def _t_scale_score(d2, nu: float, ln_sigma: float):
+    """(score, d score / d ln sigma) of the Student-t scale at squared
+    deviations d2; r = z^2 / (nu + z^2)."""
+    r = d2 * math.exp(-2.0 * ln_sigma)
+    r /= r + nu
+    value = (nu + 1.0) * float(np.mean(r)) - 1.0
+    r *= 1.0 - r
+    return value, -2.0 * (nu + 1.0) * float(np.mean(r))
+
+
 def _t_scale_root(d2, nu: float) -> float:
-    """Root in [ln 1e-8, ln 1e2] of the Student-t scale score, clamped."""
+    """Root in [ln 1e-8, ln 1e2] of the Student-t scale score, clamped.
 
-    def score(ln_sigma):
-        """(score, d score / d ln sigma); r = z^2 / (nu + z^2)."""
-        r = d2 * math.exp(-2.0 * ln_sigma)
-        r /= r + nu
-        value = (nu + 1.0) * float(np.mean(r)) - 1.0
-        r *= 1.0 - r
-        return value, -2.0 * (nu + 1.0) * float(np.mean(r))
-
+    Returns once a Newton step is within `_SIGMA_XTOL`: a step below
+    half an ulp of x leaves x where it is, on an end of the bracket, so
+    the bracket test alone would bisect down to `_SIGMA_XTOL`.
+    """
     lo, hi = _LOG_SIGMA_LO, _LOG_SIGMA_HI
-    if score(lo)[0] <= 0.0:
+    if _t_scale_score(d2, nu, lo)[0] <= 0.0:
         return lo
-    if score(hi)[0] >= 0.0:
+    if _t_scale_score(d2, nu, hi)[0] >= 0.0:
         return hi
     x = min(max(0.5 * math.log(float(np.mean(d2))), lo), hi)
     for _ in range(_SIGMA_MAX_ITER):
-        value, slope = score(x)
+        value, slope = _t_scale_score(d2, nu, x)
         if value > 0.0:
             lo = x
         else:
             hi = x
         step = value / slope if slope < 0.0 else math.inf
         nxt = x - step
+        if abs(step) <= _SIGMA_XTOL:
+            return nxt
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - x) <= _SIGMA_XTOL or hi - lo <= _SIGMA_XTOL:

@@ -22,19 +22,22 @@ so a caller can fold and write a series without holding it, and
 trajectory writers format chunks with one function.  Shortest
 round-trip repr is most of a large write, so once `_PARALLEL_MIN_ROWS`
 rows are written, when the process may run on two or more CPUs and can
-fork, a `TrajectoryWriter` sends each later chunk's arrays to a pool of
-worker processes and writes the encoded text they return in order.  A
-chunk's text depends only on its rows, so the bytes do not depend on
-which path ran, on how many workers there were, or on the chunk size.
+fork, a `TrajectoryWriter` reserves a span of its temporary file for
+each later chunk and sends the chunk's arrays to a pool of worker
+processes, which write its text into that span themselves; the text
+never passes through this process.  `commit` copies the spans in
+order.  A chunk's text depends only on its rows, so the bytes do not
+depend on which path ran, on how many workers there were, or on the
+chunk size.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import itertools
 import math
 import os
-import shutil
 import tempfile
 from array import array
 from collections import deque
@@ -441,8 +444,15 @@ _BLOCK = 256
 # and 39 ms at 41k, 50k and 66k, about 13 ms a chunk it formats.  This
 # threshold (the pool starts at row 40660 after the default prefix)
 # against 65536: +17 ms at 41k rows, +22 ms at 50k, -43 ms at 1e5 and
-# -30 ms at 3e5.  The pool adds up to about 3 MB of peak RSS.
+# -30 ms at 3e5.  The pool adds about 1 MB of peak RSS: fit-adaptive at
+# 3e5 points peaked at 36.4 MB on one CPU and 37.3-37.6 MB on two.
 _PARALLEL_MIN_ROWS = 32768
+# Bytes of a trajectory row beyond its date cell, at most: t (at most 20
+# digits), five float reprs (at most 24 characters each, as in
+# -2.2250738585072014e-308), six commas and LF take 147.
+_ROW_BYTES = 150
+# Largest read when the trajectory's spans are copied without sendfile
+_COPY_BLOCK = 1 << 16
 
 
 def _format_rows(text_columns, float_columns):
@@ -466,9 +476,57 @@ def _trajectory_rows(start, labels, *float_columns):
                         float_columns)
 
 
-def _trajectory_text(*chunk):
-    """The rows of one chunk, encoded: what a worker process returns."""
-    return "".join(_trajectory_rows(*chunk)).encode()
+def _span_bound(labels, n) -> int:
+    """Bytes that n trajectory rows with these date labels (or None) take
+    at most, encoded: `_ROW_BYTES` a row, plus 4 len + 2 for a label,
+    since `_csv_cell` may quote it, doubling its quotes, and UTF-8
+    takes at most 4 bytes a character."""
+    if labels is None:
+        return _ROW_BYTES * n
+    return _ROW_BYTES * n + 4 * sum(map(len, labels)) + 2 * len(labels)
+
+
+def _write_span(fd, offset, size, *chunk):
+    """Format the rows of one chunk and write them into file ``fd`` at
+    ``offset``, within the ``size`` bytes reserved there: what a worker
+    process does.  Returns (offset, length of the text)."""
+    data = "".join(_trajectory_rows(*chunk)).encode()
+    if len(data) > size:
+        raise RuntimeError(f"{len(data)} bytes of trajectory rows overrun "
+                           f"the {size} reserved for them")
+    view, done = memoryview(data), 0
+    while done < len(data):
+        done += os.pwrite(fd, view[done:], offset + done)
+    return offset, len(data)
+
+
+def _copy_spans(src, dst, spans):
+    """Append the byte spans of file ``src`` to file ``dst`` in order; both
+    are flushed binary files, and ``spans`` holds (offset, length) pairs
+    flat.  os.sendfile copies in the kernel where it takes a regular
+    file as its target; elsewhere the copy reads at most `_COPY_BLOCK`
+    bytes at a time."""
+    sendfile = getattr(os, "sendfile", None)
+    for offset, length in zip(spans[::2], spans[1::2]):
+        end = offset + length
+        while offset < end:
+            if sendfile is not None:
+                try:
+                    sent = sendfile(dst.fileno(), src.fileno(), offset,
+                                    end - offset)
+                except OSError as exc:
+                    if exc.errno not in (errno.EINVAL, errno.ENOSYS,
+                                         errno.ENOTSOCK, errno.EOPNOTSUPP):
+                        raise
+                    sendfile = None
+                    continue
+            else:
+                src.seek(offset)
+                sent = dst.write(src.read(min(end - offset, _COPY_BLOCK)))
+            if not sent:
+                raise OSError(f"temporary trajectory file ends at byte "
+                              f"{offset}, before {end}")
+            offset += sent
 
 
 def _writer_processes(rows: int) -> int:
@@ -496,19 +554,24 @@ class TrajectoryWriter:
     known.
 
     Columns: t, date, x, mu, sigma, nu, log_density.  `write` formats
-    rows into an unnamed temporary file in the directory of ``path``;
-    `commit` writes the manifest and header to ``path`` and copies the
-    rows after them.  Leaving the ``with`` block stops the workers and
-    drops the temporary file, so a run that fails before `commit`
-    leaves no file, and any file at ``path`` as it was.
+    rows into an unnamed temporary file in the directory of ``path``,
+    each chunk into a span of it; `commit` writes the manifest and
+    header to ``path`` and copies the spans after them, in order.
+    Leaving the ``with`` block stops the workers and drops the
+    temporary file, so a run that fails before `commit` leaves no file,
+    and any file at ``path`` as it was.
 
-    From `_PARALLEL_MIN_ROWS` rows written, when `_writer_processes`
-    allows, each later chunk's arrays go to a pool of worker processes,
-    started with the first of them, and the encoded text they return is
-    written in order.  At most one chunk per worker is in flight: this
-    process folds the next chunk while the workers format, so a deeper
-    queue would only hold more text.  A chunk's text depends only on its
-    rows, so the bytes do not depend on which path ran.
+    In this process the rows are written line by line, and the spans
+    follow one another.  From `_PARALLEL_MIN_ROWS` rows written, when
+    `_writer_processes` allows, each later chunk gets a span of
+    `_span_bound` bytes, and its arrays go to a pool of worker
+    processes, started with the first of them, which write its text
+    there and return only the span's offset and the text's length.  The
+    text fills about three quarters of its span; the rest is a hole,
+    which most file systems (ext4, xfs, tmpfs) do not store.  At most one chunk per
+    worker is in flight: this process folds the next chunk while the
+    workers format.  A chunk's text depends only on its rows, so the
+    bytes do not depend on which path ran.
     """
 
     def __init__(self, path):
@@ -516,6 +579,8 @@ class TrajectoryWriter:
         self._tmp = tempfile.TemporaryFile(
             dir=os.path.dirname(os.path.abspath(path)))
         self._rows = 0
+        self._end = 0  # where the next chunk's span starts
+        self._spans = array("q")  # (offset, length) of the spans, flat
         self._workers = None  # decided at the row threshold
         self._pool = None
         self._pending = deque()
@@ -566,28 +631,43 @@ class TrajectoryWriter:
                     self._pool = multiprocessing.get_context("fork").Pool(
                         self._workers, signal.signal,
                         (signal.SIGINT, signal.SIG_IGN))
-                self._pending.append(
-                    self._pool.apply_async(_trajectory_text, chunk))
+                size = _span_bound(chunk[1], hi - lo)
+                self._pending.append(self._pool.apply_async(
+                    _write_span, (self._tmp.fileno(), self._end, size,
+                                  *chunk)))
+                self._end += size
                 if len(self._pending) > self._workers:
-                    self._tmp.write(self._pending.popleft().get())
+                    self._add_span(*self._pending.popleft().get())
                 continue
             # line by line: the chunk's text at once would add about
             # 2 MB to this process's peak
             self._tmp.writelines(map(str.encode, _trajectory_rows(*chunk)))
+            end = self._tmp.tell()
+            self._add_span(self._end, end - self._end)
+            self._end = end
             self._rows += hi - lo
             if self._workers is None and self._rows >= _PARALLEL_MIN_ROWS:
                 self._workers = _writer_processes(self._rows)
 
+    def _add_span(self, offset, length):
+        """Record the text of the next chunk, joined to the span before it
+        when it starts where that one ends."""
+        spans = self._spans
+        if spans and spans[-2] + spans[-1] == offset:
+            spans[-1] += length
+        else:
+            spans.extend((offset, length))
+
     def commit(self, manifest_lines=()):
         """Write ``path``: the manifest, the header, then every row."""
         while self._pending:
-            self._tmp.write(self._pending.popleft().get())
-        self._tmp.seek(0)
+            self._add_span(*self._pending.popleft().get())
+        self._tmp.flush()
         with _open_out(self._path) as out:
             _emit(out, manifest_lines,
                   ["t", "date", "x", "mu", "sigma", "nu", "log_density"], ())
             out.flush()
-            shutil.copyfileobj(self._tmp, out.buffer, 1 << 20)
+            _copy_spans(self._tmp, out.buffer, self._spans)
 
 
 def write_series_csv(path, values, labels=None, manifest_lines=()):

@@ -62,6 +62,25 @@ class TestFitSigmaMle:
                   for s in grid]
         assert attained >= max(scores) - 1e-9
 
+    def test_newton_stops_at_its_own_step(self, monkeypatch):
+        # near the root a Newton step falls below half an ulp of ln sigma
+        # and leaves it where it is, on an end of the bracket; the fit
+        # stops there instead of bisecting that bracket down to its
+        # tolerance (38 score evaluations on this series, against 8)
+        from movingt import baselines
+        xs = 0.01 * np.random.default_rng(2).standard_t(4, 2000)
+        calls = []
+        score = baselines._t_scale_score
+
+        def counted(*args):
+            calls.append(args[2])
+            return score(*args)
+        monkeypatch.setattr(baselines, "_t_scale_score", counted)
+        sigma = fit_sigma_mle(xs, 0.0, 4.0)
+        assert len(calls) <= 10, calls
+        d2 = xs * xs
+        assert abs(score(d2, 4.0, math.log(sigma))[0]) < 1e-13
+
     def test_empty(self):
         with pytest.raises(SeriesTooShortError):
             fit_sigma_mle([], 0.0, 5.0)

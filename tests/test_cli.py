@@ -113,8 +113,17 @@ class TestReturnsCommand:
         assert "column index must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", [0, (1 << 16) - 1, 1 << 16,
+                                      (1 << 16) + 1])
+    def test_input_sha256_at_the_block_edges(self, tmp_path, size):
+        # the digest reads 64 KiB blocks
+        from movingt.cli import _digest_file
+        src = tmp_path / "in.csv"
+        src.write_bytes(np.random.default_rng(size).bytes(size))
+        assert _digest_file(src) == _sha(src)
+
     def test_input_sha256_is_of_the_raw_bytes(self, tmp_path):
-        # a byte-order mark, and more than one 1 MiB block of hashing
+        # a byte-order mark, and more than a MiB of hashing
         src = tmp_path / "big.csv"
         filler = "# " + "z" * 1000 + "\n"
         src.write_bytes(b"\xef\xbb\xbf" + (

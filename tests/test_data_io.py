@@ -697,6 +697,147 @@ class TestTrajectoryWriterBytes:
         assert os.listdir(tmp_path) == []
 
 
+# labels that take the most bytes a character: all quotes (doubled,
+# then quoted), 4-byte UTF-8 characters, and the other characters that
+# make a cell quoted
+_LONGEST_LABELS = ['"' * 9, "\U0001F600" * 9, "\r\n,\r\n,\r", '"', "\U0001F600",
+                   ""]
+
+
+class TestTrajectorySpans:
+    """Format workers write each chunk into a span of the temporary file
+    reserved by `_span_bound`, and return only where and how much."""
+
+    @staticmethod
+    def _longest_chunk(start, n, labels):
+        """A chunk of n rows from t = start whose floats all have the
+        longest repr, or are -inf."""
+        longest = np.full(n, -2.2250738585072014e-308)
+        longest[::7] = -np.inf
+        return (start, labels, *(longest for _ in range(5)))
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_bound_covers_the_longest_rows(self, labelled):
+        from movingt import data_io
+        n = 600
+        labels = ([_LONGEST_LABELS[i % len(_LONGEST_LABELS)]
+                   for i in range(n)] if labelled else None)
+        for start in (0, 2 ** 63 - n // 2, 10 ** 20 - n):  # t up to 20 digits
+            chunk = self._longest_chunk(start, n, labels)
+            text = "".join(data_io._trajectory_rows(*chunk)).encode()
+            assert len(text) <= data_io._span_bound(labels, n)
+        for label in _LONGEST_LABELS:  # one label a row
+            chunk = self._longest_chunk(10 ** 20 - 1, 1, [label])
+            text = "".join(data_io._trajectory_rows(*chunk)).encode()
+            assert len(text) <= data_io._span_bound([label], 1)
+
+    def test_a_text_longer_than_its_span_is_refused(self, tmp_path):
+        from movingt import data_io
+        chunk = self._longest_chunk(0, 3, None)
+        with open(tmp_path / "t", "w+b") as fh:
+            with pytest.raises(RuntimeError, match="overrun"):
+                data_io._write_span(fh.fileno(), 0, 100, *chunk)
+            assert os.fstat(fh.fileno()).st_size == 0
+
+    def test_longest_labelled_chunks_give_the_serial_bytes(
+            self, tmp_path, writer_path):
+        path, taken = writer_path
+        traj, series = TestTrajectoryWriterBytes._trajectory(
+            TestTrajectoryWriterBytes._long_enough(), 7)
+        for column in (traj.mu, traj.sigma, traj.nu, traj.log_density):
+            column[1::3] = -2.2250738585072014e-308
+        labels = [_LONGEST_LABELS[i % len(_LONGEST_LABELS)]
+                  for i in range(len(series))]
+        series = ReturnSeries(series.values, labels)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        _write_trajectory(new, traj, series, ["k = v"])
+        _per_row_trajectory_csv(old, traj, series, ["k = v"])
+        assert new.read_bytes() == old.read_bytes()
+        assert (taken[0] > 1) == (path == "parallel")
+
+    @pytest.mark.parametrize("writer_path", ["parallel"], indirect=True)
+    def test_workers_return_offset_and_length(self, tmp_path, writer_path,
+                                              monkeypatch):
+        import multiprocessing.pool
+        results = []
+        get = multiprocessing.pool.ApplyResult.get
+
+        def spy(result, timeout=None):
+            results.append(get(result, timeout))
+            return results[-1]
+        monkeypatch.setattr(multiprocessing.pool.ApplyResult, "get", spy)
+        traj, series = TestTrajectoryWriterBytes._trajectory(
+            TestTrajectoryWriterBytes._long_enough() + 3 * 8192, 7, True)
+        _write_trajectory(tmp_path / "t.csv", traj, series)
+        assert len(results) == 4  # the chunks from the threshold on
+        for result in results:
+            assert type(result) is tuple and len(result) == 2
+            assert all(type(v) is int for v in result)
+
+    @pytest.mark.parametrize("copy", ["sendfile", "refused", "reads"])
+    def test_spans_copied_with_or_without_sendfile(self, tmp_path,
+                                                   writer_path, monkeypatch,
+                                                   copy):
+        import errno
+        if copy == "reads":
+            monkeypatch.delattr(os, "sendfile", raising=False)
+        elif copy == "refused":
+            def refuse(*args):
+                raise OSError(errno.ENOTSOCK, "not a socket")
+            monkeypatch.setattr(os, "sendfile", refuse, raising=False)
+        traj, series = TestTrajectoryWriterBytes._trajectory(
+            TestTrajectoryWriterBytes._long_enough(), 7, True)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        _write_trajectory(new, traj, series, ["k = v"])
+        _per_row_trajectory_csv(old, traj, series, ["k = v"])
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_other_copy_errors_are_raised(self, tmp_path, monkeypatch):
+        # only the errors of a sendfile that cannot target a file fall
+        # back to reads
+        import errno
+
+        def full(*args):
+            raise OSError(errno.ENOSPC, "no space left on device")
+        monkeypatch.setattr(os, "sendfile", full, raising=False)
+        traj, series = TestTrajectoryWriterBytes._trajectory(9000, 7)
+        with pytest.raises(OSError, match="no space"):
+            _write_trajectory(tmp_path / "t.csv", traj, series)
+
+    def test_parallel_path_holds_no_chunk_text(self, tmp_path, monkeypatch):
+        # the main process's Python allocations, with the pool from the
+        # second chunk on: four workers, four chunks in flight, all of
+        # them finished before the commit; a worker that sent its chunk's
+        # text back would put 4 x 0.9 MB on this process (1.3 MiB over
+        # the serial path), one that writes it returns two ints
+        import multiprocessing
+        import tracemalloc
+        from movingt import data_io
+        monkeypatch.setattr(data_io, "_PARALLEL_MIN_ROWS", data_io._CHUNK)
+        traj, series = TestTrajectoryWriterBytes._trajectory(
+            5 * data_io._CHUNK, 7)
+        values = series.values[7:]
+
+        def peak(cpus, traced=True):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            if traced:
+                tracemalloc.start()
+            try:
+                with TrajectoryWriter(tmp_path / "t.csv") as out:
+                    out.write(traj, values)
+                    for result in out._pending:
+                        result.wait()
+                    out.commit()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak({0, 1, 2, 3}, traced=False)  # imports the pool's modules
+        serial, parallel = peak({0}), peak({0, 1, 2, 3})
+        assert multiprocessing.active_children() == []
+        assert parallel - serial < 2 ** 19, (serial, parallel)
+
+
 class TestSeriesWriterBytes:
     @pytest.mark.parametrize("labelled", _LABELLED)
     def test_same_bytes_as_per_row_writer(self, tmp_path, labelled):
