@@ -52,9 +52,9 @@ def _nu_value(text: str) -> float:
 
 
 def _digest_file(path) -> str:
-    """sha256 of the file's bytes, read in 64 KiB blocks: a larger block
-    is what this process holds at its peak once the trajectory is out
-    of it."""
+    """sha256 of the file's bytes, read in 64 KiB blocks: two live 1 MiB
+    blocks would set fit-adaptive's peak memory, since the trajectory's
+    text never passes through this process."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):

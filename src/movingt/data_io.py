@@ -594,9 +594,9 @@ class TrajectoryWriter:
     def close(self):
         if self._pool is not None:
             # terminate() kills the workers, and one killed while it sends
-            # a chunk's text can leave the pool's result queue locked for
-            # good, so that terminate() never returns: let the chunks in
-            # flight arrive first (the workers ignore SIGINT, so an
+            # a chunk's result can leave the pool's result queue locked
+            # for good, so that terminate() never returns: let the chunks
+            # in flight arrive first (the workers ignore SIGINT, so an
             # interrupt does not lose one)
             for result in self._pending:
                 result.wait()
