@@ -123,9 +123,9 @@ def _t_scale_score(d2, nu: float, ln_sigma: float):
 def _t_scale_root(d2, nu: float) -> float:
     """Root in [ln 1e-8, ln 1e2] of the Student-t scale score, clamped.
 
-    Returns once a Newton step is within `_SIGMA_XTOL`: a step below
-    half an ulp of x leaves x where it is, on an end of the bracket, so
-    the bracket test alone would bisect down to `_SIGMA_XTOL`.
+    The bracket test admits its ends: a Newton step below half an ulp
+    of x leaves x where it is, on an end of the bracket, and must stop
+    the loop rather than send it bisecting down to `_SIGMA_XTOL`.
     """
     lo, hi = _LOG_SIGMA_LO, _LOG_SIGMA_HI
     if _t_scale_score(d2, nu, lo)[0] <= 0.0:
@@ -141,9 +141,7 @@ def _t_scale_root(d2, nu: float) -> float:
             hi = x
         step = value / slope if slope < 0.0 else math.inf
         nxt = x - step
-        if abs(step) <= _SIGMA_XTOL:
-            return nxt
-        if not lo < nxt < hi:
+        if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - x) <= _SIGMA_XTOL or hi - lo <= _SIGMA_XTOL:
             return nxt

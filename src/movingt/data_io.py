@@ -34,7 +34,6 @@ chunk size.
 from __future__ import annotations
 
 import csv
-import errno
 import itertools
 import math
 import os
@@ -451,7 +450,7 @@ _PARALLEL_MIN_ROWS = 32768
 # digits), five float reprs (at most 24 characters each, as in
 # -2.2250738585072014e-308), six commas and LF take 147.
 _ROW_BYTES = 150
-# Largest read when the trajectory's spans are copied without sendfile
+# Largest read when the trajectory's spans are copied into the report
 _COPY_BLOCK = 1 << 16
 
 
@@ -501,28 +500,14 @@ def _write_span(fd, offset, size, *chunk):
 
 
 def _copy_spans(src, dst, spans):
-    """Append the byte spans of file ``src`` to file ``dst`` in order; both
-    are flushed binary files, and ``spans`` holds (offset, length) pairs
-    flat.  os.sendfile copies in the kernel where it takes a regular
-    file as its target; elsewhere the copy reads at most `_COPY_BLOCK`
-    bytes at a time."""
-    sendfile = getattr(os, "sendfile", None)
+    """Append the byte spans of file ``src`` to file ``dst`` in order, in
+    reads of at most `_COPY_BLOCK` bytes; both are binary files, and
+    ``spans`` holds (offset, length) pairs flat."""
     for offset, length in zip(spans[::2], spans[1::2]):
         end = offset + length
         while offset < end:
-            if sendfile is not None:
-                try:
-                    sent = sendfile(dst.fileno(), src.fileno(), offset,
-                                    end - offset)
-                except OSError as exc:
-                    if exc.errno not in (errno.EINVAL, errno.ENOSYS,
-                                         errno.ENOTSOCK, errno.EOPNOTSUPP):
-                        raise
-                    sendfile = None
-                    continue
-            else:
-                src.seek(offset)
-                sent = dst.write(src.read(min(end - offset, _COPY_BLOCK)))
+            src.seek(offset)
+            sent = dst.write(src.read(min(end - offset, _COPY_BLOCK)))
             if not sent:
                 raise OSError(f"temporary trajectory file ends at byte "
                               f"{offset}, before {end}")
@@ -637,31 +622,22 @@ class TrajectoryWriter:
                                   *chunk)))
                 self._end += size
                 if len(self._pending) > self._workers:
-                    self._add_span(*self._pending.popleft().get())
+                    self._spans.extend(self._pending.popleft().get())
                 continue
             # line by line: the chunk's text at once would add about
             # 2 MB to this process's peak
             self._tmp.writelines(map(str.encode, _trajectory_rows(*chunk)))
             end = self._tmp.tell()
-            self._add_span(self._end, end - self._end)
+            self._spans.extend((self._end, end - self._end))
             self._end = end
             self._rows += hi - lo
             if self._workers is None and self._rows >= _PARALLEL_MIN_ROWS:
                 self._workers = _writer_processes(self._rows)
 
-    def _add_span(self, offset, length):
-        """Record the text of the next chunk, joined to the span before it
-        when it starts where that one ends."""
-        spans = self._spans
-        if spans and spans[-2] + spans[-1] == offset:
-            spans[-1] += length
-        else:
-            spans.extend((offset, length))
-
     def commit(self, manifest_lines=()):
         """Write ``path``: the manifest, the header, then every row."""
         while self._pending:
-            self._add_span(*self._pending.popleft().get())
+            self._spans.extend(self._pending.popleft().get())
         self._tmp.flush()
         with _open_out(self._path) as out:
             _emit(out, manifest_lines,

@@ -774,36 +774,6 @@ class TestTrajectorySpans:
             assert type(result) is tuple and len(result) == 2
             assert all(type(v) is int for v in result)
 
-    @pytest.mark.parametrize("copy", ["sendfile", "refused", "reads"])
-    def test_spans_copied_with_or_without_sendfile(self, tmp_path,
-                                                   writer_path, monkeypatch,
-                                                   copy):
-        import errno
-        if copy == "reads":
-            monkeypatch.delattr(os, "sendfile", raising=False)
-        elif copy == "refused":
-            def refuse(*args):
-                raise OSError(errno.ENOTSOCK, "not a socket")
-            monkeypatch.setattr(os, "sendfile", refuse, raising=False)
-        traj, series = TestTrajectoryWriterBytes._trajectory(
-            TestTrajectoryWriterBytes._long_enough(), 7, True)
-        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-        _write_trajectory(new, traj, series, ["k = v"])
-        _per_row_trajectory_csv(old, traj, series, ["k = v"])
-        assert new.read_bytes() == old.read_bytes()
-
-    def test_other_copy_errors_are_raised(self, tmp_path, monkeypatch):
-        # only the errors of a sendfile that cannot target a file fall
-        # back to reads
-        import errno
-
-        def full(*args):
-            raise OSError(errno.ENOSPC, "no space left on device")
-        monkeypatch.setattr(os, "sendfile", full, raising=False)
-        traj, series = TestTrajectoryWriterBytes._trajectory(9000, 7)
-        with pytest.raises(OSError, match="no space"):
-            _write_trajectory(tmp_path / "t.csv", traj, series)
-
     def test_parallel_path_holds_no_chunk_text(self, tmp_path, monkeypatch):
         # the main process's Python allocations, with the pool from the
         # second chunk on: four workers, four chunks in flight, all of
