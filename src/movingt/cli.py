@@ -5,6 +5,18 @@ synth.  Every emitted report embeds a manifest (command, resolved
 configuration, input content hash) as comment-prefixed header lines, and
 identical inputs plus flags produce byte-identical outputs.
 
+A command holds only what its report needs.  `returns`, `fit-adaptive`
+and adaptive `tail-table` take the input in pieces (`read_returns`) and
+hold one at a time (adaptive `tail-table` also the first --init-prefix
+points, until they seed the state).  `fit-static` and static
+`tail-table` hold the values, 8 bytes a point, since their moments are
+taken over the whole series, and score or count them in chunks.
+`sweep` and `garch` hold the whole series and what their fits build
+from it.  No command but `returns` and `fit-adaptive` prints a date, so
+the others keep no date label: they still find --date-column and check
+that every row has its date cell, and `tail-table` reads the labels
+only to apply --start-label/--end-label to each piece.
+
 Exit codes: 0 success, 2 usage/config error (including a missing input
 path), 3 data error (unparseable or unusable content), 4 numerical
 failure.
@@ -14,26 +26,27 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .adaptive import (AdaptiveConfig, ParamTrajectory, run, run_pieces,
-                       seed_state_from_prefix)
+from .adaptive import (_CHUNK, AdaptiveConfig, run_pieces,
+                       seed_state_from_prefix, update)
 from .baselines import (GarchParams, fit_garch_mle, garch_filter,
                         simulate_garch)
 from .data_io import (ReturnSeries, Segment, TrajectoryWriter, _fmt,
-                      generate_synthetic, read_csv, read_returns,
-                      write_row_csv, write_series_csv, write_sweep_csv,
-                      write_tail_csv)
+                      generate_synthetic, join_values, read_csv,
+                      read_returns, write_row_csv, write_series_csv,
+                      write_series_pieces, write_sweep_csv, write_tail_csv)
 from .distribution import NU_GAUSSIAN, log_density
 from .errors import (DegenerateDataError, DomainError, MonotonicityError,
                      MovingTError, NonConvergenceError, ParseError,
                      SeriesTooShortError)
-from .evaluation import (ExactSum, check_warmup, mean_log_likelihood,
-                         nu_of_inv, nu_sweep, tail_table)
+from .evaluation import (ExactSum, TailCounts, check_warmup,
+                         mean_log_likelihood, nu_of_inv, nu_sweep)
 from .static_estimators import compute_moments, static_fit
 
 _USAGE_ERRORS = (DomainError, FileNotFoundError, IsADirectoryError,
@@ -133,9 +146,19 @@ def _kind(args) -> str:
     return "prices" if args.prices else "returns"
 
 
-def _read_series(args) -> ReturnSeries:
+def _read_pieces(args, keep_labels=True):
+    """The input's series in pieces (`read_returns`)."""
+    return read_returns(args.input, column=args.column,
+                        date_column=args.date_column, kind=_kind(args),
+                        keep_labels=keep_labels)
+
+
+def _read_values(args) -> np.ndarray:
+    """The input's series whole, without the date labels, which the
+    command does not print; the date column is still checked."""
     return read_csv(args.input, column=args.column,
-                    date_column=args.date_column, kind=_kind(args))
+                    date_column=args.date_column, kind=_kind(args),
+                    keep_labels=False).values
 
 
 def _input_manifest(args, config: dict) -> list:
@@ -168,25 +191,22 @@ def _adaptive_config(args) -> AdaptiveConfig:
 
 
 def _static_fit(values, args, mu="mean"):
-    """The maps at the whole-sample moments, as the trajectory over
-    values that never moves, and nu_raw.  Its log-density column is a
-    NaN placeholder: `fit-static`, which scores, fills it in."""
+    """(mu_hat, sigma_hat, nu_raw, nu): the maps at the whole-sample
+    moments."""
     mu_hat, (m_sigma, m1, m2) = compute_moments(
         values, (args.p_sigma, args.p1, args.p2), mu=mu)
-    sigma_hat, nu_raw, nu = static_fit(
+    return (mu_hat, *static_fit(
         m_sigma, m1, m2, p_sigma=args.p_sigma, p1=args.p1, p2=args.p2,
         nu_fixed=args.nu_fixed, nu_adjustment=args.nu_adjust,
-        nu_min=args.nu_min, nu_cap=args.nu_cap)
-    n = len(values)
-    traj = ParamTrajectory(0, *(np.broadcast_to(v, n) for v in
-                                (mu_hat, sigma_hat, nu, math.nan)))
-    return traj, nu_raw
+        nu_min=args.nu_min, nu_cap=args.nu_cap))
 
 
 def _cmd_returns(args) -> int:
-    series = _read_series(args)
+    """Each piece of the input is written as it is read."""
     manifest = _input_manifest(args, {})
-    write_series_csv(args.output, series.values, series.labels, manifest)
+    write_series_pieces(args.output,
+                        ((p.values, p.labels) for p in _read_pieces(args)),
+                        args.date_column is not None, manifest)
     return 0
 
 
@@ -195,8 +215,7 @@ def _cmd_fit_adaptive(args) -> int:
     the rows; the manifest, which holds the score, is written last."""
     cfg = _adaptive_config(args)
     check_warmup(args.warmup, math.inf)  # its sign; n is known at the end
-    pieces = read_returns(args.input, column=args.column,
-                          date_column=args.date_column, kind=_kind(args))
+    pieces = _read_pieces(args)
     total, n = ExactSum(), 0
     with TrajectoryWriter(args.output) as out:
         for points, traj in run_pieces(pieces, cfg, args.init_prefix):
@@ -215,19 +234,21 @@ def _cmd_fit_adaptive(args) -> int:
 
 
 def _cmd_fit_static(args) -> int:
-    series = _read_series(args)
-    values = series.values
+    """The moments need the whole series, so its values are held, at 8
+    bytes a point; the points are scored in chunks."""
+    values = _read_values(args)
     try:
         mu = args.mu if args.mu == "mean" else float(args.mu)
     except ValueError:
         raise DomainError(
             f"--mu wants 'mean' or a number, got {args.mu!r}") from None
-    traj, nu_raw = _static_fit(values, args, mu)
-    mu_hat, sigma_hat, nu_adj = (v[0].item()
-                                 for v in (traj.mu, traj.sigma, traj.nu))
-    traj = replace(traj, log_density=log_density(values, mu_hat, sigma_hat,
-                                                 nu_adj))
-    score = mean_log_likelihood(traj, values, args.warmup)
+    mu_hat, sigma_hat, nu_raw, nu_adj = _static_fit(values, args, mu)
+    check_warmup(args.warmup, len(values))
+    total = ExactSum()
+    for lo in range(args.warmup, len(values), _CHUNK):
+        total.add(log_density(values[lo:lo + _CHUNK], mu_hat, sigma_hat,
+                              nu_adj))
+    score = total.mean()
     manifest = _input_manifest(args, {**_flag_values(args, _ESTIMATOR_KEYS),
                                       "mu": args.mu, "warmup": args.warmup})
     write_row_csv(args.output,
@@ -255,13 +276,13 @@ def _parse_list(text: str, convert, flag: str) -> list:
 
 
 def _cmd_sweep(args) -> int:
-    series = _read_series(args)
+    values = _read_values(args)
     if args.inv_nu_grid is None:
         nu_grid = [nu_of_inv(i / 20.0) for i in range(21)]
     else:
         nu_grid = [nu_of_inv(v) for v in
                    _parse_list(args.inv_nu_grid, float, "--inv-nu-grid")]
-    report = nu_sweep(series, nu_grid, args.warmup, eta2=args.eta2,
+    report = nu_sweep(values, nu_grid, args.warmup, eta2=args.eta2,
                       p_sigma=args.p_sigma, moment_floor=args.moment_floor)
     manifest = _input_manifest(args, {
         **_flag_values(args, ("eta2", "p_sigma", "moment_floor", "warmup")),
@@ -270,46 +291,76 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _restrict_by_labels(series: ReturnSeries, start, end) -> ReturnSeries:
+def _tail_values(args):
+    """The values tail-table counts, in pieces.  Dates are read only for
+    --start-label/--end-label, and dropped once a piece is restricted to
+    the rows whose date label lies in the range."""
+    start, end = args.start_label, args.end_label
     if start is None and end is None:
-        return series
-    if series.labels is None:
+        for piece in _read_pieces(args, keep_labels=False):
+            yield piece.values
+        return
+    if args.date_column is None:
         raise DomainError("--start-label/--end-label require --date-column")
-    keep = [i for i, lab in enumerate(series.labels)
-            if (start is None or lab[:len(start)] >= start)
-            and (end is None or lab[:len(end)] <= end)]
-    if not keep:
+    found = False
+    for piece in _read_pieces(args):
+        keep = [i for i, lab in enumerate(piece.labels)
+                if (start is None or lab[:len(start)] >= start)
+                and (end is None or lab[:len(end)] <= end)]
+        if keep:
+            found = True
+            yield piece.values[keep]
+    if not found:
         raise DegenerateDataError("label range selects no rows")
-    return ReturnSeries(series.values[keep], [series.labels[i] for i in keep])
+
+
+def _count_adaptive(pieces, cfg, init_prefix, counts) -> int:
+    """Count the pieces' points against the moving estimate, one piece at
+    a time, and return k = min(init_prefix, n).
+
+    The state is seeded from the first k points, and the fold then
+    starts at t = 0 from it, so every point is normalized and counted,
+    the first k too, with moments they helped form.
+    """
+    head, n = [], 0
+    for piece in pieces:
+        head.append(piece)
+        n += len(piece)
+        if n >= init_prefix:
+            break
+    first = np.concatenate(head)
+    k = min(init_prefix, first.size)
+    state = seed_state_from_prefix(first, k, cfg)
+    for values in itertools.chain([first], pieces):
+        state, traj = update(state, values, cfg)
+        counts.add(values, traj.mu, traj.sigma)
+    return k
 
 
 def _cmd_tail_table(args) -> int:
+    """Adaptive normalization folds and counts piece by piece; static
+    needs the whole-sample moments, so it holds the values, at 8 bytes a
+    point, and counts them in chunks."""
     adaptive = args.normalization == "adaptive"
     if not adaptive and args.adaptive_only:
         raise DomainError(f"{args.adaptive_only[0]} applies only to "
                           "--normalization adaptive")
-    series = _read_series(args)
-    series = _restrict_by_labels(series, args.start_label, args.end_label)
-    values = series.values
     nu_labels = _parse_list(args.nu_labels, _nu_value, "--nu-labels")
-    ks = range(1, args.k_max + 1)
+    counts = TailCounts(range(1, args.k_max + 1))
     config = {**_flag_values(args, _ESTIMATOR_KEYS),
               "nu_labels": args.nu_labels, "k_max": args.k_max,
               "start_label": args.start_label, "end_label": args.end_label}
-
+    pieces = _tail_values(args)
     if adaptive:
         cfg = _adaptive_config(args)
-        k = min(args.init_prefix, len(values))
-        state0 = seed_state_from_prefix(values, k, cfg)
-        # explicit initial state: the fold starts at t=0 so every point
-        # is normalized and counted
-        traj = run(values, cfg, init=state0)
+        k = _count_adaptive(pieces, cfg, args.init_prefix, counts)
         config.update(_flag_values(args, _ADAPTIVE_KEYS), init_prefix=k)
     else:
-        traj, _ = _static_fit(values, args)
-        config.update(mu_hat=traj.mu[0], sigma_hat=traj.sigma[0],
-                      nu_hat=traj.nu[0])
-    table = tail_table(values, traj, nu_labels, ks)
+        values = join_values(pieces)
+        mu_hat, sigma_hat, _, nu = _static_fit(values, args)
+        counts.add(values, mu_hat, sigma_hat)
+        config.update(mu_hat=mu_hat, sigma_hat=sigma_hat, nu_hat=nu)
+    table = counts.table(nu_labels)
 
     write_tail_csv(args.output, table, _input_manifest(args, config) + [
         f"n_effective = {table.n_effective}",
@@ -318,18 +369,18 @@ def _cmd_tail_table(args) -> int:
 
 
 def _cmd_garch(args) -> int:
-    series = _read_series(args)
-    check_warmup(args.warmup, len(series))
-    params = fit_garch_mle(series.values)
-    score = mean_log_likelihood(garch_filter(series.values, params),
-                                series.values, args.warmup)
+    values = _read_values(args)
+    check_warmup(args.warmup, len(values))
+    params = fit_garch_mle(values)
+    score = mean_log_likelihood(garch_filter(values, params), values,
+                                args.warmup)
     manifest = _input_manifest(args, {"warmup": args.warmup})
     manifest.append(f"persistence_clamped = {params.persistence_clamped}")
     write_row_csv(args.output,
                   ["omega", "alpha", "beta", "initial_var",
                    "mean_loglik", "n"],
                   [params.omega, params.alpha, params.beta,
-                   params.initial_var, score, len(series)],
+                   params.initial_var, score, len(values)],
                   manifest)
     print(f"omega = {params.omega!r}")
     print(f"alpha = {params.alpha!r}")

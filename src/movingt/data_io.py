@@ -18,7 +18,11 @@ line, a cell that is not a finite float, a very long line) goes through
 the row parser, which raises its error at its line.  `read_returns`
 hands the chunks on as return pieces (log-returns, for a price column),
 so a caller can fold and write a series without holding it, and
-`read_csv` joins those pieces into one series.  The series and
+`read_csv` joins those pieces into one series.  Either may leave the
+date labels out (``keep_labels=False``) and still check that every row
+has its date cell.  Every report is written under a temporary name
+beside its path and renamed over it when whole (`_open_out`), so a
+failed run leaves an earlier report as it was.  The series and
 trajectory writers format chunks with one function.  Shortest
 round-trip repr is most of a large write, so once `_PARALLEL_MIN_ROWS`
 rows are written, when the process may run on two or more CPUs and can
@@ -37,9 +41,11 @@ import csv
 import itertools
 import math
 import os
+import stat
 import tempfile
 from array import array
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import List, Optional, Sequence, Union
@@ -56,8 +62,10 @@ __all__ = [
     "to_log_returns",
     "read_csv",
     "read_returns",
+    "join_values",
     "generate_synthetic",
     "write_series_csv",
+    "write_series_pieces",
     "TrajectoryWriter",
     "write_sweep_csv",
     "write_tail_csv",
@@ -128,27 +136,41 @@ def _resolve_column(spec: Union[int, str]):
 
 def read_csv(path, column: Union[int, str] = "x",
              date_column: Union[int, str, None] = None,
-             kind: str = "returns") -> ReturnSeries:
+             kind: str = "returns", keep_labels: bool = True) -> ReturnSeries:
     """Read one numeric column (plus an optional date column) from a CSV
     as a ReturnSeries: the pieces of `read_returns`, joined.
 
     ``column``/``date_column`` may be header names or 0-based indices.
     NaN, infinite and empty cells are rejected with their line number.
     With ``kind="prices"`` the column holds prices, and the series is
-    their log-returns (`to_log_returns`).
+    their log-returns (`to_log_returns`).  With ``keep_labels=False``
+    the date column is found and every row's date cell checked as
+    before, but the series has no labels.
     """
+    labels: Optional[List[str]] = ([] if keep_labels and date_column
+                                   is not None else None)
+
+    def values():
+        for piece in read_returns(path, column, date_column, kind,
+                                  keep_labels):
+            if labels is not None:
+                labels.extend(piece.labels)
+            yield piece.values
+    return ReturnSeries(join_values(values()), labels)
+
+
+def join_values(arrays) -> np.ndarray:
+    """Float arrays joined into one as they come: each is copied into a
+    buffer grown in place, so none is held after its copy."""
     values = array("d")
-    labels: Optional[List[str]] = [] if date_column is not None else None
-    for piece in read_returns(path, column, date_column, kind):
-        values.frombytes(piece.values.tobytes())
-        if labels is not None:
-            labels += piece.labels
-    return ReturnSeries(np.frombuffer(values, dtype=np.float64), labels)
+    for piece in arrays:
+        values.frombytes(piece.tobytes())
+    return np.frombuffer(values, dtype=np.float64)
 
 
 def read_returns(path, column: Union[int, str] = "x",
                  date_column: Union[int, str, None] = None,
-                 kind: str = "returns"):
+                 kind: str = "returns", keep_labels: bool = True):
     """The ReturnSeries of a CSV column in consecutive pieces of at most
     `_CHUNK` points, read as they are needed; `read_csv` joins them.
 
@@ -156,11 +178,13 @@ def read_returns(path, column: Union[int, str] = "x",
     piece's last price carries into the next, so each return is the one
     the whole series gives, bit for bit.  Errors are raised in file
     order: a bad price stops the read before a bad cell in a later
-    chunk is parsed.
+    chunk is parsed.  With ``keep_labels=False`` every row must still
+    have its date cell, but the pieces carry no labels.
     """
     _check_kind(kind)
     start, last = 0, None  # start: the series index of the piece's first price
-    for chunk, labels in _read_chunks(path, column, date_column):
+    for chunk, labels in _read_chunks(path, column, date_column,
+                                      keep_labels):
         if kind == "returns":
             yield ReturnSeries(chunk, labels)
             continue
@@ -182,10 +206,12 @@ def _check_kind(kind):
         raise DomainError(f"kind must be 'prices' or 'returns', got {kind!r}")
 
 
-def _read_chunks(path, column, date_column):
+def _read_chunks(path, column, date_column, keep_labels=True):
     """(values, labels) of consecutive runs of `_CHUNK` data rows (the
-    last may be shorter): a float64 array and, with a date column, the
-    date cells as a list (else None).
+    last may be shorter): a float64 array and, with a date column and
+    ``keep_labels``, the date cells as a list (else None).  A row
+    without its date cell is a ParseError whether or not the cells are
+    kept.
 
     The row parser of the CSV dialect is the csv module's reader plus
     `_append_row`; it reads the rows up to the header.  After that, the
@@ -204,7 +230,7 @@ def _read_chunks(path, column, date_column):
     if date_column is not None:
         date_idx, date_name = _resolve_column(date_column)
 
-    want_dates = date_column is not None
+    want_dates = date_column is not None and keep_labels
     values = array("d")
     labels: Optional[List[str]] = [] if want_dates else None
     found = False
@@ -300,11 +326,12 @@ def _is_content(row) -> bool:
 
 
 def _append_row(path, row, line_no, col_idx, date_idx, values, labels):
-    """Append a data row's value, and its date when labels is a list."""
+    """Append a data row's value, and its date when labels is a list; a
+    row needs its date cell whenever there is a date column."""
     values.append(_parse_cell(path, row, col_idx, line_no))
+    if date_idx is not None and date_idx >= len(row):
+        raise ParseError(f"{path}: missing date cell at line {line_no}")
     if labels is not None:
-        if date_idx is None or date_idx >= len(row):
-            raise ParseError(f"{path}: missing date cell at line {line_no}")
         labels.append(row[date_idx].strip())
 
 
@@ -322,11 +349,13 @@ def _append_block(lines, text, col_idx, date_idx, values, labels) -> bool:
         return False  # the csv module may refuse a cell
     n = len(values)
     try:
-        if col_idx == 0 and labels is None and "," not in text:
+        if col_idx == 0 and date_idx is None and "," not in text:
             values.extend(map(float, lines))
         else:
             rows = [line.split(",") for line in lines]
             values.extend(map(float, map(itemgetter(col_idx), rows)))
+            if date_idx is not None and min(map(len, rows)) <= date_idx:
+                raise IndexError  # a row without its date cell
             dates = (None if labels is None
                      else [row[date_idx].strip() for row in rows])
     except (ValueError, IndexError):
@@ -403,8 +432,43 @@ def _fmt(v) -> str:
     return str(v)
 
 
+@contextmanager
 def _open_out(path):
-    return open(path, "w", encoding="utf-8", newline="")
+    """The text file of a report, which replaces ``path`` when the with
+    block ends without an error.
+
+    The report is written under a temporary name in the directory of
+    ``path``, created as open() creates a file (mode 0666 less the
+    umask), and `os.replace` moves it over ``path``; a failure removes
+    it, so any earlier file at ``path`` stays as it was.  A path that
+    exists and is not itself a regular file (a FIFO, a device, a
+    symlink such as /dev/stdout) is written in place.
+    """
+    try:
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(os.path.abspath(path))
+    while True:
+        tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:  # named by the path asked for
+            raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(fh, manifest_lines, header, rows):
@@ -541,10 +605,11 @@ class TrajectoryWriter:
     Columns: t, date, x, mu, sigma, nu, log_density.  `write` formats
     rows into an unnamed temporary file in the directory of ``path``,
     each chunk into a span of it; `commit` writes the manifest and
-    header to ``path`` and copies the spans after them, in order.
-    Leaving the ``with`` block stops the workers and drops the
-    temporary file, so a run that fails before `commit` leaves no file,
-    and any file at ``path`` as it was.
+    header and copies the spans after them, in order, into the report,
+    which replaces ``path`` when it is whole (`_open_out`).  Leaving the
+    ``with`` block stops the workers and drops the temporary file, so a
+    run that fails, before or during `commit`, leaves no file, and any
+    file at ``path`` as it was.
 
     In this process the rows are written line by line, and the spans
     follow one another.  From `_PARALLEL_MIN_ROWS` rows written, when
@@ -647,21 +712,27 @@ class TrajectoryWriter:
 
 
 def write_series_csv(path, values, labels=None, manifest_lines=()):
-    """Columns: date (when labelled), x.
+    """Columns: date (when labelled), x."""
+    write_series_pieces(path, [(values, labels)], labels is not None,
+                        manifest_lines)
+
+
+def write_series_pieces(path, pieces, labelled, manifest_lines=()):
+    """Columns: date (when ``labelled``), x: the rows of ``pieces``,
+    (values, labels) pairs, written as they come, so a series read in
+    pieces is written without being held.  A piece that fails (a bad
+    cell read late in its file) leaves no report.
 
     Same bytes as writing each row through `_emit`.
     """
-    def chunk(lo):
-        hi = lo + _CHUNK
-        text = [] if labels is None else [_csv_cells(labels[lo:hi])]
-        return _format_rows(text, [values[lo:hi]])
-
-    values = np.asarray(values)
     with _open_out(path) as fh:
-        _emit(fh, manifest_lines, ["x"] if labels is None else ["date", "x"],
-              ())
-        for lo in range(0, len(values), _CHUNK):
-            fh.writelines(chunk(lo))
+        _emit(fh, manifest_lines, ["date", "x"] if labelled else ["x"], ())
+        for values, labels in pieces:
+            values = np.asarray(values)
+            for lo in range(0, len(values), _CHUNK):
+                hi = lo + _CHUNK
+                text = [] if labels is None else [_csv_cells(labels[lo:hi])]
+                fh.writelines(_format_rows(text, [values[lo:hi]]))
 
 
 def write_sweep_csv(path, report, manifest_lines=()):

@@ -30,6 +30,7 @@ __all__ = [
     "SweepRow",
     "SweepReport",
     "TailTable",
+    "TailCounts",
     "mean_log_likelihood",
     "nu_sweep",
     "tail_table",
@@ -85,9 +86,9 @@ class ExactSum:
     def add(self, values):
         values = np.asarray(values, dtype=np.float64).ravel()
         self.count += values.size
-        for lo in range(0, values.size, 1 << 20):
+        for lo in range(0, values.size, _CHUNK):
             self._parts = _exact_parts(np.concatenate(
-                (self._parts, values[lo:lo + (1 << 20)])))
+                (self._parts, values[lo:lo + _CHUNK])))
 
     def mean(self) -> float:
         try:
@@ -266,31 +267,55 @@ def expected_tail_fraction(nu: float, k: float) -> float:
     return 2.0 * cdf(StudentTParams(0.0, 1.0, nu), -float(k))
 
 
+class TailCounts:
+    """Counts of |x_t - mu_t| > k*sigma_t for each k, added piece by
+    piece: integer counts add exactly, so the table they give does not
+    depend on how the series was split."""
+
+    def __init__(self, k_values: Sequence[int]):
+        ks = tuple(int(k) for k in k_values)
+        if not ks or min(ks) < 1:
+            raise DomainError(f"k values must be nonempty and >= 1, got {ks}")
+        self.k_values = ks
+        self.n = 0
+        self.observed = [0] * len(ks)
+
+    def add(self, values, mu, sigma):
+        """Count the points of ``values`` against their mu and sigma (one
+        a point, or one for all), `_CHUNK` points at a time."""
+        values = np.asarray(values, dtype=np.float64)
+        mu, sigma = (np.broadcast_to(v, values.shape) for v in (mu, sigma))
+        for lo in range(0, values.size, _CHUNK):
+            hi = lo + _CHUNK
+            z = np.abs(values[lo:hi] - mu[lo:hi]) / sigma[lo:hi]
+            for i, k in enumerate(self.k_values):
+                self.observed[i] += int(np.count_nonzero(z > k))
+        self.n += values.size
+
+    def table(self, nu_labels: Sequence[float]) -> "TailTable":
+        """The table of the points counted so far, n_effective of them:
+        expected counts are n_effective * P(|X| > k) for each nu."""
+        expected, named = {}, {}
+        for nu in nu_labels:
+            nu = float(nu)
+            label = format_nu_label(nu)
+            if label in named:
+                raise DomainError(f"nu labels {named[label]!r} and {nu!r} "
+                                  f"both name the column expected_nu_{label}")
+            named[label] = nu
+            fracs = [expected_tail_fraction(nu, k) for k in self.k_values]
+            expected[label] = tuple(self.n * f for f in fracs)
+        return TailTable(self.k_values, tuple(self.observed), expected,
+                         self.n)
+
+
 def tail_table(xs, traj: ParamTrajectory, nu_labels: Sequence[float],
                k_values: Sequence[int] = tuple(range(1, 11))) -> TailTable:
     """Observed vs expected counts of |x_t - mu_t| > k*sigma_t over the
-    points `traj` estimates, n_effective of them.
-
-    Expected counts are n_effective * P(|X| > k) for each requested nu.
-    """
+    points `traj` estimates (`TailCounts`)."""
     values = _values_of(xs)
     if values.size == 0:
         raise SeriesTooShortError("tail table needs a nonempty series")
-    ks = tuple(int(k) for k in k_values)
-    if not ks or min(ks) < 1:
-        raise DomainError(f"k values must be nonempty and >= 1, got {ks}")
-
-    z = np.abs(_aligned_values(traj, values) - traj.mu) / traj.sigma
-    n_eff = int(z.size)
-    observed = tuple(int(np.count_nonzero(z > k)) for k in ks)
-    expected, named = {}, {}
-    for nu in nu_labels:
-        nu = float(nu)
-        label = format_nu_label(nu)
-        if label in named:
-            raise DomainError(f"nu labels {named[label]!r} and {nu!r} both "
-                              f"name the column expected_nu_{label}")
-        named[label] = nu
-        fracs = [expected_tail_fraction(nu, k) for k in ks]
-        expected[label] = tuple(n_eff * f for f in fracs)
-    return TailTable(ks, observed, expected, n_eff)
+    counts = TailCounts(k_values)
+    counts.add(_aligned_values(traj, values), traj.mu, traj.sigma)
+    return counts.table(nu_labels)

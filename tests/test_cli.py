@@ -1100,3 +1100,291 @@ class TestOnePassFitAdaptive:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[2] - peaks[1]) < 2 ** 20, peaks
+
+
+def _write_dated(path, n, seed=0, bad_line=None, no_date_line=None):
+    """A date,x file of n i.i.d. t4 returns, dated 000000, 000001, ...;
+    file line bad_line holds an unparseable value, and file line
+    no_date_line a value without its date cell."""
+    x = 0.01 * np.random.default_rng(seed).standard_t(4, n)
+    lines = [f"{i:06d},{v!r}\n" for i, v in enumerate(x.tolist())]
+    if bad_line is not None:
+        lines[bad_line - 2] = f"{bad_line - 2:06d},abc\n"
+    if no_date_line is not None:
+        lines[no_date_line - 2] = f"{x[no_date_line - 2]!r}\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("date,x\n")
+        fh.writelines(lines)
+
+
+class TestAtomicReports:
+    """A report is written under a temporary name beside --output and
+    renamed over it when whole: a failure at any point leaves an earlier
+    file as it was and no temporary file."""
+
+    def test_copy_failure_keeps_the_earlier_report(self, tmp_path,
+                                                   monkeypatch, capsys):
+        import errno
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        _write_dated(src, 3000)
+        out.write_bytes(b"an earlier report\n")
+
+        def full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(data_io, "_copy_spans", full)
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises(OSError) as exc:
+            main(["fit-adaptive", "--returns", "--input", str(src),
+                  "--output", str(out)])
+        assert exc.value.errno == errno.ENOSPC
+        assert out.read_bytes() == b"an earlier report\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("dated", [False, True])
+    def test_late_bad_cell_keeps_the_earlier_report(self, tmp_path, capsys,
+                                                    dated):
+        # returns writes each piece as it is read: rows before the bad
+        # cell are written, and thrown away with the temporary file
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        _write_dated(src, 30_000, bad_line=20_002)
+        out.write_bytes(b"an earlier report\n")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["returns", "--returns", "--input", str(src),
+                     "--output", str(out),
+                     *(["--date-column", "date"] if dated else [])]) == 3
+        assert "line 20002" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier report\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["returns"], ["fit-adaptive"], ["fit-static"], ["tail-table"],
+        ["sweep", "--inv-nu-grid", "0.2"], ["garch"]],
+        ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("umask", [0o022, 0o007])
+    def test_mode_is_the_one_open_gives(self, synth_file, tmp_path, argv,
+                                        umask):
+        out = tmp_path / "out.csv"
+        for existing in (False, True):  # a new file, and one replaced
+            old = os.umask(umask)
+            try:
+                assert main([*argv, "--returns", "--input", str(synth_file),
+                             "--output", str(out)]) == 0
+            finally:
+                os.umask(old)
+            assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "synth.csv"]
+
+    @pytest.mark.parametrize("argv", [["returns"], ["fit-static"]],
+                             ids=lambda argv: argv[0])
+    def test_missing_directory_is_named_by_the_output(
+            self, synth_file, tmp_path, capsys, argv):
+        out = tmp_path / "no such directory" / "out.csv"
+        assert main([*argv, "--returns", "--input", str(synth_file),
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_synth_mode_is_the_one_open_gives(self, tmp_path):
+        out = tmp_path / "out.csv"
+        old = os.umask(0o027)
+        try:
+            assert main(["synth", "--output", str(out),
+                         "--segment", "100,0,1,5"]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o640
+
+    @pytest.mark.parametrize("command", ["returns", "fit-adaptive",
+                                         "tail-table"])
+    def test_fifo_and_symlink_are_written_in_place(self, synth_file,
+                                                   tmp_path, command):
+        import threading
+        argv = [command, "--returns", "--input", str(synth_file)]
+        plain = tmp_path / "plain.csv"
+        assert main([*argv, "--output", str(plain)]) == 0
+        want = plain.read_bytes().replace(str(plain).encode(), b"OUT")
+
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(
+            fifo.read_bytes()), daemon=True)
+        reader.start()
+        code = None
+        try:
+            code = main([*argv, "--output", str(fifo)])
+        finally:
+            if code != 0:  # a reader may wait for a writer that never came
+                try:
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError:
+                    pass
+            reader.join(timeout=30)
+        assert code == 0 and not reader.is_alive()
+        assert got[0].replace(str(fifo).encode(), b"OUT") == want
+
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"an earlier report\n")
+        link.symlink_to(target)
+        assert main([*argv, "--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes().replace(str(link).encode(), b"OUT") \
+            == want
+        assert sorted(os.listdir(tmp_path)) == [
+            "fifo", "link.csv", "plain.csv", "synth.csv", "target.csv"]
+
+
+class TestStreamedTailTable:
+    """Adaptive tail-table folds and counts the input piece by piece.  Its
+    report is the one the whole series gives: the state seeded from the
+    first k = min(--init-prefix, n) label-filtered points, `run` from
+    t = 0 with it, and `tail_table` over every point."""
+
+    @staticmethod
+    def _reference(src, report, argv):
+        from movingt.adaptive import run, seed_state_from_prefix
+        from movingt.data_io import write_tail_csv
+        from movingt.evaluation import tail_table
+
+        def flag(name, default=None):
+            return argv[argv.index(name) + 1] if name in argv else default
+        series = read_csv(src, date_column="date")
+        values, labels = series.values, series.labels
+        start, end = flag("--start-label"), flag("--end-label")
+        if start is not None or end is not None:
+            keep = [i for i, lab in enumerate(labels)
+                    if (start is None or lab >= start)
+                    and (end is None or lab <= end)]
+            values = values[keep]
+        nu_fixed = flag("--nu-fixed")
+        cfg = AdaptiveConfig(nu_fixed=None if nu_fixed is None
+                             else float(nu_fixed))
+        k = min(int(flag("--init-prefix", 300)), values.size)
+        traj = run(values, cfg, init=seed_state_from_prefix(values, k, cfg))
+        table = tail_table(values, traj, [3.0, 5.0, 10.0, NU_GAUSSIAN])
+        manifest = [line[2:] for line in report.read_text().splitlines()
+                    if line.startswith("# ")]
+        assert f"init_prefix = {k}" in manifest
+        assert manifest[-2:] == [f"n_effective = {table.n_effective}",
+                                 "normalization = adaptive"]
+        ref = report.with_name("reference.csv")
+        write_tail_csv(ref, table, manifest)
+        return ref.read_bytes()
+
+    # (id, points, --init-prefix, extra flags)
+    _CASES = [
+        ("whole", 3000, 300, []),
+        ("prefix spans pieces", 3000, 1000, []),
+        ("range mid-chunk", 3000, 300,
+         ["--start-label", "000103", "--end-label", "002890"]),
+        ("shorter than the prefix", 200, 300, []),
+        ("range shorter than the prefix", 3000, 300,
+         ["--start-label", "000010", "--end-label", "000150"]),
+        ("nu fixed", 3000, 300, ["--nu-fixed", "5"]),
+    ]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 8192])
+    @pytest.mark.parametrize("n, init, flags", [c[1:] for c in _CASES],
+                             ids=[c[0] for c in _CASES])
+    def test_same_bytes_as_the_whole_series(self, tmp_path, monkeypatch,
+                                            chunk, n, init, flags):
+        from movingt import adaptive, evaluation
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        _write_dated(src, n if chunk < 8192 else 9 * n)
+        for module in (data_io, adaptive, evaluation):
+            monkeypatch.setattr(module, "_CHUNK", chunk)
+        argv = ["tail-table", "--returns", "--date-column", "date",
+                "--input", str(src), "--output", str(out),
+                "--init-prefix", str(init), *flags]
+        assert main(argv) == 0
+        assert out.read_bytes() == self._reference(src, out, argv)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_bad_cell_in_a_late_chunk(self, tmp_path, capsys, existing):
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        _write_dated(src, 30_000, bad_line=29_000)
+        if existing:
+            out.write_bytes(b"an earlier report\n")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["tail-table", "--returns", "--date-column", "date",
+                     "--input", str(src), "--output", str(out)]) == 3
+        assert "cannot parse 'abc' at line 29000" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+        if existing:
+            assert out.read_bytes() == b"an earlier report\n"
+
+
+# commands that read the values alone, without their date labels
+_VALUES_ONLY = [
+    ["fit-static"], ["sweep"], ["garch"], ["tail-table"],
+    ["tail-table", "--normalization", "static"]]
+
+
+class TestValuesOnlyRead:
+    """fit-static, sweep, garch and tail-table keep no date label, but
+    find and check --date-column as `read_csv` does: the same ParseError,
+    exit 3 and no report."""
+
+    @pytest.mark.parametrize("argv", _VALUES_ONLY,
+                             ids=lambda argv: "-".join(argv))
+    @pytest.mark.parametrize("case", ["no such column", "index out of range",
+                                      "late row without its date"])
+    def test_date_column_errors_as_read_csv_gives_them(
+            self, tmp_path, capsys, argv, case):
+        from movingt.errors import ParseError
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        _write_dated(src, 30_000, no_date_line=(
+            25_000 if case == "late row without its date" else None))
+        date_column = {"no such column": "day",
+                       "index out of range": "2"}.get(case, "date")
+        with pytest.raises(ParseError) as want:
+            read_csv(src, date_column=date_column)
+        assert main([*argv, "--returns", "--input", str(src), "--output",
+                     str(out), "--date-column", date_column]) == 3
+        assert capsys.readouterr().err == f"error: {want.value}\n"
+        assert "line" in str(want.value)
+        assert sorted(os.listdir(tmp_path)) == ["in.csv"]
+
+
+def _traced_peak(argv):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Traced peaks (tracemalloc, in this process): `returns` and adaptive
+    tail-table hold a piece at a time, and the commands that hold the
+    values hold no date label beside them."""
+
+    @pytest.mark.parametrize("argv", [["returns"], ["tail-table"]],
+                             ids=lambda argv: argv[0])
+    def test_streamed_peak_does_not_grow_with_the_series(self, tmp_path,
+                                                         capsys, argv):
+        peaks = []
+        for n in (1000, 30_000, 120_000):  # the first fills the caches
+            src = tmp_path / f"in{n}.csv"
+            _write_dated(src, n)
+            peaks.append(_traced_peak([
+                *argv, "--returns", "--date-column", "date", "--input",
+                str(src), "--output", str(tmp_path / "out.csv")]))
+        assert abs(peaks[2] - peaks[1]) < 2 ** 20, peaks
+
+    @pytest.mark.parametrize("argv, n", [
+        (["fit-static"], 60_000), (["sweep", "--inv-nu-grid", "0.2"], 20_000),
+        (["tail-table", "--normalization", "static"], 60_000)],
+        ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    def test_no_labels_beside_the_values(self, tmp_path, capsys, argv, n):
+        # n labels would take some 60 bytes each
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        _write_dated(src, n)
+        common = [*argv, "--returns", "--input", str(src), "--output",
+                  str(out)]
+        _traced_peak(common)  # fills the caches
+        bare = _traced_peak(common)
+        dated = _traced_peak([*common, "--date-column", "date"])
+        assert abs(dated - bare) < 256 * 1024, (dated, bare)

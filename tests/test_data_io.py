@@ -224,11 +224,12 @@ class TestReaderCases:
             assert values.tobytes() == np.array(want).tobytes()
 
 
-def _read_outcome(path, column, date_column):
+def _read_outcome(path, column, date_column, keep_labels=True):
     """What `read_returns` makes of a file: its pieces' values and labels,
     or the type and message of the error it raises."""
     try:
-        pieces = list(read_returns(path, column, date_column))
+        pieces = list(read_returns(path, column, date_column,
+                                   keep_labels=keep_labels))
     except Exception as exc:  # the row parser's errors, whatever their type
         return type(exc), str(exc)
     return [p.values.tobytes() for p in pieces], [p.labels for p in pieces]
@@ -237,15 +238,23 @@ def _read_outcome(path, column, date_column):
 def _assert_fast_path_reads_as_row_parser(path, column, date_column=None):
     """The same pieces, or the same error, with the reader's fast path and
     with the row parser alone (every block refused), at chunk sizes that
-    put block edges on every line."""
+    put block edges on every line; and without the labels, the same
+    values, or the same error, on either path."""
     from movingt import data_io
     for chunk in (1, 2, 7, 8192):
         with mock.patch.object(data_io, "_CHUNK", chunk):
             fast = _read_outcome(path, column, date_column)
+            bare = _read_outcome(path, column, date_column, False)
             with mock.patch.object(data_io, "_append_block",
                                    lambda *block: False):
                 rows = _read_outcome(path, column, date_column)
+                bare_rows = _read_outcome(path, column, date_column, False)
         assert fast == rows, chunk
+        if isinstance(rows[0], type):  # an error
+            assert bare == bare_rows == rows, chunk
+        else:
+            assert bare == bare_rows == (rows[0], [None] * len(rows[0])), \
+                chunk
 
 
 # (case, file bytes, column, date column)
@@ -399,6 +408,9 @@ class TestReadReturns:
         for series in (joined, read_csv(f, date_column="date", kind=kind)):
             assert series.values.tobytes() == values.tobytes()
             assert series.labels == labels
+        bare = read_csv(f, date_column="date", kind=kind, keep_labels=False)
+        assert bare.values.tobytes() == values.tobytes()
+        assert bare.labels is None
 
     def test_price_errors_as_read_csv_gives_them(self, tmp_path,
                                                  monkeypatch):

@@ -223,6 +223,6 @@ def test_readme_defaults_table_matches_the_parser():
 def test_readme_worker_threshold_matches_the_writer():
     from movingt import data_io
     section = README.read_text(encoding="utf-8").split(
-        "\n### `fit-adaptive`'s time and memory\n", 1)[1].split("\n## ", 1)[0]
+        "\n### Time and memory\n", 1)[1].split("\n## ", 1)[0]
     stated = re.findall(r"once (\d+) rows are written", section)
     assert stated == [str(data_io._PARALLEL_MIN_ROWS)]
