@@ -38,9 +38,9 @@ from .adaptive import (_CHUNK, AdaptiveConfig, run_pieces,
 from .baselines import (GarchParams, fit_garch_mle, garch_filter,
                         simulate_garch)
 from .data_io import (ReturnSeries, Segment, TrajectoryWriter, _fmt,
-                      generate_synthetic, join_values, read_csv,
-                      read_returns, write_row_csv, write_series_csv,
-                      write_series_pieces, write_sweep_csv, write_tail_csv)
+                      generate_synthetic, join_values, read_returns,
+                      write_row_csv, write_series_csv, write_series_pieces,
+                      write_sweep_csv, write_tail_csv)
 from .distribution import NU_GAUSSIAN, log_density
 from .errors import (DegenerateDataError, DomainError, MonotonicityError,
                      MovingTError, NonConvergenceError, ParseError,
@@ -156,9 +156,8 @@ def _read_pieces(args, keep_labels=True):
 def _read_values(args) -> np.ndarray:
     """The input's series whole, without the date labels, which the
     command does not print; the date column is still checked."""
-    return read_csv(args.input, column=args.column,
-                    date_column=args.date_column, kind=_kind(args),
-                    keep_labels=False).values
+    return join_values(piece.values
+                       for piece in _read_pieces(args, keep_labels=False))
 
 
 def _input_manifest(args, config: dict) -> list:

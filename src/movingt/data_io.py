@@ -18,11 +18,12 @@ line, a cell that is not a finite float, a very long line) goes through
 the row parser, which raises its error at its line.  `read_returns`
 hands the chunks on as return pieces (log-returns, for a price column),
 so a caller can fold and write a series without holding it, and
-`read_csv` joins those pieces into one series.  Either may leave the
-date labels out (``keep_labels=False``) and still check that every row
-has its date cell.  Every report is written under a temporary name
-beside its path and renamed over it when whole (`_open_out`), so a
-failed run leaves an earlier report as it was.  The series and
+`read_csv` joins those pieces into one series.  `read_returns` may
+leave the date labels out (``keep_labels=False``) and still check that
+every row has its date cell; `join_values` joins such pieces' values.
+Every report is written under a temporary name beside the file it
+replaces and renamed over it when whole (`_open_out`), so a failed run
+leaves an earlier report as it was.  The series and
 trajectory writers format chunks with one function.  Shortest
 round-trip repr is most of a large write, so once `_PARALLEL_MIN_ROWS`
 rows are written, when the process may run on two or more CPUs and can
@@ -136,27 +137,22 @@ def _resolve_column(spec: Union[int, str]):
 
 def read_csv(path, column: Union[int, str] = "x",
              date_column: Union[int, str, None] = None,
-             kind: str = "returns", keep_labels: bool = True) -> ReturnSeries:
+             kind: str = "returns") -> ReturnSeries:
     """Read one numeric column (plus an optional date column) from a CSV
     as a ReturnSeries: the pieces of `read_returns`, joined.
 
     ``column``/``date_column`` may be header names or 0-based indices.
     NaN, infinite and empty cells are rejected with their line number.
     With ``kind="prices"`` the column holds prices, and the series is
-    their log-returns (`to_log_returns`).  With ``keep_labels=False``
-    the date column is found and every row's date cell checked as
-    before, but the series has no labels.
+    their log-returns (`to_log_returns`).
     """
-    labels: Optional[List[str]] = ([] if keep_labels and date_column
-                                   is not None else None)
-
-    def values():
-        for piece in read_returns(path, column, date_column, kind,
-                                  keep_labels):
-            if labels is not None:
-                labels.extend(piece.labels)
-            yield piece.values
-    return ReturnSeries(join_values(values()), labels)
+    values = array("d")
+    labels: Optional[List[str]] = [] if date_column is not None else None
+    for piece in read_returns(path, column, date_column, kind):
+        values.frombytes(piece.values.tobytes())
+        if labels is not None:
+            labels += piece.labels
+    return ReturnSeries(np.frombuffer(values, dtype=np.float64), labels)
 
 
 def join_values(arrays) -> np.ndarray:
@@ -434,25 +430,24 @@ def _fmt(v) -> str:
 
 @contextmanager
 def _open_out(path):
-    """The text file of a report, which replaces ``path`` when the with
-    block ends without an error.
+    """The text file of a report, which replaces the file at ``path``
+    when the with block ends without an error.
 
     The report is written under a temporary name in the directory of
-    ``path``, created as open() creates a file (mode 0666 less the
-    umask), and `os.replace` moves it over ``path``; a failure removes
-    it, so any earlier file at ``path`` stays as it was.  A path that
-    exists and is not itself a regular file (a FIFO, a device, a
-    symlink such as /dev/stdout) is written in place.
+    the file it replaces (`_replaced_file`: the end of ``path``'s
+    symlinks, so a link stays a link), and `os.replace` moves it there;
+    a failure removes it, so any earlier file stays as it was.  A
+    replaced file's mode is kept, and a new file gets the one open()
+    gives (0666 less the umask); owner and hard links are not kept.  A
+    FIFO, a device, or a path that is or leads into /dev or /proc (such
+    as /dev/stdout) is written in place.
     """
-    try:
-        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
-    except FileNotFoundError:
-        in_place = False
-    if in_place:
+    target, mode = _replaced_file(path)
+    if target is None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
-    head, tail = os.path.split(os.path.abspath(path))
+    head, tail = os.path.split(target)
     while True:
         tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
         try:
@@ -464,11 +459,40 @@ def _open_out(path):
             raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
+            if mode is not None:
+                os.fchmod(fd, mode)
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _replaced_file(path):
+    """(file, mode) of a report's ``path``: the absolute path of the file
+    a report replaces, which is ``path`` or the end of its symlinks, and
+    that file's permission bits (None when there is no file yet); or
+    (None, None) when the report is written in place: at a FIFO, a
+    device, anything else that is not a regular file, or a path in /dev
+    or /proc, where a link such as /proc/self/fd/1 may name a file that
+    a shell opened."""
+    target = os.path.abspath(path)
+    for _ in range(40):  # the kernel's limit on links followed
+        head, tail = os.path.split(target)
+        head = os.path.realpath(head)
+        target = os.path.join(head, tail)
+        if target.startswith(("/dev/", "/proc/")):
+            break
+        try:
+            st = os.lstat(target)
+        except FileNotFoundError:
+            return target, None
+        if stat.S_ISREG(st.st_mode):
+            return target, stat.S_IMODE(st.st_mode)
+        if not stat.S_ISLNK(st.st_mode):
+            break
+        target = os.path.join(head, os.readlink(target))
+    return None, None
 
 
 def _emit(fh, manifest_lines, header, rows):

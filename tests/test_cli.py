@@ -1194,10 +1194,53 @@ class TestAtomicReports:
             os.umask(old)
         assert out.stat().st_mode & 0o777 == 0o640
 
+    @pytest.mark.parametrize("argv", [
+        ["returns"], ["fit-adaptive"], ["fit-static"], ["tail-table"],
+        ["sweep", "--inv-nu-grid", "0.2"], ["garch"]],
+        ids=lambda argv: argv[0])
+    def test_replaced_report_keeps_its_mode(self, synth_file, tmp_path,
+                                            argv):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"an earlier report\n")
+        out.chmod(0o600)
+        old = os.umask(0o022)
+        try:
+            assert main([*argv, "--returns", "--input", str(synth_file),
+                         "--output", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.read_bytes() != b"an earlier report\n"
+        assert out.stat().st_mode & 0o7777 == 0o600
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "synth.csv"]
+
+    def test_failure_through_a_symlink_keeps_its_target(self, tmp_path,
+                                                        capsys):
+        src = tmp_path / "in.csv"
+        _write_dated(src, 30_000, bad_line=20_002)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"an earlier report\n")
+        link.symlink_to("target.csv")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["returns", "--returns", "--input", str(src),
+                     "--output", str(link)]) == 3
+        assert "line 20002" in capsys.readouterr().err
+        assert link.is_symlink() and os.readlink(link) == "target.csv"
+        assert target.read_bytes() == b"an earlier report\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_symlink_into_dev_is_written_in_place(self, synth_file,
+                                                  tmp_path):
+        link = tmp_path / "null.csv"
+        link.symlink_to(os.devnull)
+        assert main(["returns", "--returns", "--input", str(synth_file),
+                     "--output", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == os.devnull
+        assert sorted(os.listdir(tmp_path)) == ["null.csv", "synth.csv"]
+
     @pytest.mark.parametrize("command", ["returns", "fit-adaptive",
                                          "tail-table"])
-    def test_fifo_and_symlink_are_written_in_place(self, synth_file,
-                                                   tmp_path, command):
+    def test_fifo_is_written_in_place_and_a_symlink_kept(
+            self, synth_file, tmp_path, command):
         import threading
         argv = [command, "--returns", "--input", str(synth_file)]
         plain = tmp_path / "plain.csv"
@@ -1223,11 +1266,12 @@ class TestAtomicReports:
         assert code == 0 and not reader.is_alive()
         assert got[0].replace(str(fifo).encode(), b"OUT") == want
 
+        # a symlink's target is replaced, and the link stays
         target, link = tmp_path / "target.csv", tmp_path / "link.csv"
         target.write_bytes(b"an earlier report\n")
         link.symlink_to(target)
         assert main([*argv, "--output", str(link)]) == 0
-        assert link.is_symlink()
+        assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_bytes().replace(str(link).encode(), b"OUT") \
             == want
         assert sorted(os.listdir(tmp_path)) == [

@@ -408,9 +408,6 @@ class TestReadReturns:
         for series in (joined, read_csv(f, date_column="date", kind=kind)):
             assert series.values.tobytes() == values.tobytes()
             assert series.labels == labels
-        bare = read_csv(f, date_column="date", kind=kind, keep_labels=False)
-        assert bare.values.tobytes() == values.tobytes()
-        assert bare.labels is None
 
     def test_price_errors_as_read_csv_gives_them(self, tmp_path,
                                                  monkeypatch):
