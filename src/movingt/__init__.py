@@ -18,7 +18,7 @@ from .errors import (DegenerateDataError, DivergentMomentError, DomainError,
                      MonotonicityError, MovingTError, NonConvergenceError,
                      ParseError, SeriesTooShortError)
 from .evaluation import (SweepReport, TailTable, expected_tail_fraction,
-                         mean_log_likelihood, nu_sweep, tail_table)
+                         mean_log_likelihood, nu_sweep)
 from .static_estimators import build_nu_table, compute_moments, static_fit
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "MonotonicityError", "MovingTError", "NonConvergenceError",
     "ParseError", "SeriesTooShortError",
     "SweepReport", "TailTable", "expected_tail_fraction",
-    "mean_log_likelihood", "nu_sweep", "tail_table",
+    "mean_log_likelihood", "nu_sweep",
     "build_nu_table", "compute_moments", "static_fit",
     "__version__",
 ]

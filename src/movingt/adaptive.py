@@ -1,8 +1,8 @@
 """Moving estimation of Student-t parameters via exponential moving averages.
 
 Each step first forms the parameter estimate (mu_t, sigma_t, nu_t) from
-the current state, scores the incoming point out-of-sample, and only
-then ingests it:
+the current state, for which the incoming point is out of sample, and
+only then ingests it:
 
     mu      <- mu + eta1 * (x - mu)
     m_p     <- m_p + eta  * (|x - mu_t|^p - m_p)      (pre-update mu_t)
@@ -27,10 +27,11 @@ chunk the center and the three moment EMAs are first-order recursions,
 built with `itertools.accumulate` from the same update expression as
 `step`; nu and sigma are the vectorized maps of `static_estimators`
 applied to those state paths, the maps the static fit evaluates at the
-whole-sample moments, and each point is scored by the package's one
-density, `distribution.log_density`.  Every value depends only on
-the values before it, so the output does not depend on the chunk size.
-`run` is `seed_state_from_prefix` plus `update`.
+whole-sample moments; a fixed nu is a view of its one value, as the
+static fit's columns are.  Every value depends only on the values
+before it, so the output does not depend on the chunk size.  `run` is
+`seed_state_from_prefix` plus `update`.  The fold returns parameters
+only: scoring a point is `evaluation.score`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .distribution import StudentTParams, _log_abs_moment, log_density
+from .distribution import StudentTParams, _log_abs_moment
 from .errors import DomainError, SeriesTooShortError
 from .static_estimators import (DEFAULT_NU_ADJUSTMENT, DEFAULT_NU_CAP,
                                 _inversion_table, _power_overflow,
@@ -162,14 +163,13 @@ class EmaState:
 
 @dataclass(frozen=True)
 class ParamTrajectory:
-    """Per-step estimates: entry i of mu, sigma, nu and the out-of-sample
-    log_density is for point start + i of the folded series."""
+    """Per-step estimates: entry i of mu, sigma and nu is the estimate
+    for point start + i of the folded series, made before that point."""
 
     start: int
     mu: np.ndarray
     sigma: np.ndarray
     nu: np.ndarray
-    log_density: np.ndarray
 
     def __len__(self) -> int:
         return int(self.mu.size)
@@ -306,29 +306,28 @@ def update(state: EmaState, xs, config: AdaptiveConfig):
     """
     x = np.asarray(xs, dtype=np.float64)
     n = int(x.size)
-    traj = ParamTrajectory(start=0, mu=np.empty(n), sigma=np.empty(n),
-                           nu=np.empty(n), log_density=np.empty(n))
+    traj = ParamTrajectory(
+        start=0, mu=np.empty(n), sigma=np.empty(n),
+        nu=(np.empty(n) if config.nu_fixed is None
+            else np.broadcast_to(config.nu_fixed, n)))
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        chunk = x[lo:hi]
-        mu, m_sigma, m1, m2 = moment_paths(chunk, state, config)
+        mu, m_sigma, m1, m2 = moment_paths(x[lo:hi], state, config)
         if config.nu_fixed is None:
             nu = adjusted_nu(
                 raw_nu(m1[:-1], m2[:-1], config.p1, config.p2, config.nu_min,
                        config.nu_cap, config.moment_floor),
                 config.nu_adjustment, config.nu_cap)
+            traj.nu[lo:hi] = nu
             state = EmaState(mu[-1].item(), m_sigma[-1].item(),
                              m1[-1].item(), m2[-1].item())
         else:
             nu = config.nu_fixed
             state = EmaState(mu[-1].item(), m_sigma[-1].item(),
                              state.m1, state.m2)
-        sigma = sigma_of(m_sigma[:-1], nu, config.p_sigma,
-                         config.moment_floor)
         traj.mu[lo:hi] = mu[:-1]
-        traj.nu[lo:hi] = nu
-        traj.sigma[lo:hi] = sigma
-        traj.log_density[lo:hi] = log_density(chunk, mu[:-1], sigma, nu)
+        traj.sigma[lo:hi] = sigma_of(m_sigma[:-1], nu, config.p_sigma,
+                                     config.moment_floor)
     return state, traj
 
 

@@ -3,10 +3,11 @@
 This module fits; `evaluation` scores.  The scale MLE returns sigma
 alone.  It solves the score equation in ln(sigma), which is well
 conditioned across the multi-decade sigma ranges nonstationary series
-produce.  The GARCH filter returns its model as a trajectory, as the
-fold does: center 0, sigma_t, nu at the Gaussian limit and each point's
-log-density from `distribution.log_density` at that limit.  Only the
-fit's objective keeps its own Gaussian formula, with its derivatives.
+produce.  The GARCH filter returns its model as a trajectory of
+parameters, as the fold does: center 0, sigma_t and nu at the Gaussian
+limit.  A caller that scores passes the MLE's sigma or the filter's
+trajectory to `evaluation.score`.  Only the fit's objective keeps its
+own Gaussian formula, with its derivatives.
 
 The GARCH variance recursion is a numpy doubling scan.  The GARCH fit is
 a projected Newton search (Bertsekas 1982) with the exact Hessian of the
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptive import ParamTrajectory
-from .distribution import NU_GAUSSIAN, log_density
+from .distribution import NU_GAUSSIAN
 from .errors import DomainError, NonConvergenceError, SeriesTooShortError
 
 __all__ = [
@@ -177,18 +178,15 @@ def _garch_variance(x2, omega: float, alpha: float, beta: float,
 
 def garch_filter(xs, params: GarchParams) -> ParamTrajectory:
     """The causal variance recursion over xs as a trajectory from t = 0:
-    center 0, sigma_t, nu at the Gaussian limit, and the out-of-sample
-    Gaussian log-density of each point."""
+    center 0, sigma_t from x_<t only, and nu at the Gaussian limit."""
     xs = np.asarray(xs, dtype=np.float64)
     n = xs.size
     if n == 0:
         raise SeriesTooShortError("cannot filter an empty series")
     sigma = np.sqrt(_garch_variance(xs * xs, params.omega, params.alpha,
                                     params.beta, params.initial_var))
-    return ParamTrajectory(
-        start=0, mu=np.broadcast_to(0.0, n), sigma=sigma,
-        nu=np.broadcast_to(NU_GAUSSIAN, n),
-        log_density=log_density(xs, 0.0, sigma, NU_GAUSSIAN))
+    return ParamTrajectory(start=0, mu=np.broadcast_to(0.0, n), sigma=sigma,
+                           nu=np.broadcast_to(NU_GAUSSIAN, n))
 
 
 def _garch_mean_loglik(xs, omega: float, alpha: float, beta: float,

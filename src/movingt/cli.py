@@ -33,20 +33,20 @@ from dataclasses import replace
 
 import numpy as np
 
-from .adaptive import (_CHUNK, AdaptiveConfig, run_pieces,
-                       seed_state_from_prefix, update)
+from .adaptive import (AdaptiveConfig, run_pieces, seed_state_from_prefix,
+                       update)
 from .baselines import (GarchParams, fit_garch_mle, garch_filter,
                         simulate_garch)
 from .data_io import (ReturnSeries, Segment, TrajectoryWriter, _fmt,
                       generate_synthetic, join_values, read_returns,
                       write_row_csv, write_series_csv, write_series_pieces,
                       write_sweep_csv, write_tail_csv)
-from .distribution import NU_GAUSSIAN, log_density
+from .distribution import NU_GAUSSIAN
 from .errors import (DegenerateDataError, DomainError, MonotonicityError,
                      MovingTError, NonConvergenceError, ParseError,
                      SeriesTooShortError)
 from .evaluation import (ExactSum, TailCounts, check_warmup,
-                         mean_log_likelihood, nu_of_inv, nu_sweep)
+                         mean_log_likelihood, nu_of_inv, nu_sweep, score)
 from .static_estimators import compute_moments, static_fit
 
 _USAGE_ERRORS = (DomainError, FileNotFoundError, IsADirectoryError,
@@ -218,17 +218,19 @@ def _cmd_fit_adaptive(args) -> int:
     total, n = ExactSum(), 0
     with TrajectoryWriter(args.output) as out:
         for points, traj in run_pieces(pieces, cfg, args.init_prefix):
-            total.add(traj.log_density[max(args.warmup - traj.start, 0):])
-            out.write(traj, points.values, points.labels)
+            log_density = np.empty(len(traj))
+            score(points.values, traj.mu, traj.sigma, traj.nu, total,
+                  skip=max(args.warmup - traj.start, 0), out=log_density)
+            out.write(traj, points.values, log_density, points.labels)
             n = traj.start + len(traj)
         check_warmup(args.warmup, n)
-        score = total.mean()
+        loglik = total.mean()
         manifest = _input_manifest(args, {
             **_flag_values(args, _ESTIMATOR_KEYS + _ADAPTIVE_KEYS),
             "warmup": args.warmup, "init_prefix": args.init_prefix})
-        manifest.append(f"mean_log_likelihood = {score!r}")
+        manifest.append(f"mean_log_likelihood = {loglik!r}")
         out.commit(manifest)
-    print(f"mean_log_likelihood = {score!r}")
+    print(f"mean_log_likelihood = {loglik!r}")
     return 0
 
 
@@ -243,23 +245,19 @@ def _cmd_fit_static(args) -> int:
             f"--mu wants 'mean' or a number, got {args.mu!r}") from None
     mu_hat, sigma_hat, nu_raw, nu_adj = _static_fit(values, args, mu)
     check_warmup(args.warmup, len(values))
-    total = ExactSum()
-    for lo in range(args.warmup, len(values), _CHUNK):
-        total.add(log_density(values[lo:lo + _CHUNK], mu_hat, sigma_hat,
-                              nu_adj))
-    score = total.mean()
+    loglik = score(values, mu_hat, sigma_hat, nu_adj, skip=args.warmup).mean()
     manifest = _input_manifest(args, {**_flag_values(args, _ESTIMATOR_KEYS),
                                       "mu": args.mu, "warmup": args.warmup})
     write_row_csv(args.output,
                   ["mu_hat", "sigma_hat", "nu_raw", "nu_adjusted",
                    "p_sigma", "mean_loglik", "n"],
                   [mu_hat, sigma_hat, nu_raw, nu_adj,
-                   args.p_sigma, score, len(values)],
+                   args.p_sigma, loglik, len(values)],
                   manifest)
     print(f"mu_hat = {mu_hat!r}")
     print(f"sigma_hat = {sigma_hat!r}")
     print(f"nu_adjusted = {nu_adj!r}")
-    print(f"mean_log_likelihood = {score!r}")
+    print(f"mean_log_likelihood = {loglik!r}")
     return 0
 
 
@@ -371,20 +369,20 @@ def _cmd_garch(args) -> int:
     values = _read_values(args)
     check_warmup(args.warmup, len(values))
     params = fit_garch_mle(values)
-    score = mean_log_likelihood(garch_filter(values, params), values,
-                                args.warmup)
+    loglik = mean_log_likelihood(garch_filter(values, params), values,
+                                 args.warmup)
     manifest = _input_manifest(args, {"warmup": args.warmup})
     manifest.append(f"persistence_clamped = {params.persistence_clamped}")
     write_row_csv(args.output,
                   ["omega", "alpha", "beta", "initial_var",
                    "mean_loglik", "n"],
                   [params.omega, params.alpha, params.beta,
-                   params.initial_var, score, len(values)],
+                   params.initial_var, loglik, len(values)],
                   manifest)
     print(f"omega = {params.omega!r}")
     print(f"alpha = {params.alpha!r}")
     print(f"beta = {params.beta!r}")
-    print(f"mean_log_likelihood = {score!r}")
+    print(f"mean_log_likelihood = {loglik!r}")
     return 0
 
 

@@ -679,23 +679,25 @@ class TrajectoryWriter:
             self._pool = None
         self._tmp.close()
 
-    def write(self, traj, values, labels=None):
+    def write(self, traj, values, log_density, labels=None):
         """Append the rows of ``traj``: row i is point traj.start + i,
-        whose value is values[i] and date labels[i].  DomainError, before
-        a row is written, unless values (and labels) hold one entry a
-        row."""
+        whose value is values[i], score log_density[i] and date
+        labels[i].  DomainError, before a row is written, unless values,
+        log_density (and labels) hold one entry a row."""
         n = len(traj)
-        if len(values) != n or (labels is not None and len(labels) != n):
+        if (len(values) != n or len(log_density) != n
+                or (labels is not None and len(labels) != n)):
             raise DomainError(
                 f"{n} trajectory rows from t={traj.start} need as many "
-                f"values and labels, got {len(values)} values"
+                f"values, log-densities and labels, got {len(values)} "
+                f"values, {len(log_density)} log-densities"
                 + ("" if labels is None else f" and {len(labels)} labels"))
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
             chunk = (traj.start + lo,
                      None if labels is None else labels[lo:hi],
                      *(c[lo:hi] for c in (values, traj.mu, traj.sigma,
-                                          traj.nu, traj.log_density)))
+                                          traj.nu, log_density)))
             if self._workers:
                 if self._pool is None:  # started for the chunk in hand
                     import multiprocessing

@@ -1,14 +1,16 @@
 """Scoring and report generation.
 
-Every model is scored as a trajectory of per-step predictive densities:
-the moving estimate, the static fit (a trajectory that never moves) and
-the GARCH filter alike.  `mean_log_likelihood` averages a trajectory's
-out-of-sample log-densities under the one warmup convention
-(`check_warmup`), and `tail_table` counts the points beyond k sigma_t
-of mu_t.  The fixed-nu likelihood sweep compares the static sigma-MLE,
-the adaptive sigma and GARCH.  Every reported mean is an exact sum
-(`math.fsum`) divided by the count, so it does not depend on how the
-terms were chunked.
+The fits return parameters; this module scores them.  `score` is the
+one scorer: it evaluates `distribution.log_density` at each point's
+(mu_t, sigma_t, nu_t), a chunk at a time, and adds the scores to an
+`ExactSum`.  Every model is a trajectory of estimates: the moving
+estimate, the static fit (a trajectory that never moves) and the GARCH
+filter alike.  `mean_log_likelihood` scores a trajectory's points under
+the one warmup convention (`check_warmup`), and `TailCounts` counts the
+points beyond k sigma_t of mu_t.  The fixed-nu likelihood sweep
+compares the static sigma-MLE, the adaptive sigma and GARCH.  Every
+reported mean is an exact sum (`math.fsum`) divided by the count, so it
+does not depend on how the terms were chunked.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ __all__ = [
     "TailCounts",
     "mean_log_likelihood",
     "nu_sweep",
-    "tail_table",
     "expected_tail_fraction",
     "ExactSum",
+    "score",
     "check_warmup",
     "format_nu_label",
     "inv_nu_of",
@@ -143,10 +145,26 @@ def check_warmup(warmup: int, n: int) -> None:
             f"warmup={warmup} leaves nothing to score in {n} points")
 
 
-def _exact_mean(terms) -> float:
-    total = ExactSum()
-    total.add(terms)
-    return total.mean()
+def score(values, mu, sigma, nu, total=None, *, skip=0, out=None):
+    """The package's one scorer: ln rho of values[i] at (mu_i, sigma_i,
+    nu_i), each of mu, sigma and nu one value or one per point, `_CHUNK`
+    points at a time.  The scores from index ``skip`` on are added to
+    ``total``, an `ExactSum` (a new one by default), which is returned;
+    ``out``, one entry a point, receives every score."""
+    values = np.asarray(values, dtype=np.float64)
+    total = ExactSum() if total is None else total
+    # a view of one value (a static fit, a fixed nu, the GARCH filter's
+    # mu and nu) is passed as that value: one lgamma pair, not one a point
+    mu, sigma, nu = (v.flat[0] if isinstance(v, np.ndarray) and v.size
+                     and not any(v.strides) else v for v in (mu, sigma, nu))
+    for lo in range(0 if out is not None else skip, values.size, _CHUNK):
+        hi = lo + _CHUNK
+        scores = log_density(values[lo:hi], *(v[lo:hi] if np.ndim(v) else v
+                                              for v in (mu, sigma, nu)))
+        if out is not None:
+            out[lo:hi] = scores
+        total.add(scores[max(skip - lo, 0):])
+    return total
 
 
 def mean_log_likelihood(traj: ParamTrajectory, xs, warmup: int) -> float:
@@ -154,11 +172,11 @@ def mean_log_likelihood(traj: ParamTrajectory, xs, warmup: int) -> float:
     `traj` estimates, as an exact sum over the count."""
     values = _values_of(xs)
     check_warmup(warmup, values.size)
-    _aligned_values(traj, values)
-    scored = traj.log_density[max(warmup - traj.start, 0):]
-    if scored.size == 0:
+    points = _aligned_values(traj, values)
+    skip = max(warmup - traj.start, 0)
+    if skip >= len(traj):
         raise SeriesTooShortError("no records at or beyond the warmup index")
-    return _exact_mean(scored)
+    return score(points, traj.mu, traj.sigma, traj.nu, skip=skip).mean()
 
 
 @dataclass(frozen=True)
@@ -220,17 +238,13 @@ def nu_sweep(xs, nu_grid: Sequence[float], warmup: int, *,
     check_warmup(warmup, values.size)
 
     scored = values[warmup:]
-    p_eff_overrides: Dict[float, float] = {}
-    static = []
-    for cfg in configs:
-        if cfg.p_sigma != p_sigma:
-            p_eff_overrides[inv_nu_of(cfg.nu_fixed)] = cfg.p_sigma
-        sigma = fit_sigma_mle(scored, 0.0, cfg.nu_fixed)
-        static.append(_exact_mean(log_density(scored, 0.0, sigma,
-                                              cfg.nu_fixed)))
+    p_eff_overrides = {inv_nu_of(cfg.nu_fixed): cfg.p_sigma
+                       for cfg in configs if cfg.p_sigma != p_sigma}
+    static = [score(scored, 0.0, fit_sigma_mle(scored, 0.0, cfg.nu_fixed),
+                    cfg.nu_fixed) for cfg in configs]
+    adaptive = [ExactSum() for _ in configs]
     # one fold per distinct power, in chunks that carry its state; every
     # nu of that power is scored from each chunk's moment path
-    adaptive = [ExactSum() for _ in configs]
     for p_eff in dict.fromkeys(cfg.p_sigma for cfg in configs):
         group = [(cfg, total) for cfg, total in zip(configs, adaptive)
                  if cfg.p_sigma == p_eff]
@@ -242,9 +256,9 @@ def nu_sweep(xs, nu_grid: Sequence[float], warmup: int, *,
             for cfg, total in group:
                 sigma = sigma_of(m_sigma[:-1], cfg.nu_fixed, p_eff,
                                  moment_floor)
-                total.add(log_density(chunk, 0.0, sigma, cfg.nu_fixed))
-    rows = sorted((SweepRow(inv_nu_of(cfg.nu_fixed), score, total.mean())
-                   for cfg, score, total in zip(configs, static, adaptive)),
+                score(chunk, 0.0, sigma, cfg.nu_fixed, total)
+    rows = sorted((SweepRow(inv_nu_of(cfg.nu_fixed), s.mean(), a.mean())
+                   for cfg, s, a in zip(configs, static, adaptive)),
                   key=lambda r: r.inv_nu)
 
     garch = fit_garch_mle(values)
@@ -307,15 +321,3 @@ class TailCounts:
             expected[label] = tuple(self.n * f for f in fracs)
         return TailTable(self.k_values, tuple(self.observed), expected,
                          self.n)
-
-
-def tail_table(xs, traj: ParamTrajectory, nu_labels: Sequence[float],
-               k_values: Sequence[int] = tuple(range(1, 11))) -> TailTable:
-    """Observed vs expected counts of |x_t - mu_t| > k*sigma_t over the
-    points `traj` estimates (`TailCounts`)."""
-    values = _values_of(xs)
-    if values.size == 0:
-        raise SeriesTooShortError("tail table needs a nonempty series")
-    counts = TailCounts(k_values)
-    counts.add(_aligned_values(traj, values), traj.mu, traj.sigma)
-    return counts.table(nu_labels)

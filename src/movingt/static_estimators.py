@@ -5,8 +5,8 @@ through a precomputed monotone table, plus an additive adjustment
 (default 0.9) before the cap.  The maps are vectorized: the moving
 estimator's fold applies them to its EMA moment paths, the static fit
 to the whole-sample moments.  `adaptive.step` holds their scalar form.
-The scale map `sigma_of` gives sigma alone; a caller that scores takes
-the log-density from `distribution.log_density`.
+The scale map `sigma_of` gives sigma alone; a caller that scores passes
+the parameters to `evaluation.score`.
 """
 
 from __future__ import annotations

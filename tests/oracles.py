@@ -5,7 +5,10 @@
 tests compare the package against code it does not share.  The density,
 seeded draws and the Monte Carlo power-choice experiment (acceptance
 criterion 7) are called by tests only, so they live here and not in the
-package's API.
+package's API.  So do two whole-series oracles over the package's own
+parts: `trajectory_scores`, every score of a trajectory from
+`evaluation.score`, and `tail_table`, the table of `TailCounts` over a
+whole trajectory, against which the streamed `tail-table` is checked.
 """
 
 from __future__ import annotations
@@ -15,9 +18,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from movingt.adaptive import ParamTrajectory
 from movingt.distribution import (NU_GAUSSIAN, StudentTParams,
                                   abs_central_moment, draw)
-from movingt.errors import DomainError
+from movingt.errors import DomainError, SeriesTooShortError
+from movingt.evaluation import (TailCounts, TailTable, _aligned_values,
+                                _values_of, score)
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -34,6 +40,27 @@ def log_pdf(params: StudentTParams, x):
                      - 0.5 * math.log(nu * math.pi) - math.log(params.sigma))
             out = const - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
     return out if out.ndim else float(out)
+
+
+def trajectory_scores(traj: ParamTrajectory, xs) -> np.ndarray:
+    """Entry i: the score of point traj.start + i of ``xs`` (an array or
+    a ReturnSeries) under the estimate traj holds for it."""
+    out = np.empty(len(traj))
+    score(_aligned_values(traj, _values_of(xs)), traj.mu, traj.sigma,
+          traj.nu, out=out)
+    return out
+
+
+def tail_table(xs, traj: ParamTrajectory, nu_labels: Sequence[float],
+               k_values: Sequence[int] = tuple(range(1, 11))) -> TailTable:
+    """Observed vs expected counts of |x_t - mu_t| > k*sigma_t over the
+    points `traj` estimates (`TailCounts`)."""
+    values = _values_of(xs)
+    if values.size == 0:
+        raise SeriesTooShortError("tail table needs a nonempty series")
+    counts = TailCounts(k_values)
+    counts.add(_aligned_values(traj, values), traj.mu, traj.sigma)
+    return counts.table(nu_labels)
 
 
 def pdf(params: StudentTParams, x):

