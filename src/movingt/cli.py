@@ -39,8 +39,8 @@ from .baselines import (GarchParams, fit_garch_mle, garch_filter,
                         simulate_garch)
 from .data_io import (ReturnSeries, Segment, TrajectoryWriter, _fmt,
                       generate_synthetic, join_values, read_returns,
-                      write_row_csv, write_series_csv, write_series_pieces,
-                      write_sweep_csv, write_tail_csv)
+                      write_row_csv, write_series_csv, write_sweep_csv,
+                      write_tail_csv)
 from .distribution import NU_GAUSSIAN
 from .errors import (DegenerateDataError, DomainError, MonotonicityError,
                      MovingTError, NonConvergenceError, ParseError,
@@ -203,9 +203,12 @@ def _static_fit(values, args, mu="mean"):
 def _cmd_returns(args) -> int:
     """Each piece of the input is written as it is read."""
     manifest = _input_manifest(args, {})
-    write_series_pieces(args.output,
-                        ((p.values, p.labels) for p in _read_pieces(args)),
-                        args.date_column is not None, manifest)
+    dated = args.date_column is not None
+    header = ["date", "x"] if dated else ["x"]
+    with TrajectoryWriter(args.output, header) as out:
+        for piece in _read_pieces(args):
+            out.write([piece.labels] if dated else [], [piece.values])
+        out.commit(manifest)
     return 0
 
 
@@ -216,13 +219,16 @@ def _cmd_fit_adaptive(args) -> int:
     check_warmup(args.warmup, math.inf)  # its sign; n is known at the end
     pieces = _read_pieces(args)
     total, n = ExactSum(), 0
-    with TrajectoryWriter(args.output) as out:
+    with TrajectoryWriter(args.output, ["t", "date", "x", "mu", "sigma", "nu",
+                                        "log_density"]) as out:
         for points, traj in run_pieces(pieces, cfg, args.init_prefix):
-            log_density = np.empty(len(traj))
+            t = range(traj.start, traj.start + len(traj))
+            log_density = np.empty(len(t))
             score(points.values, traj.mu, traj.sigma, traj.nu, total,
                   skip=max(args.warmup - traj.start, 0), out=log_density)
-            out.write(traj, points.values, log_density, points.labels)
-            n = traj.start + len(traj)
+            out.write([t, points.labels], [points.values, traj.mu,
+                                           traj.sigma, traj.nu, log_density])
+            n = t.stop
         check_warmup(args.warmup, n)
         loglik = total.mean()
         manifest = _input_manifest(args, {
@@ -434,6 +440,8 @@ def _cmd_synth(args) -> int:
         spec_text = "segments:" + "|".join(args.segment) + f":seed={args.seed}"
     else:
         raise DomainError("synth needs at least one --segment or a --garch spec")
+    if len(series) == 0:  # a report with no rows reads back as an error
+        raise DomainError("synth needs a length > 0, got 0 points")
     config = {"spec": spec_text, "seed": args.seed}
     manifest = _manifest("synth", _digest_text(spec_text), config, args.output)
     write_series_csv(args.output, series.values, None, manifest)

@@ -23,17 +23,18 @@ leave the date labels out (``keep_labels=False``) and still check that
 every row has its date cell; `join_values` joins such pieces' values.
 Every report is written under a temporary name beside the file it
 replaces and renamed over it when whole (`_open_out`), so a failed run
-leaves an earlier report as it was.  The series and
-trajectory writers format chunks with one function.  Shortest
-round-trip repr is most of a large write, so once `_PARALLEL_MIN_ROWS`
-rows are written, when the process may run on two or more CPUs and can
-fork, a `TrajectoryWriter` reserves a span of its temporary file for
-each later chunk and sends the chunk's arrays to a pool of worker
-processes, which write its text into that span themselves; the text
-never passes through this process.  `commit` copies the spans in
-order.  A chunk's text depends only on its rows, so the bytes do not
-depend on which path ran, on how many workers there were, or on the
-chunk size.
+leaves an earlier report as it was.  One streamed writer,
+`TrajectoryWriter`, writes every report of one row a point: the
+trajectory of `fit-adaptive` and the series of `returns` and `synth`
+(`write_series_csv`).  Shortest round-trip repr is most of a large
+write, so once `_PARALLEL_MIN_ROWS` rows are written, when the process
+may run on two or more CPUs and can fork, the writer reserves a span of
+its temporary file for each later chunk and sends the chunk's columns
+to a pool of worker processes, which write its text into that span
+themselves; the text never passes through this process.  `commit`
+copies the spans in order.  A chunk's text depends only on its rows, so
+the bytes do not depend on which path ran, on how many workers there
+were, or on the chunk size.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ __all__ = [
     "join_values",
     "generate_synthetic",
     "write_series_csv",
-    "write_series_pieces",
     "TrajectoryWriter",
     "write_sweep_csv",
     "write_tail_csv",
@@ -524,8 +524,8 @@ _CHUNK = 8192
 # Lines the reader takes at a time after the header (`_read_chunks`); a
 # block is held as lines and as one string, so it is kept small.
 _BLOCK = 256
-# Rows written in this process before a trajectory writer may start
-# workers; a century-sized run (26,700 rows) stays below it.  Whole
+# Rows written in this process before a writer may start workers; a
+# century-sized run (26,700 rows) stays below it.  Whole
 # fit-adaptive runs on a 2-CPU host, medians of 12 interleaved: a pool
 # from row 16084 against none added 24 ms at 27k rows and saved 9, 26
 # and 39 ms at 41k, 50k and 66k, about 13 ms a chunk it formats.  This
@@ -534,11 +534,7 @@ _BLOCK = 256
 # -30 ms at 3e5.  The pool adds about 1 MB of peak RSS: fit-adaptive at
 # 3e5 points peaked at 36.4 MB on one CPU and 37.3-37.6 MB on two.
 _PARALLEL_MIN_ROWS = 32768
-# Bytes of a trajectory row beyond its date cell, at most: t (at most 20
-# digits), five float reprs (at most 24 characters each, as in
-# -2.2250738585072014e-308), six commas and LF take 147.
-_ROW_BYTES = 150
-# Largest read when the trajectory's spans are copied into the report
+# Largest read when the spans are copied into the report
 _COPY_BLOCK = 1 << 16
 
 
@@ -554,33 +550,40 @@ def _format_rows(text_columns, float_columns):
                *(c.tolist() for c in float_columns))
 
 
-def _trajectory_rows(start, labels, *float_columns):
-    """Lines of trajectory rows t = start, start + 1, ...: the date from
-    ``labels`` (empty without them), then x, mu, sigma, nu, log_density."""
-    n = float_columns[0].size
-    dates = _csv_cells(labels) if labels is not None else [""] * n
-    return _format_rows([map(str, range(start, start + n)), dates],
-                        float_columns)
+def _chunk_rows(texts, floats):
+    """Lines of a chunk's rows: the cells of each text column, then its
+    floats.  A text column is a range (the `t` counter), a list of date
+    labels, or None for empty cells."""
+    n = len(floats[0])
+    return _format_rows([map(str, c) if isinstance(c, range)
+                         else [""] * n if c is None else _csv_cells(c)
+                         for c in texts], floats)
 
 
-def _span_bound(labels, n) -> int:
-    """Bytes that n trajectory rows with these date labels (or None) take
-    at most, encoded: `_ROW_BYTES` a row, plus 4 len + 2 for a label,
-    since `_csv_cell` may quote it, doubling its quotes, and UTF-8
-    takes at most 4 bytes a character."""
-    if labels is None:
-        return _ROW_BYTES * n
-    return _ROW_BYTES * n + 4 * sum(map(len, labels)) + 2 * len(labels)
+def _span_bound(texts, floats) -> int:
+    """Bytes that a chunk's rows take at most, encoded, from the kinds of
+    its columns: a `t` at most 20 digits, a float at most 24 characters
+    (as in -2.2250738585072014e-308), and a label 4 len + 2, since
+    `_csv_cell` may quote it, doubling its quotes, and UTF-8 takes at
+    most 4 bytes a character; plus a comma between cells and the LF."""
+    n = len(floats[0])
+    size = (24 * len(floats) + len(texts) + len(floats)) * n
+    for c in texts:
+        if isinstance(c, range):
+            size += 20 * n
+        elif c is not None:
+            size += 4 * sum(map(len, c)) + 2 * n
+    return size
 
 
-def _write_span(fd, offset, size, *chunk):
+def _write_span(fd, offset, size, texts, floats):
     """Format the rows of one chunk and write them into file ``fd`` at
     ``offset``, within the ``size`` bytes reserved there: what a worker
     process does.  Returns (offset, length of the text)."""
-    data = "".join(_trajectory_rows(*chunk)).encode()
+    data = "".join(_chunk_rows(texts, floats)).encode()
     if len(data) > size:
-        raise RuntimeError(f"{len(data)} bytes of trajectory rows overrun "
-                           f"the {size} reserved for them")
+        raise RuntimeError(f"{len(data)} bytes of rows overrun the {size} "
+                           f"reserved for them")
     view, done = memoryview(data), 0
     while done < len(data):
         done += os.pwrite(fd, view[done:], offset + done)
@@ -597,14 +600,14 @@ def _copy_spans(src, dst, spans):
             src.seek(offset)
             sent = dst.write(src.read(min(end - offset, _COPY_BLOCK)))
             if not sent:
-                raise OSError(f"temporary trajectory file ends at byte "
+                raise OSError(f"temporary file of rows ends at byte "
                               f"{offset}, before {end}")
             offset += sent
 
 
 def _writer_processes(rows: int) -> int:
-    """Worker processes for a trajectory writer that has written ``rows``
-    rows in this process; 0 means it stays serial.
+    """Worker processes for a writer that has written ``rows`` rows in
+    this process; 0 means it stays serial.
 
     Parallel needs two or more usable CPUs and the fork start method,
     which starts a worker without importing the package again.  The
@@ -623,35 +626,41 @@ def _writer_processes(rows: int) -> int:
 
 
 class TrajectoryWriter:
-    """A trajectory CSV written chunk by chunk, before its manifest is
-    known.
+    """The one streamed writer: a CSV report of one row a point (the
+    trajectory of `fit-adaptive`, the series of `returns` and of
+    `write_series_csv`), written chunk by chunk before its manifest is
+    known.  ``header`` names the columns.
 
-    Columns: t, date, x, mu, sigma, nu, log_density.  `write` formats
-    rows into an unnamed temporary file in the directory of ``path``,
-    each chunk into a span of it; `commit` writes the manifest and
-    header and copies the spans after them, in order, into the report,
-    which replaces ``path`` when it is whole (`_open_out`).  Leaving the
-    ``with`` block stops the workers and drops the temporary file, so a
-    run that fails, before or during `commit`, leaves no file, and any
-    file at ``path`` as it was.
+    `write` formats rows into an unnamed temporary file in the directory
+    of ``path``, each chunk into a span of it; `commit` writes the
+    manifest and header and copies the spans after them, in order, into
+    the report, which replaces ``path`` when it is whole (`_open_out`).
+    Leaving the ``with`` block stops the workers and drops the temporary
+    file, so a run that fails, before or during `commit`, leaves no
+    file, and any file at ``path`` as it was.
 
     In this process the rows are written line by line, and the spans
     follow one another.  From `_PARALLEL_MIN_ROWS` rows written, when
     `_writer_processes` allows, each later chunk gets a span of
-    `_span_bound` bytes, and its arrays go to a pool of worker
+    `_span_bound` bytes, and its columns go to a pool of worker
     processes, started with the first of them, which write its text
     there and return only the span's offset and the text's length.  The
-    text fills about three quarters of its span; the rest is a hole,
-    which most file systems (ext4, xfs, tmpfs) do not store.  At most one chunk per
-    worker is in flight: this process folds the next chunk while the
-    workers format.  A chunk's text depends only on its rows, so the
-    bytes do not depend on which path ran.
+    text fills about three quarters of a trajectory chunk's span; the
+    rest is a hole, which most file systems (ext4, xfs, tmpfs) do not
+    store.  At most one chunk per worker is in flight: this process
+    reads (and folds) the next chunk while the workers format.  A
+    chunk's text depends only on its rows, so the bytes do not depend on
+    which path ran.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, header):
         self._path = path
-        self._tmp = tempfile.TemporaryFile(
-            dir=os.path.dirname(os.path.abspath(path)))
+        self._header = list(header)
+        try:
+            self._tmp = tempfile.TemporaryFile(
+                dir=os.path.dirname(os.path.abspath(path)))
+        except OSError as exc:  # named by the path asked for
+            raise OSError(exc.errno, exc.strerror, path) from None
         self._rows = 0
         self._end = 0  # where the next chunk's span starts
         self._spans = array("q")  # (offset, length) of the spans, flat
@@ -679,25 +688,21 @@ class TrajectoryWriter:
             self._pool = None
         self._tmp.close()
 
-    def write(self, traj, values, log_density, labels=None):
-        """Append the rows of ``traj``: row i is point traj.start + i,
-        whose value is values[i], score log_density[i] and date
-        labels[i].  DomainError, before a row is written, unless values,
-        log_density (and labels) hold one entry a row."""
-        n = len(traj)
-        if (len(values) != n or len(log_density) != n
-                or (labels is not None and len(labels) != n)):
-            raise DomainError(
-                f"{n} trajectory rows from t={traj.start} need as many "
-                f"values, log-densities and labels, got {len(values)} "
-                f"values, {len(log_density)} log-densities"
-                + ("" if labels is None else f" and {len(labels)} labels"))
+    def write(self, texts, floats):
+        """Append rows: row i holds entry i of each text column, then of
+        each float array.  A text column is a range (the `t` counter), a
+        list of date labels, or None for empty cells.  DomainError,
+        before a row is written, unless every column has as many entries
+        as the first float array."""
+        n = len(floats[0])
+        lengths = [len(c) for c in (*texts, *floats) if c is not None]
+        if any(k != n for k in lengths):
+            raise DomainError(f"a chunk's columns need one entry a row, "
+                              f"got lengths {lengths}")
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
-            chunk = (traj.start + lo,
-                     None if labels is None else labels[lo:hi],
-                     *(c[lo:hi] for c in (values, traj.mu, traj.sigma,
-                                          traj.nu, log_density)))
+            chunk = ([None if c is None else c[lo:hi] for c in texts],
+                     [c[lo:hi] for c in floats])
             if self._workers:
                 if self._pool is None:  # started for the chunk in hand
                     import multiprocessing
@@ -707,7 +712,7 @@ class TrajectoryWriter:
                     self._pool = multiprocessing.get_context("fork").Pool(
                         self._workers, signal.signal,
                         (signal.SIGINT, signal.SIG_IGN))
-                size = _span_bound(chunk[1], hi - lo)
+                size = _span_bound(*chunk)
                 self._pending.append(self._pool.apply_async(
                     _write_span, (self._tmp.fileno(), self._end, size,
                                   *chunk)))
@@ -717,7 +722,7 @@ class TrajectoryWriter:
                 continue
             # line by line: the chunk's text at once would add about
             # 2 MB to this process's peak
-            self._tmp.writelines(map(str.encode, _trajectory_rows(*chunk)))
+            self._tmp.writelines(map(str.encode, _chunk_rows(*chunk)))
             end = self._tmp.tell()
             self._spans.extend((self._end, end - self._end))
             self._end = end
@@ -731,34 +736,17 @@ class TrajectoryWriter:
             self._spans.extend(self._pending.popleft().get())
         self._tmp.flush()
         with _open_out(self._path) as out:
-            _emit(out, manifest_lines,
-                  ["t", "date", "x", "mu", "sigma", "nu", "log_density"], ())
+            _emit(out, manifest_lines, self._header, ())
             out.flush()
             _copy_spans(self._tmp, out.buffer, self._spans)
 
 
 def write_series_csv(path, values, labels=None, manifest_lines=()):
-    """Columns: date (when labelled), x."""
-    write_series_pieces(path, [(values, labels)], labels is not None,
-                        manifest_lines)
-
-
-def write_series_pieces(path, pieces, labelled, manifest_lines=()):
-    """Columns: date (when ``labelled``), x: the rows of ``pieces``,
-    (values, labels) pairs, written as they come, so a series read in
-    pieces is written without being held.  A piece that fails (a bad
-    cell read late in its file) leaves no report.
-
-    Same bytes as writing each row through `_emit`.
-    """
-    with _open_out(path) as fh:
-        _emit(fh, manifest_lines, ["date", "x"] if labelled else ["x"], ())
-        for values, labels in pieces:
-            values = np.asarray(values)
-            for lo in range(0, len(values), _CHUNK):
-                hi = lo + _CHUNK
-                text = [] if labels is None else [_csv_cells(labels[lo:hi])]
-                fh.writelines(_format_rows(text, [values[lo:hi]]))
+    """Columns: date (when labelled), x; one write of `TrajectoryWriter`."""
+    labelled = labels is not None
+    with TrajectoryWriter(path, ["date", "x"] if labelled else ["x"]) as out:
+        out.write([labels] if labelled else [], [np.asarray(values)])
+        out.commit(manifest_lines)
 
 
 def write_sweep_csv(path, report, manifest_lines=()):

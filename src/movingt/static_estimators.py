@@ -57,12 +57,15 @@ def compute_moments(xs, powers, mu="mean"):
         mu_hat = float(mu)
         if not math.isfinite(mu_hat):
             raise DomainError(f"fixed mu must be finite, got {mu!r}")
-    d = np.abs(xs - mu_hat)
-    by_power = {}
+    # |x - mu_hat|^p remade in one buffer for each power, so the call holds
+    # one array of the series' size; in-place ** gives the bits of d ** p
+    buf, by_power = np.empty_like(xs), {}
     for p in powers:
         if p not in by_power:
+            np.abs(np.subtract(xs, mu_hat, out=buf), out=buf)
             with np.errstate(over="ignore"):
-                by_power[p] = float(np.mean(d ** p))
+                buf **= p
+                by_power[p] = float(np.mean(buf))
             if not math.isfinite(by_power[p]):
                 raise _power_overflow(p)
     return mu_hat, tuple(by_power[p] for p in powers)

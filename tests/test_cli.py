@@ -750,6 +750,16 @@ class TestSynth:
             1e-6, 0.08, 0.9, 1e-6 / (1.0 - 0.08 - 0.9)))
         assert [float(r[0]) for r in _data_rows(out)[1:]] == xs.tolist()
 
+    @pytest.mark.parametrize("spec", [
+        ["--garch", "0,0.1,0.1,0.8"], ["--segment", "0,0,1,5"]],
+        ids=["garch", "segment"])
+    def test_no_points_is_a_usage_error(self, tmp_path, capsys, spec):
+        # a report without rows is one that every command refuses to read
+        out = tmp_path / "o.csv"
+        assert _run("synth", "--output", str(out), *spec) == 2
+        assert "got 0 points" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_nonstationary_garch_is_a_usage_error(self, tmp_path, capsys):
         # alpha + beta = 1 has no stationary start variance to default to
         assert _run("synth", "--output", str(tmp_path / "o.csv"),
@@ -1118,6 +1128,42 @@ def _write_dated(path, n, seed=0, bad_line=None, no_date_line=None):
         fh.writelines(lines)
 
 
+class TestStreamedReturns:
+    """`returns` streams its input's pieces into the one writer, which
+    formats on worker processes past its row threshold; the report is
+    the one the whole series gives, on either path."""
+
+    # (id, prices, dated); each piece of a price column carries its last
+    # price into the next, across the chunk boundaries of both paths
+    _CASES = [("prices, dates", True, True), ("returns", False, False)]
+
+    @pytest.mark.parametrize("case", _CASES, ids=[c[0] for c in _CASES])
+    def test_same_bytes_as_the_whole_series(self, tmp_path, writer_path,
+                                            case):
+        from test_data_io import _per_row_series_csv
+        path, taken = writer_path
+        _, prices, dated = case
+        # past the threshold, and not a whole number of chunks
+        n = data_io._PARALLEL_MIN_ROWS + 3 * data_io._CHUNK + 5
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        TestOnePassFitAdaptive._write_input(src, n, prices, dated)
+        assert main(["returns", "--input", str(src), "--output", str(out),
+                     "--prices" if prices else "--returns",
+                     *(["--date-column", "date"] if dated else [])]) == 0
+        with open(src, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        values = np.array([float(row[-1]) for row in rows])
+        labels = [row[0].strip() for row in rows] if dated else None
+        if prices:
+            values = np.log(values[1:] / values[:-1])
+            labels = None if labels is None else labels[1:]
+        ref = tmp_path / "reference.csv"
+        _per_row_series_csv(ref, values, labels,
+                            TestOnePassFitAdaptive._manifest(out))
+        assert out.read_bytes() == ref.read_bytes()
+        assert taken == [2 if path == "parallel" else 0]
+
+
 class TestAtomicReports:
     """A report is written under a temporary name beside --output and
     renamed over it when whole: a failure at any point leaves an earlier
@@ -1430,8 +1476,12 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize("argv", [["returns"], ["tail-table"]],
                              ids=lambda argv: argv[0])
-    def test_streamed_peak_does_not_grow_with_the_series(self, tmp_path,
-                                                         capsys, argv):
+    def test_streamed_peak_does_not_grow_with_the_series(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # serial: the writer's workers are other processes, which
+        # tracemalloc cannot see (the pool path has its own test below)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
         peaks = []
         for n in (1000, 30_000, 120_000):  # the first fills the caches
             src = tmp_path / f"in{n}.csv"
@@ -1439,6 +1489,22 @@ class TestBoundedMemory:
             peaks.append(_traced_peak([
                 *argv, "--returns", "--date-column", "date", "--input",
                 str(src), "--output", str(tmp_path / "out.csv")]))
+        assert abs(peaks[2] - peaks[1]) < 2 ** 20, peaks
+
+    @pytest.mark.parametrize("writer_path", ["parallel"], indirect=True)
+    def test_pool_path_peak_does_not_grow_with_the_series(
+            self, tmp_path, capsys, writer_path):
+        # this process holds the chunk it reads and, at most, the chunks
+        # on their way to the workers, however long the series
+        _, taken = writer_path
+        peaks = []
+        for n in (50_000, 120_000, 240_000):  # the first fills the caches
+            src = tmp_path / f"in{n}.csv"
+            _write_dated(src, n)
+            peaks.append(_traced_peak([
+                "returns", "--returns", "--date-column", "date", "--input",
+                str(src), "--output", str(tmp_path / "out.csv")]))
+        assert taken == [2, 2, 2]
         assert abs(peaks[2] - peaks[1]) < 2 ** 20, peaks
 
     @pytest.mark.parametrize("argv, n", [

@@ -515,12 +515,23 @@ class TestGenerateSynthetic:
                            GarchParams(1e-6, 0.08, 0.90, 1e-6))
 
 
+_TRAJECTORY_HEADER = ["t", "date", "x", "mu", "sigma", "nu", "log_density"]
+
+
+def _trajectory_columns(traj, values, log_density, labels=None):
+    """The text and float columns of ``traj``'s rows, as fit-adaptive
+    writes them: t, date, then x, mu, sigma, nu and the log-density."""
+    return ([range(traj.start, traj.start + len(traj)), labels],
+            [values, traj.mu, traj.sigma, traj.nu, log_density])
+
+
 def _write_trajectory(path, traj, log_density, series, manifest_lines=()):
     """The rows of ``traj``, their log-densities and their points of
-    ``series`` through the trajectory writer."""
+    ``series`` through the writer."""
     points = series[traj.start:traj.start + len(traj)]
-    with TrajectoryWriter(path) as out:
-        out.write(traj, points.values, log_density, points.labels)
+    with TrajectoryWriter(path, _TRAJECTORY_HEADER) as out:
+        out.write(*_trajectory_columns(traj, points.values, log_density,
+                                       points.labels))
         out.commit(manifest_lines)
 
 
@@ -684,8 +695,9 @@ class TestTrajectoryWriterBytes:
             terminate(pool)
         monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", spy)
         with pytest.raises(RuntimeError, match="in flight"):
-            with TrajectoryWriter(tmp_path / "t.csv") as out:
-                out.write(traj, series.values[7:], logd)
+            with TrajectoryWriter(tmp_path / "t.csv",
+                                  _TRAJECTORY_HEADER) as out:
+                out.write(*_trajectory_columns(traj, series.values[7:], logd))
                 raise RuntimeError("a failure with a chunk in flight")
         assert taken == [2]
         assert ready == [[True]]
@@ -704,8 +716,8 @@ class TestTrajectoryWriterBytes:
                       (values[:-100], logd, labels[:-100]),
                       (values, logd[:-1], None), (values, logd, labels[:-1])):
             with pytest.raises(DomainError):
-                with TrajectoryWriter(out) as writer:
-                    writer.write(traj, *short)
+                with TrajectoryWriter(out, _TRAJECTORY_HEADER) as writer:
+                    writer.write(*_trajectory_columns(traj, *short))
                     writer.commit()
             assert not out.exists()
         assert taken == []
@@ -724,12 +736,14 @@ class TestTrajectorySpans:
     reserved by `_span_bound`, and return only where and how much."""
 
     @staticmethod
-    def _longest_chunk(start, n, labels):
-        """A chunk of n rows from t = start whose floats all have the
-        longest repr, or are -inf."""
+    def _longest_chunks(start, n, labels):
+        """The columns of chunks of n rows whose floats all have the
+        longest repr, or are -inf: a trajectory chunk from t = start,
+        and a series chunk (the date when labelled, then x)."""
         longest = np.full(n, -2.2250738585072014e-308)
         longest[::7] = -np.inf
-        return (start, labels, *(longest for _ in range(5)))
+        return [([range(start, start + n), labels], [longest] * 5),
+                ([] if labels is None else [labels], [longest])]
 
     @pytest.mark.parametrize("labelled", [False, True])
     def test_bound_covers_the_longest_rows(self, labelled):
@@ -738,17 +752,17 @@ class TestTrajectorySpans:
         labels = ([_LONGEST_LABELS[i % len(_LONGEST_LABELS)]
                    for i in range(n)] if labelled else None)
         for start in (0, 2 ** 63 - n // 2, 10 ** 20 - n):  # t up to 20 digits
-            chunk = self._longest_chunk(start, n, labels)
-            text = "".join(data_io._trajectory_rows(*chunk)).encode()
-            assert len(text) <= data_io._span_bound(labels, n)
+            for chunk in self._longest_chunks(start, n, labels):
+                text = "".join(data_io._chunk_rows(*chunk)).encode()
+                assert len(text) <= data_io._span_bound(*chunk)
         for label in _LONGEST_LABELS:  # one label a row
-            chunk = self._longest_chunk(10 ** 20 - 1, 1, [label])
-            text = "".join(data_io._trajectory_rows(*chunk)).encode()
-            assert len(text) <= data_io._span_bound([label], 1)
+            for chunk in self._longest_chunks(10 ** 20 - 1, 1, [label]):
+                text = "".join(data_io._chunk_rows(*chunk)).encode()
+                assert len(text) <= data_io._span_bound(*chunk)
 
     def test_a_text_longer_than_its_span_is_refused(self, tmp_path):
         from movingt import data_io
-        chunk = self._longest_chunk(0, 3, None)
+        chunk = self._longest_chunks(0, 3, None)[0]
         with open(tmp_path / "t", "w+b") as fh:
             with pytest.raises(RuntimeError, match="overrun"):
                 data_io._write_span(fh.fileno(), 0, 100, *chunk)
@@ -809,8 +823,9 @@ class TestTrajectorySpans:
             if traced:
                 tracemalloc.start()
             try:
-                with TrajectoryWriter(tmp_path / "t.csv") as out:
-                    out.write(traj, values, logd)
+                with TrajectoryWriter(tmp_path / "t.csv",
+                                      _TRAJECTORY_HEADER) as out:
+                    out.write(*_trajectory_columns(traj, values, logd))
                     for result in out._pending:
                         result.wait()
                     out.commit()
@@ -823,16 +838,32 @@ class TestTrajectorySpans:
         assert parallel - serial < 2 ** 19, (serial, parallel)
 
 
+# each `labelled` case on both writer paths; the serial cases keep the
+# ids they had when the series writer had no other path
+_SERIES_CASES = [(labelled, path) for path in ("serial", "parallel")
+                 for labelled in _LABELLED]
+
+
 class TestSeriesWriterBytes:
-    @pytest.mark.parametrize("labelled", _LABELLED)
-    def test_same_bytes_as_per_row_writer(self, tmp_path, labelled):
-        # crosses a chunk boundary of the writer
-        values = _awkward_floats(20_000)[0]
-        labels = _labels(values.size, 8190, labelled)
+    @pytest.mark.parametrize(
+        "labelled, writer_path", _SERIES_CASES, indirect=["writer_path"],
+        ids=[str(labelled) if path == "serial" else f"parallel-{labelled}"
+             for labelled, path in _SERIES_CASES])
+    def test_same_bytes_as_per_row_writer(self, tmp_path, writer_path,
+                                          labelled):
+        # past the parallel threshold and not a whole number of chunks;
+        # the awkward labels cross the boundary of two chunks that
+        # workers format on the parallel path
+        from movingt import data_io
+        path, taken = writer_path
+        values = _awkward_floats(data_io._PARALLEL_MIN_ROWS
+                                 + 2 * data_io._CHUNK + 1234)[0]
+        labels = _labels(values.size, 5 * data_io._CHUNK - 10, labelled)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         write_series_csv(new, values, labels, ["k = v"])
         _per_row_series_csv(old, values, labels, ["k = v"])
         assert new.read_bytes() == old.read_bytes()
+        assert taken == [2 if path == "parallel" else 0]
 
 
 class TestRowCountsOfTracedCalls:

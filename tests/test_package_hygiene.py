@@ -6,7 +6,7 @@ name is referenced somewhere in the package.  Both catch copies left
 behind when a formula moves between modules.  A third check keeps the
 moving estimator's config to the settings its step reads, and another
 keeps the fits to returning parameters, with `evaluation.score` the one
-caller of the density.  One more keeps scipy out of the runtime, and
+caller of the density, and another keeps one formatter of streamed rows.  One more keeps scipy out of the runtime, and
 another asks every dataclass field to be read somewhere outside
 validation (`__post_init__`, or a hand-written `__init__`), so no
 stored value goes unread.  Last, the README's library and CLI examples run, its
@@ -164,6 +164,15 @@ def test_fits_return_parameters_and_only_the_scorer_scores():
     fields = [node.target.id for node in trajectory.body
               if isinstance(node, ast.AnnAssign)]
     assert fields == ["start", "mu", "sigma", "nu"]
+
+
+def test_one_streamed_writer_formats_the_rows():
+    # the reports of one row a point (fit-adaptive's trajectory, the
+    # series of returns and synth) are formatted by one chunk formatter
+    calls = {(path.stem, where) for path in MODULES
+             for where in _callers(_tree(path), "_format_rows")}
+    assert calls == {("data_io", "_chunk_rows")}, \
+        f"_format_rows called outside data_io._chunk_rows: {sorted(calls)}"
 
 
 def _is_dataclass(node):

@@ -40,6 +40,31 @@ class TestComputeMoments:
         _, moments = compute_moments([-1.0, 3.0], [1.0, 2.0, 1.0], mu=0.0)
         assert moments == (2.0, 5.0, 2.0)
 
+    # powers with the ** operator's fast paths (1, 2, 0.5) and without
+    _POWERS = (1.0, 2.0, 0.5, 0.8, 0.3, 3.0, 1.0)
+
+    @pytest.mark.parametrize("mu", ["mean", 0.25])
+    def test_same_bits_as_the_power_of_the_whole_array(self, mu):
+        xs = np.random.default_rng(9).standard_t(3, 10_001) * 1e-2
+        mu_hat, moments = compute_moments(xs, self._POWERS, mu=mu)
+        d = np.abs(xs - mu_hat)
+        assert moments == tuple(float(np.mean(d ** p)) for p in self._POWERS)
+
+    def test_holds_one_array_beside_the_series(self):
+        # traced from before the series is made, the call's peak stays
+        # near two arrays of the series' size: the series and the one
+        # buffer every power reuses (with d and d ** p it was three)
+        import tracemalloc
+        base = np.random.default_rng(10).standard_t(4, 10 ** 6)
+        tracemalloc.start()
+        try:
+            xs = base.copy()
+            compute_moments(xs, self._POWERS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * xs.nbytes, peak / xs.nbytes
+
 
 def _sigma(m_sigma, nu, p):
     """sigma_hat of the static fit at a fixed nu."""
