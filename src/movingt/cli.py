@@ -17,18 +17,22 @@ the others keep no date label: they still find --date-column and check
 that every row has its date cell, and `tail-table` reads the labels
 only to apply --start-label/--end-label to each piece.
 
-Exit codes: 0 success, 2 usage/config error (including a missing input
-path), 3 data error (unparseable or unusable content), 4 numerical
-failure.
+Exit codes: 0 success, 2 usage/config error (including an input path
+that is missing or not a regular file), 3 data error (unparseable or
+unusable content), 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib
 import itertools
 import math
+import os
+import random
+import stat
 import sys
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +53,17 @@ from .evaluation import (ExactSum, TailCounts, check_warmup,
                          mean_log_likelihood, nu_of_inv, nu_sweep, score)
 from .static_estimators import compute_moments, static_fit
 
+# CPython's own SHA-256 gives the digest hashlib's does, without loading
+# OpenSSL's libcrypto, which would add about 3.6 MB to every process's
+# peak memory; it hashes about a fifth as fast
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10 and 3.11
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256 as _sha256
+
 _USAGE_ERRORS = (DomainError, FileNotFoundError, IsADirectoryError,
                  PermissionError)
 _DATA_ERRORS = (ParseError, DegenerateDataError, SeriesTooShortError)
@@ -68,7 +83,7 @@ def _digest_file(path) -> str:
     """sha256 of the file's bytes, read in 64 KiB blocks: two live 1 MiB
     blocks would set fit-adaptive's peak memory, since the trajectory's
     text never passes through this process."""
-    digest = hashlib.sha256()
+    digest = _sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
@@ -76,7 +91,7 @@ def _digest_file(path) -> str:
 
 
 def _digest_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _sha256(text.encode("utf-8")).hexdigest()
 
 
 def _manifest(command: str, input_digest: str, config: dict,
@@ -147,7 +162,16 @@ def _kind(args) -> str:
 
 
 def _read_pieces(args, keep_labels=True):
-    """The input's series in pieces (`read_returns`)."""
+    """The input's series in pieces (`read_returns`).
+
+    The input is read twice, once to parse it and once for its digest
+    (`_digest_file`), so it must be a regular file: a pipe would reach
+    the second read empty.  That is checked here, before either read.
+    """
+    if not stat.S_ISREG(os.stat(args.input).st_mode):
+        raise DomainError(
+            f"--input {args.input!r} must be a regular file: the input "
+            "is read twice, once to parse it and once for its digest")
     return read_returns(args.input, column=args.column,
                         date_column=args.date_column, kind=_kind(args),
                         keep_labels=keep_labels)
@@ -202,11 +226,12 @@ def _static_fit(values, args, mu="mean"):
 
 def _cmd_returns(args) -> int:
     """Each piece of the input is written as it is read."""
+    pieces = _read_pieces(args)
     manifest = _input_manifest(args, {})
     dated = args.date_column is not None
     header = ["date", "x"] if dated else ["x"]
     with TrajectoryWriter(args.output, header) as out:
-        for piece in _read_pieces(args):
+        for piece in pieces:
             out.write([piece.labels] if dated else [], [piece.values])
         out.commit(manifest)
     return 0
@@ -426,7 +451,32 @@ def _parse_garch(text: str):
         raise DomainError(f"bad --garch {text!r}: {exc}") from None
 
 
+def _import_numpy_random():
+    """Import numpy.random without OpenSSL.
+
+    Its bit generators take `secrets.randbits` for unseeded entropy, and
+    `secrets` imports hmac, which loads libcrypto (3 MB of a `synth`
+    process's peak memory).  The import sees a stand-in `secrets` whose
+    `randbits` is the one `secrets` defines,
+    `random.SystemRandom().getrandbits`; the stand-in is gone once
+    numpy.random is in.  A numpy that wants more of `secrets` fails
+    here, and takes the real module when `np.random` is first used.
+    """
+    if "numpy.random" in sys.modules or "secrets" in sys.modules:
+        return
+    stand_in = types.ModuleType("secrets")
+    stand_in.randbits = random.SystemRandom().getrandbits
+    sys.modules["secrets"] = stand_in
+    try:
+        importlib.import_module("numpy.random")
+    except ImportError:
+        pass
+    finally:
+        del sys.modules["secrets"]
+
+
 def _cmd_synth(args) -> int:
+    _import_numpy_random()
     if args.garch is not None and args.segment:
         raise DomainError("--segment and --garch are mutually exclusive")
     if args.garch is not None:

@@ -1,10 +1,12 @@
 import argparse
 import csv
 import hashlib
+import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -35,6 +37,13 @@ def _data_rows(path):
 
 def _sha(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def _src_env():
+    """The environment of a subprocess that imports this package."""
+    import movingt
+    src = os.path.dirname(os.path.dirname(os.path.abspath(movingt.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
 
 
 @pytest.fixture
@@ -135,6 +144,20 @@ class TestReturnsCommand:
         assert f"# input_sha256 = {_sha(src)}\n" in out.read_text()
         assert [float(r[0]) for r in _data_rows(out)[1:]] == [0.25, -0.5]
 
+    def test_input_sha256_without_the_builtin_hash(self, tmp_path):
+        # an interpreter built without CPython's own SHA-256 falls back
+        # to hashlib's
+        src = tmp_path / "in.csv"
+        src.write_bytes(np.random.default_rng(3).bytes(100_000))
+        code = ("import sys; "
+                "sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+                "import hashlib; from movingt.cli import _digest_file, _sha256; "
+                "print(_sha256 is hashlib.sha256, _digest_file(sys.argv[1]))")
+        out = subprocess.run([sys.executable, "-c", code, str(src)],
+                             env=_src_env(), check=True, capture_output=True,
+                             text=True).stdout
+        assert out.split() == ["True", _sha(src)]
+
     def test_manifest_embedded(self, tmp_path):
         src = tmp_path / "r.csv"
         src.write_text("x\n0.1\n")
@@ -143,6 +166,60 @@ class TestReturnsCommand:
         text = out.read_text()
         assert "# command = returns" in text
         assert "# input_sha256 = " in text
+
+
+class TestInputIsARegularFile:
+    """The input is read twice, once to parse it and once for its
+    digest, so --input must be a regular file.  Anything else is refused
+    with exit 2 before either read, and leaves no output."""
+
+    @staticmethod
+    def _cli(*argv, **kw):
+        return subprocess.run([sys.executable, "-m", "movingt.cli", *argv],
+                              env=_src_env(), capture_output=True, text=True,
+                              timeout=60, **kw)
+
+    @pytest.mark.parametrize("command", ["fit-static", "returns"])
+    def test_pipe_is_refused(self, synth_file, tmp_path, command):
+        out = tmp_path / "out.csv"
+        done = self._cli(command, "--returns", "-i", "/dev/stdin",
+                         "-o", str(out), input=synth_file.read_text())
+        assert done.returncode == 2
+        assert done.stderr == ("error: --input '/dev/stdin' must be a "
+                               "regular file: the input is read twice, once "
+                               "to parse it and once for its digest\n")
+        assert sorted(os.listdir(tmp_path)) == ["synth.csv"]
+
+    def test_fifo_is_refused_before_it_is_opened(self, synth_file, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)  # opening it would wait for a writer
+        done = self._cli("returns", "--returns", "-i", str(fifo),
+                         "-o", str(tmp_path / "out.csv"))
+        assert done.returncode == 2 and "must be a regular file" in done.stderr
+        assert sorted(os.listdir(tmp_path)) == ["fifo", "synth.csv"]
+
+    def test_redirected_file_is_read(self, synth_file, tmp_path):
+        # with `< file`, /dev/stdin is the file itself
+        out, plain = tmp_path / "out.csv", tmp_path / "plain.csv"
+        with open(synth_file, "rb") as fh:
+            done = self._cli("fit-static", "--returns", "-i", "/dev/stdin",
+                             "-o", str(out), stdin=fh)
+        assert done.returncode == 0
+        assert _run("fit-static", "--returns", "-i", str(synth_file),
+                    "-o", str(plain)) == 0
+        assert f"# input_sha256 = {_sha(synth_file)}\n" in out.read_text()
+        assert _data_rows(out) == _data_rows(plain)
+
+    @pytest.mark.parametrize("argv", [
+        ["returns"], ["fit-adaptive"], ["fit-static"], ["tail-table"],
+        ["tail-table", "--normalization", "static"], ["sweep"], ["garch"]],
+        ids=" ".join)
+    def test_every_command_refuses_a_device(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert _run(*argv, "--returns", "-i", os.devnull,
+                    "-o", str(out)) == 2
+        assert "must be a regular file" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPriceErrors:
@@ -334,12 +411,10 @@ class TestWarmupExitCodes:
 class TestMomentOverflow:
     def test_overflowing_power_is_a_usage_error(self, tmp_path):
         # |x|^500 overflows float64 on unit-scale data
-        import movingt
         src = tmp_path / "s.csv"
         assert _run("synth", "--output", str(src),
                     "--segment", "3000,0,1,4", "--seed", "1") == 0
-        root = os.path.dirname(os.path.dirname(os.path.abspath(movingt.__file__)))
-        env = dict(os.environ, PYTHONPATH=root)
+        env = _src_env()
         for argv in (["fit-adaptive", "--nu-fixed", "1000", "--p-sigma", "500"],
                      ["sweep", "--p-sigma", "1e6"]):
             proc = subprocess.run(
@@ -608,15 +683,12 @@ class TestGarchCommand:
         # on the spike file omega^2 overflows in the chain rule at every
         # start, whose Hessian no diagonal shift makes positive definite;
         # the subprocess's timeout ends it should it search forever
-        import movingt
         src = tmp_path / "spikes.csv"
         src.write_text(_SPIKES)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(movingt.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "movingt.cli", "garch", "--returns",
              "--input", str(src), "--output", str(tmp_path / "g.csv")],
-            env=dict(os.environ, PYTHONPATH=root), capture_output=True,
-            text=True, timeout=30)
+            env=_src_env(), capture_output=True, text=True, timeout=30)
         assert proc.returncode == 4
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith(
@@ -766,6 +838,52 @@ class TestSynth:
                     "--garch", "100,1e-6,0.1,0.9") == 2
         assert "alpha + beta must be < 1" in capsys.readouterr().err
 
+    def test_same_bytes_with_the_stand_in_secrets(self, tmp_path):
+        # a fresh process imports numpy.random with a stand-in `secrets`
+        # (this one has imported it already)
+        specs = [["--segment", "300,0,1,4", "--segment", "200,0,3,inf"],
+                 ["--garch", "300,1e-6,0.08,0.9"]]
+        code = textwrap.dedent("""
+            import json, sys
+            from movingt.cli import main
+            out, specs = sys.argv[1], json.loads(sys.argv[2])
+            codes = [main(["synth", *spec, "--seed", "5",
+                           "--output", f"{out}{i}"])
+                     for i, spec in enumerate(specs)]
+            print(codes, "secrets" in sys.modules)
+        """)
+        fresh = str(tmp_path / "fresh")
+        out = subprocess.run(
+            [sys.executable, "-c", code, fresh, json.dumps(specs)],
+            env=_src_env(), check=True, capture_output=True,
+            text=True).stdout
+        assert out.splitlines()[-1] == "[0, 0] False"
+        for i, spec in enumerate(specs):
+            here = tmp_path / f"here{i}"
+            assert _run("synth", *spec, "--seed", "5",
+                        "--output", str(here)) == 0
+            assert (tmp_path / f"fresh{i}").read_bytes() == \
+                here.read_bytes().replace(str(here).encode(),
+                                          f"{fresh}{i}".encode())
+
+    def test_numpy_random_works_after_a_failed_stand_in_import(self):
+        # as with a numpy that wants more of `secrets` than the stand-in has
+        code = textwrap.dedent("""
+            import sys
+            from movingt.cli import _import_numpy_random
+            sys.modules["numpy.random.bit_generator"] = None
+            _import_numpy_random()
+            del sys.modules["numpy.random.bit_generator"]
+            import numpy as np
+            print(np.random.default_rng(5).standard_t(4, 3).tolist(),
+                  "secrets" in sys.modules)
+        """)
+        out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                             check=True, capture_output=True,
+                             text=True).stdout
+        want = np.random.default_rng(5).standard_t(4, 3).tolist()
+        assert out.splitlines()[-1] == f"{want} True"
+
 
 class TestDeterminismAndHelp:
     def test_rerun_byte_identical(self, synth_file, tmp_path):
@@ -793,13 +911,10 @@ class TestDeterminismAndHelp:
     @staticmethod
     def _loaded_by_import(package):
         """Modules of ``package`` that `import movingt.cli` loads, fresh."""
-        import movingt
-        src = os.path.dirname(os.path.dirname(os.path.abspath(movingt.__file__)))
         code = ("import sys, movingt.cli; "
                 f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
+        out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                             check=True, capture_output=True, text=True).stdout
         return out.strip()
 
     def test_import_loads_no_scipy(self):
@@ -810,19 +925,44 @@ class TestDeterminismAndHelp:
         # so no command's start-up pays for it
         assert self._loaded_by_import("multiprocessing") == "[]"
 
+    def test_import_loads_no_openssl(self):
+        # the input digest is CPython's own SHA-256, not hashlib's
+        assert self._loaded_by_import("_hashlib") == "[]"
+
+    def test_commands_load_no_openssl(self, synth_file, tmp_path):
+        long = tmp_path / "long.csv"  # enough rows to start the writer's pool
+        _write_dated(long, 41_000)
+        argvs = [["returns"], ["fit-static"], ["tail-table"],
+                 ["tail-table", "--normalization", "static"],
+                 ["sweep", "--inv-nu-grid", "0.2"], ["garch"]]
+        code = ("import json, os, sys; from movingt.cli import main; "
+                "long, synth, out, argvs = sys.argv[1:5]; "
+                "codes = [main([*argv, '--returns', '--input', synth, "
+                "'--output', out]) for argv in json.loads(argvs)]; "
+                "codes.append(main(['fit-adaptive', '--returns', '--input', "
+                "long, '--date-column', 'date', '--output', out])); "
+                "codes.append(main(['synth', '--segment', '100,0,1,5', "
+                "'--output', out])); "
+                "print(codes, len(os.sched_getaffinity(0)) < 2 "
+                "or 'multiprocessing.pool' in sys.modules, "
+                "'_hashlib' in sys.modules)")
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(long), str(synth_file),
+             str(tmp_path / "o.csv"), json.dumps(argvs)],
+            env=_src_env(), check=True, capture_output=True,
+            text=True).stdout
+        assert out.splitlines()[-1] == f"{[0] * 8} True False"
+
     def test_garch_and_sweep_load_no_scipy(self, synth_file, tmp_path):
-        import movingt
-        src = os.path.dirname(os.path.dirname(os.path.abspath(movingt.__file__)))
         code = ("import sys; from movingt.cli import main; "
                 "codes = [main([cmd, '--input', sys.argv[1], '--returns', "
                 "'--output', sys.argv[2]]) for cmd in ('garch', 'sweep')]; "
                 "print(codes, sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))")
-        env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
             [sys.executable, "-c", code, str(synth_file),
              str(tmp_path / "o.csv")],
-            env=env, check=True, capture_output=True, text=True).stdout
+            env=_src_env(), check=True, capture_output=True, text=True).stdout
         assert out.splitlines()[-1] == "[0, 0] []"
 
     def test_help_exits_zero(self):
